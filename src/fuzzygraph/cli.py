@@ -20,12 +20,13 @@ from .falsifier import (
     ClaimVerdict,
     search_counterexamples,
 )
-from .indices import IndexReport, index_report
+from .indices import index_report
 from .model import FuzzyGraph, format_fraction, parse_graph
 from .replication import replication_checks
 from .structure import (
     GraphKind,
     SaturatedCycleSpec,
+    graph_kind,
     make_saturated_cycle,
     maximum_spanning_tree,
 )
@@ -155,9 +156,9 @@ def _kind_lines(kind: GraphKind) -> list[str]:
     ]
 
 
-def _warnings_for(report: IndexReport) -> list[str]:
-    if report.zero_sigma_vertices:
-        names = " ".join(report.zero_sigma_vertices)
+def _warnings_for(zero_sigma_vertices: tuple[str, ...]) -> list[str]:
+    if zero_sigma_vertices:
+        names = " ".join(zero_sigma_vertices)
         return [f"zero-grade vertices contribute nothing: {names}"]
     return []
 
@@ -213,7 +214,7 @@ def _load(path: str) -> FuzzyGraph:
 def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
     report = index_report(g)
-    warnings = _warnings_for(report)
+    warnings = _warnings_for(report.zero_sigma_vertices)
     code = 0 if report.wiener is not None else 3
     if args.format == "json":
         doc = _base_doc()
@@ -294,13 +295,15 @@ def _cmd_mst(args) -> tuple[int, str]:
 
 def _cmd_kind(args) -> tuple[int, str]:
     g = _load(args.file)
-    report = index_report(g)
+    kind = graph_kind(g)
     if args.format == "json":
         doc = _base_doc()
-        doc["kind"] = _kind_json(report.kind)
-        doc["warnings"] = _warnings_for(report)
+        doc["kind"] = _kind_json(kind)
+        doc["warnings"] = _warnings_for(
+            tuple(name for name in g.vertices() if g.sigma(name).is_zero)
+        )
         return 0, _json_text(doc)
-    return 0, "\n".join(_kind_lines(report.kind)) + "\n"
+    return 0, "\n".join(_kind_lines(kind)) + "\n"
 
 
 def _cmd_repro(args) -> tuple[int, str]:
@@ -394,10 +397,15 @@ def main(argv: list[str] | None = None) -> int:
     except FuzzyGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
+    if args.output is None:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error: cannot write {args.output}: {reason}", file=sys.stderr)
+        return 2
     return code
 
 

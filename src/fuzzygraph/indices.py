@@ -14,10 +14,13 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterator
 
-from .connectivity import strength_of_connectedness, strong_subgraph
+from .connectivity import _Analysis
 from .errors import StrongDisconnectedError
 from .model import MICRO, FuzzyGraph, Membership, VertexId, pair
-from .structure import GraphKind, SaturatedCycleSpec, graph_kind
+from .structure import GraphKind, SaturatedCycleSpec, _graph_kind
+
+# sigma(u) sigma(v) value, each factor in micro-units
+_SUM_SCALE = MICRO**3
 
 
 class DistanceMatrix:
@@ -69,8 +72,11 @@ class IndexReport:
     zero_sigma_vertices: tuple[VertexId, ...]
 
 
-def _single_source(adj, source) -> dict[VertexId, int]:
-    dist = {source: 0}
+def _single_source(
+    adj: list[list[tuple[int, int]]], source: int
+) -> list[int | None]:
+    dist: list[int | None] = [None] * len(adj)
+    dist[source] = 0
     heap = [(0, source)]
     while heap:
         d, node = heappop(heap)
@@ -78,28 +84,31 @@ def _single_source(adj, source) -> dict[VertexId, int]:
             continue
         for nbr, weight in adj[node]:
             nd = d + weight
-            if nbr not in dist or nd < dist[nbr]:
+            if dist[nbr] is None or nd < dist[nbr]:
                 dist[nbr] = nd
                 heappush(heap, (nd, nbr))
     return dist
+
+
+def _strong_distances(analysis: _Analysis) -> list[list[int | None]]:
+    """d_s rows in micro-units over the strong edges; None when unreachable."""
+    adj = analysis.strong_adjacency()
+    return [_single_source(adj, source) for source in range(len(adj))]
 
 
 def _strong_distance_table(
     g: FuzzyGraph,
 ) -> dict[tuple[VertexId, VertexId], Fraction | None]:
     """Geodesic distances over the strong subgraph; None when unreachable."""
-    strong = strong_subgraph(g)
-    names = strong.vertices()
-    adj = {
-        u: [(v, grade.micro) for v, grade in strong.neighbors(u)]
-        for u in names
-    }
+    analysis = _Analysis(g)
+    rows, names = _strong_distances(analysis), analysis.names
     table: dict[tuple[VertexId, VertexId], Fraction | None] = {}
     for i, u in enumerate(names):
-        dist = _single_source(adj, u)
-        for v in names[i + 1 :]:
-            micro = dist.get(v)
-            table[(u, v)] = None if micro is None else Fraction(micro, MICRO)
+        for j in range(i + 1, len(names)):
+            micro = rows[i][j]
+            table[(u, names[j])] = (
+                None if micro is None else Fraction(micro, MICRO)
+            )
     return table
 
 
@@ -120,23 +129,29 @@ def geodesic_distance(g: FuzzyGraph) -> DistanceMatrix:
 
 def wiener_index(g: FuzzyGraph) -> Fraction:
     """Sum of sigma(u) sigma(v) d_s(u, v) over unordered pairs."""
-    ds = geodesic_distance(g)
-    total = Fraction(0)
-    for (u, v), value in ds.pairs():
-        total += g.sigma(u).as_fraction() * g.sigma(v).as_fraction() * value
-    return total
+    analysis = _Analysis(g)
+    rows, names = _strong_distances(analysis), analysis.names
+    sigma = analysis.sigma
+    total = 0
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if row[j] is None:
+                raise StrongDisconnectedError(
+                    f"no strong path between {names[i]!r} and {names[j]!r}"
+                )
+            total += sigma[i] * sigma[j] * row[j]
+    return Fraction(total, _SUM_SCALE)
+
 
 def connectivity_index(g: FuzzyGraph) -> Fraction:
     """Sum of sigma(u) sigma(v) CONN(u, v) over unordered pairs."""
-    conn = strength_of_connectedness(g)
-    total = Fraction(0)
-    for (u, v), grade in conn.pairs():
-        total += (
-            g.sigma(u).as_fraction()
-            * g.sigma(v).as_fraction()
-            * grade.as_fraction()
-        )
-    return total
+    analysis = _Analysis(g)
+    rows, sigma = analysis.conn_rows(), analysis.sigma
+    total = 0
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            total += sigma[i] * sigma[j] * row[j]
+    return Fraction(total, _SUM_SCALE)
 
 
 def theorem_star_formula(spec: SaturatedCycleSpec) -> Fraction:
@@ -152,27 +167,36 @@ def theorem_star_formula(spec: SaturatedCycleSpec) -> Fraction:
 
 def index_report(g: FuzzyGraph) -> IndexReport:
     """Compute both indices plus the per-pair table and structure flags."""
-    conn = strength_of_connectedness(g)
-    ds_table = _strong_distance_table(g)
+    analysis = _Analysis(g)
+    conn, ds = analysis.conn_rows(), _strong_distances(analysis)
+    names, sigma = analysis.names, analysis.sigma
     entries = []
-    wiener: Fraction | None = Fraction(0)
-    connectivity = Fraction(0)
-    for (u, v), grade in conn.pairs():
-        weight = g.sigma(u).as_fraction() * g.sigma(v).as_fraction()
-        ds = ds_table[(u, v)]
-        entries.append(PairEntry(u, v, grade, ds))
-        connectivity += weight * grade.as_fraction()
-        if wiener is not None and ds is not None:
-            wiener += weight * ds
-        elif ds is None:
-            wiener = None
+    wiener_total = connectivity_total = 0
+    strongly_connected = True
+    for i, u in enumerate(names):
+        conn_row, ds_row = conn[i], ds[i]
+        for j in range(i + 1, len(names)):
+            weight = sigma[i] * sigma[j]
+            connectivity_total += weight * conn_row[j]
+            micro = ds_row[j]
+            if micro is None:
+                strongly_connected = False
+                distance = None
+            else:
+                wiener_total += weight * micro
+                distance = Fraction(micro, MICRO)
+            entries.append(
+                PairEntry(u, names[j], Membership(conn_row[j]), distance)
+            )
     zero_sigma = tuple(
         name for name in g.vertices() if g.sigma(name).is_zero
     )
     return IndexReport(
-        wiener=wiener,
-        connectivity=connectivity,
+        wiener=(
+            Fraction(wiener_total, _SUM_SCALE) if strongly_connected else None
+        ),
+        connectivity=Fraction(connectivity_total, _SUM_SCALE),
         pairs=tuple(entries),
-        kind=graph_kind(g),
+        kind=_graph_kind(g, analysis),
         zero_sigma_vertices=zero_sigma,
     )

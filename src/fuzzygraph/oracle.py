@@ -1,16 +1,20 @@
-"""Brute-force reference implementations.
+"""Reference implementations the fast routes are tested against.
 
-Everything here enumerates simple paths directly from the definitions
-and is intentionally naive; the fast implementations are tested against
-these.  Edge classification is redone locally instead of calling the
-connectivity module, so the two routes stay independent.  Inputs are
-capped at MAX_VERTICES vertices.
+The brute-force functions enumerate simple paths directly from the
+definitions and are intentionally naive; their inputs are capped at
+MAX_VERTICES vertices.  The mid-size references recompute CONN by a
+max-min Floyd-Warshall closure and classify each edge by deleting it and
+recomputing CONN from scratch, O(m n^3) in all; they have no cap and
+serve graphs of a few dozen vertices.  Edge classification is redone
+here instead of calling the connectivity module, so the routes stay
+independent; only the result types are shared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .connectivity import EdgeClass, EdgeClassification, StrengthMatrix
 from .errors import StrongDisconnectedError, TooLargeError
 from .model import MICRO, FuzzyGraph, Membership, VertexId
 
@@ -156,3 +160,49 @@ def ci_bruteforce(g: FuzzyGraph) -> Fraction:
                 * conn_bruteforce(g, u, v).as_fraction()
             )
     return total
+
+
+def conn_reference(g: FuzzyGraph) -> StrengthMatrix:
+    """CONN for every pair by a max-min Floyd-Warshall closure, O(n^3)."""
+    names = g.vertices()
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    conn = [[0] * n for _ in range(n)]
+    for u, v, grade in g.edges():
+        i, j = index[u], index[v]
+        conn[i][j] = conn[j][i] = grade.micro
+    for k in range(n):
+        row_k = conn[k]
+        for i in range(n):
+            if i == k:
+                continue
+            via = conn[i][k]
+            if via == 0:
+                continue
+            row_i = conn[i]
+            for j in range(n):
+                width = via if via < row_k[j] else row_k[j]
+                if width > row_i[j]:
+                    row_i[j] = width
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[(names[i], names[j])] = Membership(conn[i][j])
+    return StrengthMatrix(table)
+
+
+def classify_edges_reference(
+    g: FuzzyGraph,
+) -> dict[tuple[VertexId, VertexId], EdgeClassification]:
+    """Classify each edge by deleting it and recomputing CONN, O(m n^3)."""
+    result = {}
+    for u, v, grade in g.edges():
+        residual = conn_reference(g.remove_edge(u, v)).value(u, v)
+        if grade > residual:
+            edge_class = EdgeClass.ALPHA_STRONG
+        elif grade == residual:
+            edge_class = EdgeClass.BETA_STRONG
+        else:
+            edge_class = EdgeClass.DELTA
+        result[(u, v)] = EdgeClassification(grade, residual, edge_class)
+    return result

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .connectivity import (
-    EdgeClass,
-    classify_edges,
-    strength_of_connectedness,
-)
+from .connectivity import EdgeClass, _Analysis
 from .errors import BadParamsError, BadSpecError, DisconnectedError
 from .model import (
     MICRO,
@@ -70,42 +66,33 @@ class SaturatedCycleSpec:
             )
 
 
-class _UnionFind:
-    def __init__(self, names):
-        self._parent = {name: name for name in names}
-
-    def find(self, x):
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._parent[rb] = ra
-        return True
+def _spanning_tree(g: FuzzyGraph, analysis: _Analysis) -> SpanningTree:
+    if g.vertex_count == 0:
+        raise DisconnectedError("empty graph has no spanning tree")
+    if analysis.components > 1:
+        raise DisconnectedError("graph is not crisp-connected")
+    chosen = [e for e, kept in enumerate(analysis.in_forest) if kept]
+    pairs = g.edge_pairs()
+    return SpanningTree(
+        tuple(pairs[e] for e in chosen),
+        Fraction(sum(analysis.mu[e] for e in chosen), MICRO),
+    )
 
 
 def maximum_spanning_tree(g: FuzzyGraph) -> SpanningTree:
     """Greedy descending-mu Kruskal with lexicographic tie-breaking."""
-    if g.vertex_count == 0:
-        raise DisconnectedError("empty graph has no spanning tree")
-    if not g.is_crisp_connected():
-        raise DisconnectedError("graph is not crisp-connected")
-    ranked = sorted(g.edges(), key=lambda e: (-e[2].micro, e[0], e[1]))
-    forest = _UnionFind(g.vertices())
-    chosen: list[tuple[VertexId, VertexId]] = []
-    total = 0
-    for u, v, grade in ranked:
-        if forest.union(u, v):
-            chosen.append((u, v))
-            total += grade.micro
-            if len(chosen) == g.vertex_count - 1:
-                break
-    return SpanningTree(tuple(sorted(chosen)), Fraction(total, MICRO))
+    return _spanning_tree(g, _Analysis(g))
+
+
+def _is_fuzzy_forest(analysis: _Analysis) -> bool:
+    """Every edge outside the forest is delta, i.e. strictly weaker than
+    the forest's strength between its endpoints."""
+    residual = analysis.residual()
+    return all(
+        analysis.mu[e] < residual[e]
+        for e, kept in enumerate(analysis.in_forest)
+        if not kept
+    )
 
 
 def fuzzy_tree_mst(g: FuzzyGraph) -> SpanningTree | None:
@@ -115,16 +102,9 @@ def fuzzy_tree_mst(g: FuzzyGraph) -> SpanningTree | None:
     the tree alone achieves between its endpoints.  When that holds the
     tree is automatically the unique maximum spanning tree.
     """
-    tree = maximum_spanning_tree(g)
-    tree_pairs = set(tree.edges)
-    skeleton = g.edge_subgraph(tree.edges)
-    conn_f = strength_of_connectedness(skeleton)
-    for u, v, grade in g.edges():
-        if (u, v) in tree_pairs:
-            continue
-        if not grade < conn_f.value(u, v):
-            return None
-    return tree
+    analysis = _Analysis(g)
+    tree = _spanning_tree(g, analysis)
+    return tree if _is_fuzzy_forest(analysis) else None
 
 
 def is_fuzzy_tree(g: FuzzyGraph) -> bool:
@@ -145,29 +125,34 @@ def is_fuzzy_cycle(g: FuzzyGraph) -> bool:
     return ties >= 2
 
 
-def is_saturated_fuzzy_cycle(g: FuzzyGraph) -> bool:
-    if not is_fuzzy_cycle(g):
-        return False
-    incident: dict[VertexId, set[EdgeClass]] = {
-        name: set() for name in g.vertices()
-    }
-    for (u, v), record in classify_edges(g).items():
-        incident[u].add(record.edge_class)
-        incident[v].add(record.edge_class)
+def _touches_alpha_and_beta(analysis: _Analysis) -> bool:
+    """Every vertex meets at least one alpha and one beta edge."""
+    incident: list[set[EdgeClass]] = [set() for _ in analysis.names]
+    for (i, j), edge_class in zip(analysis.ends, analysis.edge_classes()):
+        incident[i].add(edge_class)
+        incident[j].add(edge_class)
     return all(
         EdgeClass.ALPHA_STRONG in classes and EdgeClass.BETA_STRONG in classes
-        for classes in incident.values()
+        for classes in incident
     )
+
+
+def is_saturated_fuzzy_cycle(g: FuzzyGraph) -> bool:
+    return is_fuzzy_cycle(g) and _touches_alpha_and_beta(_Analysis(g))
+
+
+def _graph_kind(g: FuzzyGraph, analysis: _Analysis) -> GraphKind:
+    connected = analysis.components <= 1
+    fuzzy_tree = (
+        connected and g.vertex_count >= 1 and _is_fuzzy_forest(analysis)
+    )
+    cycle = is_fuzzy_cycle(g)
+    saturated = cycle and _touches_alpha_and_beta(analysis)
+    return GraphKind(connected, fuzzy_tree, cycle, saturated)
 
 
 def graph_kind(g: FuzzyGraph) -> GraphKind:
-    connected = g.is_crisp_connected()
-    fuzzy_tree = (
-        connected and g.vertex_count >= 1 and fuzzy_tree_mst(g) is not None
-    )
-    cycle = is_fuzzy_cycle(g)
-    saturated = cycle and is_saturated_fuzzy_cycle(g)
-    return GraphKind(connected, fuzzy_tree, cycle, saturated)
+    return _graph_kind(g, _Analysis(g))
 
 
 def _cycle_names(n: int) -> list[VertexId]:
@@ -232,13 +217,13 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     for u, v in tree_pairs:
         cap = min(sigma[u], sigma[v]).micro // _GRID
         edges.append((u, v, Membership(rng.randrange(1, cap + 1) * _GRID)))
-    tree_graph = build_graph(sigma.items(), edges)
-    conn_f = strength_of_connectedness(tree_graph)
+    tree = _Analysis(build_graph(sigma.items(), edges))
+    in_tree = set(tree_pairs)
     candidates = [
         (u, v)
         for i, u in enumerate(names)
         for v in names[i + 1 :]
-        if (u, v) not in set(tree_pairs)
+        if (u, v) not in in_tree
     ]
     rng.shuffle(candidates)
     added = 0
@@ -246,7 +231,7 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         if added == extra_edges:
             break
         # strictly below the in-tree strength, still on the 0.01 grid
-        limit = conn_f.value(u, v).micro // _GRID
+        limit = tree.conn(tree.index[u], tree.index[v]) // _GRID
         if limit <= 1:
             continue
         edges.append((u, v, Membership(rng.randrange(1, limit) * _GRID)))

@@ -39,6 +39,39 @@ def random_connected_graph(seed: int, max_vertices: int = 7) -> FuzzyGraph:
     return build_graph(sigma.items(), edges)
 
 
+def random_graph(
+    seed: int,
+    n: int,
+    edge_probability: float,
+    step: int = GRID,
+    zero_sigma_share: float = 0.0,
+) -> FuzzyGraph:
+    """Random graph on n vertices, connected or not.
+
+    Grades lie on a grid of ``step`` micro-units, so a coarse grid forces
+    heavy ties.  About ``zero_sigma_share`` of the vertices get sigma 0
+    and therefore no edges.  Every other pair becomes an edge with
+    probability ``edge_probability``.
+    """
+    rng = random.Random(seed)
+    levels = 10**6 // step
+    names = [f"n{i:03d}" for i in range(n)]
+    sigma = {
+        name: Membership(
+            0
+            if rng.random() < zero_sigma_share
+            else rng.randrange(1, levels + 1) * step
+        )
+        for name in names
+    }
+    edges = []
+    for u, v in combinations(names, 2):
+        cap = min(sigma[u], sigma[v]).micro // step
+        if cap and rng.random() < edge_probability:
+            edges.append((u, v, Membership(rng.randrange(1, cap + 1) * step)))
+    return build_graph(sigma.items(), edges)
+
+
 def spanning_tree_totals(g: FuzzyGraph) -> list[tuple[frozenset, int]]:
     """Every spanning tree of g with its total strength in micro-units."""
     names = g.vertices()

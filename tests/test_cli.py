@@ -365,6 +365,18 @@ def test_output_flag_writes_the_report(tmp_path, capsys):
     assert json.loads(target.read_text())["wiener"] == "7.4"
 
 
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "report.txt"
+    code = main(["indices", data_path("tree5.fzg"), "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not target.exists()
+
+
 def test_falsify_reports_are_byte_identical_across_runs(tmp_path):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"

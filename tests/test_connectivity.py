@@ -1,18 +1,27 @@
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzygraph import (
+    MICRO,
     EdgeClass,
+    FuzzyGraph,
     Membership,
     NoSuchEdgeError,
     build_graph,
     classify_edge,
     classify_edges,
+    classify_edges_reference,
     conn_bruteforce,
+    conn_reference,
+    graph_kind,
+    index_report,
+    maximum_spanning_tree,
     strength_of_connectedness,
     strong_subgraph,
     random_fuzzy_tree,
@@ -20,6 +29,9 @@ from fuzzygraph import (
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
 from conftest import fuzzy_graphs
+from support import GRID, random_graph
+
+QUARTER = MICRO // 4  # a coarse grade grid that forces heavy ties
 
 
 def M(text: str) -> Membership:
@@ -173,3 +185,132 @@ def test_strong_subgraph_idempotent_on_fuzzy_trees():
         g = random_fuzzy_tree(seed, 8, 3)
         once = strong_subgraph(g)
         assert strong_subgraph(once) == once
+
+
+# ------------------------------------- forest route vs the kept reference
+
+
+# (vertex count, edge probability, grade grid step, zero-sigma share,
+# seeds); the reference costs O(m n^3), so the largest graphs get the
+# fewest seeds.
+REFERENCE_FAMILIES = [
+    (6, 0.5, GRID, 0.0, 30),
+    (10, 0.4, QUARTER, 0.2, 30),
+    (16, 0.3, QUARTER, 0.0, 6),
+    (24, 0.06, GRID, 0.1, 6),
+    (32, 0.15, QUARTER, 0.1, 3),
+    (40, 0.04, QUARTER, 0.0, 6),
+    (40, 0.12, GRID, 0.0, 1),
+    (40, 0.2, QUARTER, 0.1, 1),
+]
+
+
+def test_forest_route_matches_the_reference():
+    seen = defaultdict(int)
+    for n, p, step, zero_share, seeds in REFERENCE_FAMILIES:
+        for seed in range(seeds):
+            g = random_graph(seed, n, p, step, zero_share)
+            records = classify_edges(g)
+            assert records == classify_edges_reference(g), (n, p, seed)
+            assert strength_of_connectedness(g) == conn_reference(g), (
+                n,
+                p,
+                seed,
+            )
+            seen["disconnected"] += not g.is_crisp_connected()
+            seen["zero sigma"] += any(
+                g.sigma(name).is_zero for name in g.vertices()
+            )
+            for record in records.values():
+                seen[record.edge_class] += 1
+    # the families reach every case they are meant to cover
+    for case in ("disconnected", "zero sigma", *EdgeClass):
+        assert seen[case] > 0, case
+
+
+# ------------------------------------ oracle-free checks on larger graphs
+
+
+large_graphs = st.builds(
+    random_graph,
+    seed=st.integers(0, 2**32),
+    n=st.integers(20, 60),
+    edge_probability=st.sampled_from([0.03, 0.08, 0.2]),
+    step=st.sampled_from([GRID, QUARTER]),
+    zero_sigma_share=st.sampled_from([0.0, 0.1]),
+)
+
+
+@given(large_graphs)
+@settings(max_examples=25, deadline=None)
+def test_strength_is_ultrametric_on_larger_graphs(g):
+    conn = {
+        key: grade.micro for key, grade in strength_of_connectedness(g).pairs()
+    }
+    for u, v, w in combinations(g.vertices(), 3):
+        uv, uw, vw = conn[(u, v)], conn[(u, w)], conn[(v, w)]
+        assert uw >= min(uv, vw)
+        assert uv >= min(uw, vw)
+        assert vw >= min(uv, uw)
+
+
+def _joined(g: FuzzyGraph, u, v, usable) -> bool:
+    """Whether u reaches v over the edges accepted by ``usable``."""
+    seen, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for y, grade in g.neighbors(x):
+            if y not in seen and usable(x, y, grade):
+                seen.add(y)
+                stack.append(y)
+    return v in seen
+
+
+@given(large_graphs)
+@settings(max_examples=25, deadline=None)
+def test_strong_edges_are_the_maximum_spanning_forest_edges(g):
+    # uv with grade w lies in some maximum spanning forest iff no path of
+    # grades > w joins u and v, and in every one iff no other path of
+    # grades >= w does (Mathew and Sunitha 2009).
+    for (u, v), record in classify_edges(g).items():
+        w = record.grade
+        in_some = not _joined(g, u, v, lambda x, y, grade: grade > w)
+        in_every = not _joined(
+            g,
+            u,
+            v,
+            lambda x, y, grade: grade >= w and {x, y} != {u, v},
+        )
+        assert (record.edge_class is not EdgeClass.DELTA) == in_some
+        assert (record.edge_class is EdgeClass.ALPHA_STRONG) == in_every
+
+
+@pytest.mark.parametrize("seed,n", [(0, 200), (1, 350), (2, 500)])
+def test_maximum_spanning_tree_weight_matches_networkx(seed, n):
+    nx = pytest.importorskip("networkx")
+    g = random_graph(seed, n, 12 / n)
+    assert g.is_crisp_connected()
+    reference = nx.Graph()
+    reference.add_nodes_from(g.vertices())
+    for u, v, grade in g.edges():
+        reference.add_edge(u, v, weight=grade.micro)
+    expected = nx.maximum_spanning_tree(reference).size(weight="weight")
+    tree = maximum_spanning_tree(g)
+    assert tree.total_strength * MICRO == expected
+    assert nx.is_tree(reference.edge_subgraph(tree.edges))
+    assert len(tree.edges) == n - 1
+
+
+def test_analysis_never_deletes_edges(monkeypatch):
+    # Guards against a return of the per-edge remove-and-recompute route,
+    # which made an 80-vertex classification take seconds.
+    g = random_graph(6, 80, 0.1)
+    assert g.edge_count == 325 and g.is_crisp_connected()
+
+    def refuse(self, u, v):
+        raise AssertionError("edge deletion on the production path")
+
+    monkeypatch.setattr(FuzzyGraph, "remove_edge", refuse)
+    assert len(classify_edges(g)) == 325
+    assert len(index_report(g).pairs) == 80 * 79 // 2
+    assert graph_kind(g).is_connected

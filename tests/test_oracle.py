@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from fuzzygraph import (
+    EdgeClass,
     Membership,
     StrongDisconnectedError,
     TooLargeError,
     UnknownEndpointError,
     build_graph,
     ci_bruteforce,
+    classify_edges_reference,
     conn_bruteforce,
+    conn_reference,
     ds_bruteforce,
     strong_edges_bruteforce,
     wi_bruteforce,
@@ -100,3 +104,16 @@ def test_bruteforce_disconnected_behaviour():
     with pytest.raises(StrongDisconnectedError):
         wi_bruteforce(g)
     assert ci_bruteforce(g) == Fraction(4, 10)
+
+
+def test_mid_size_references_agree_with_bruteforce(small_graphs):
+    for g in small_graphs:
+        conn = conn_reference(g)
+        for u, v in combinations(g.vertices(), 2):
+            assert conn.value(u, v) == conn_bruteforce(g, u, v), (u, v)
+        strong = {
+            key
+            for key, record in classify_edges_reference(g).items()
+            if record.edge_class is not EdgeClass.DELTA
+        }
+        assert strong == strong_edges_bruteforce(g)
