@@ -14,12 +14,18 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .connectivity import _Analysis
 from .errors import BadParamsError, NotAFuzzyTreeError
-from .indices import connectivity_index, theorem_star_formula, wiener_index
+from .indices import (
+    _connectivity_index,
+    _wiener_index,
+    theorem_star_formula,
+    wiener_index,
+)
 from .model import FuzzyGraph, Membership
 from .structure import (
     SaturatedCycleSpec,
-    fuzzy_tree_mst,
+    _fuzzy_tree_mst,
     make_saturated_cycle,
     random_fuzzy_tree,
 )
@@ -60,13 +66,14 @@ def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
     The claim is tested exactly as published, with no auxiliary
     hypotheses.  lhs is WI(G), rhs is CI(F); WI(F) is in the detail map.
     """
-    tree = fuzzy_tree_mst(g)
+    analysis = _Analysis(g)
+    tree = _fuzzy_tree_mst(g, analysis)
     if tree is None:
         raise NotAFuzzyTreeError("corollary-star applies to fuzzy trees only")
-    skeleton = g.edge_subgraph(tree.edges)
-    wi_g = wiener_index(g)
-    wi_f = wiener_index(skeleton)
-    ci_f = connectivity_index(skeleton)
+    skeleton = _Analysis(g.edge_subgraph(tree.edges))
+    wi_g = _wiener_index(analysis)
+    wi_f = _wiener_index(skeleton)
+    ci_f = _connectivity_index(skeleton)
     return ClaimVerdict(
         claim_id=ClaimId.COROLLARY_STAR,
         instance=g,

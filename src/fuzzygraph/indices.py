@@ -129,7 +129,10 @@ def geodesic_distance(g: FuzzyGraph) -> DistanceMatrix:
 
 def wiener_index(g: FuzzyGraph) -> Fraction:
     """Sum of sigma(u) sigma(v) d_s(u, v) over unordered pairs."""
-    analysis = _Analysis(g)
+    return _wiener_index(_Analysis(g))
+
+
+def _wiener_index(analysis: _Analysis) -> Fraction:
     rows, names = _strong_distances(analysis), analysis.names
     sigma = analysis.sigma
     total = 0
@@ -145,7 +148,10 @@ def wiener_index(g: FuzzyGraph) -> Fraction:
 
 def connectivity_index(g: FuzzyGraph) -> Fraction:
     """Sum of sigma(u) sigma(v) CONN(u, v) over unordered pairs."""
-    analysis = _Analysis(g)
+    return _connectivity_index(_Analysis(g))
+
+
+def _connectivity_index(analysis: _Analysis) -> Fraction:
     rows, sigma = analysis.conn_rows(), analysis.sigma
     total = 0
     for i, row in enumerate(rows):

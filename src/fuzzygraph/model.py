@@ -18,6 +18,8 @@ from typing import Iterable, Iterator, Mapping
 from .errors import (
     DuplicateEdgeError,
     DuplicateVertexError,
+    FuzzyGraphError,
+    GraphConstructionError,
     MuExceedsSigmaError,
     NoSuchEdgeError,
     ParseError,
@@ -31,7 +33,8 @@ MICRO = 10**6
 VertexId = str
 
 _GRADE_RE = re.compile(r"^(\d+)(?:\.(\d{1,6}))?$")
-_NAME_RE = re.compile(r"^\S+$")
+# Vertex names: printable ASCII without spaces, so every report stays ASCII.
+_NAME_RE = re.compile(r"[!-~]+")
 
 
 @dataclass(frozen=True, order=True)
@@ -55,11 +58,11 @@ class Membership:
         """
         match = _GRADE_RE.match(text)
         if match is None:
-            raise ValueError(f"not a grade literal: {text!r}")
+            raise ValueError(f"not a grade literal: {ascii(text)}")
         whole, frac = match.group(1), match.group(2) or ""
         micro = int(whole) * MICRO + int(frac.ljust(6, "0") or "0")
         if micro > MICRO:
-            raise ValueError(f"grade above 1: {text!r}")
+            raise ValueError(f"grade above 1: {ascii(text)}")
         return cls(micro)
 
     def as_fraction(self) -> Fraction:
@@ -115,10 +118,12 @@ def pair(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
 class FuzzyGraph:
     """Immutable simple graph with vertex grades sigma and edge grades mu.
 
-    Invariants enforced at construction: vertex names are nonempty
-    whitespace-free tokens, there are no self loops, every edge grade is
-    strictly positive and does not exceed the minimum of its endpoint
-    grades.  Vertices with sigma 0 are allowed; they can carry no edges.
+    Invariants enforced at construction: vertex names are nonempty tokens
+    of printable ASCII without spaces, there are no self loops, every
+    edge grade is strictly positive and does not exceed the minimum of
+    its endpoint grades.  Vertices with sigma 0 are allowed; they can
+    carry no edges.  Edge keys may name their endpoints in either order,
+    but not both orders at once.
     """
 
     __slots__ = ("_sigma", "_mu", "_adj")
@@ -131,42 +136,38 @@ class FuzzyGraph:
         clean_sigma: dict[VertexId, Membership] = {}
         for name in sorted(sigma):
             grade = sigma[name]
-            if not isinstance(name, str) or _NAME_RE.match(name) is None:
+            if not isinstance(name, str) or _NAME_RE.fullmatch(name) is None:
                 raise ValueError(f"bad vertex name: {name!r}")
             if not isinstance(grade, Membership):
                 raise TypeError(f"sigma for {name!r} must be a Membership")
             clean_sigma[name] = grade
+        canonical = {
+            (key if key[0] <= key[1] else key[::-1]): grade
+            for key, grade in mu.items()
+        }
+        if len(canonical) != len(mu):
+            u, v = min(
+                key for key in mu if key[0] < key[1] and key[::-1] in mu
+            )
+            raise DuplicateEdgeError(f"edge {u!r} {v!r} given in both orders")
+        # Validating in sorted key order reports the first bad edge of
+        # that order.  Sorted pairs also list every vertex's neighbours in
+        # name order: first those before it, as (w, x), then those after
+        # it, as (x, y).
         clean_mu: dict[tuple[VertexId, VertexId], Membership] = {}
-        for key in sorted(mu):
+        adj: dict[VertexId, list[tuple[VertexId, Membership]]] = {
+            name: [] for name in clean_sigma
+        }
+        for key in sorted(canonical):
             u, v = key
-            grade = mu[key]
-            if u == v:
-                raise SelfLoopError(f"self loop at {u!r}")
-            if u not in clean_sigma:
-                raise UnknownEndpointError(f"unknown vertex {u!r}")
-            if v not in clean_sigma:
-                raise UnknownEndpointError(f"unknown vertex {v!r}")
-            if not isinstance(grade, Membership):
-                raise TypeError(f"mu for {key!r} must be a Membership")
-            if grade.is_zero:
-                raise ZeroMuError(f"edge {u!r} {v!r} has zero grade")
-            if grade > min(clean_sigma[u], clean_sigma[v]):
-                raise MuExceedsSigmaError(
-                    f"mu({u!r},{v!r}) = {grade} exceeds min sigma "
-                    f"({min(clean_sigma[u], clean_sigma[v])})"
-                )
-            clean_mu[pair(u, v)] = grade
+            grade = canonical[key]
+            _check_edge(clean_sigma, u, v, grade)
+            clean_mu[key] = grade
+            adj[u].append((v, grade))
+            adj[v].append((u, grade))
         self._sigma = clean_sigma
-        self._mu = dict(sorted(clean_mu.items()))
-        adj: dict[VertexId, dict[VertexId, Membership]] = {
-            name: {} for name in clean_sigma
-        }
-        for (u, v), grade in self._mu.items():
-            adj[u][v] = grade
-            adj[v][u] = grade
-        self._adj = {
-            name: tuple(sorted(nbrs.items())) for name, nbrs in adj.items()
-        }
+        self._mu = clean_mu
+        self._adj = {name: tuple(nbrs) for name, nbrs in adj.items()}
 
     @property
     def vertex_count(self) -> int:
@@ -289,6 +290,31 @@ def path_record(g: FuzzyGraph, vertices: Iterable[VertexId]) -> PathRecord:
     return PathRecord(names, min(grades), Fraction(total, MICRO))
 
 
+def _check_edge(
+    sigma: Mapping[VertexId, Membership],
+    u: VertexId,
+    v: VertexId,
+    grade: Membership,
+) -> None:
+    """Raise the error for edge uv of the given grade, if it has one."""
+    if u == v:
+        raise SelfLoopError(f"self loop at {u!r}")
+    su, sv = sigma.get(u), sigma.get(v)
+    if su is None or sv is None:
+        name = u if su is None else v
+        raise UnknownEndpointError(f"unknown vertex {name!r}")
+    if not isinstance(grade, Membership):
+        raise TypeError(f"mu for {(u, v)!r} must be a Membership")
+    micro = grade.micro
+    if micro == 0:
+        raise ZeroMuError(f"edge {u!r} {v!r} has zero grade")
+    cap = su if su.micro <= sv.micro else sv
+    if micro > cap.micro:
+        raise MuExceedsSigmaError(
+            f"mu({u!r},{v!r}) = {grade} exceeds min sigma ({cap})"
+        )
+
+
 def build_graph(
     vertex_list: Iterable[tuple[VertexId, Membership]],
     edge_list: Iterable[tuple[VertexId, VertexId, Membership]],
@@ -305,8 +331,6 @@ def build_graph(
         sigma[name] = grade
     mu: dict[tuple[VertexId, VertexId], Membership] = {}
     for u, v, grade in edge_list:
-        if u == v:
-            raise SelfLoopError(f"self loop at {u!r}")
         key = pair(u, v)
         if key in mu:
             raise DuplicateEdgeError(f"edge {key[0]!r} {key[1]!r} declared twice")
@@ -319,54 +343,107 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
 
     Blank lines and lines starting with ``#`` are ignored.  ``v name
     grade`` declares a vertex, ``e name1 name2 grade`` an edge between
-    previously declared vertices.  Syntax problems raise ParseError with
-    the line number; structural problems raise the build_graph errors.
+    previously declared vertices.  Names are printable ASCII without
+    spaces.  Every error names its line: syntax problems raise
+    ParseError, structural ones the build_graph errors with a
+    ``line N:`` prefix.  When a file has several errors, the one on the
+    earliest line is raised.
     """
     if isinstance(text, (bytes, bytearray)):
         raw = bytes(text)
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
+            # the complete lines before the bad byte may hold an earlier error
+            parse_graph(raw[: raw.rfind(b"\n", 0, exc.start) + 1])
             line = raw[: exc.start].count(b"\n") + 1
             raise ParseError("invalid UTF-8", line) from exc
-    vertices: list[tuple[VertexId, Membership]] = []
-    edges: list[tuple[VertexId, VertexId, Membership]] = []
-    declared: set[VertexId] = set()
+    sigma: dict[VertexId, Membership] = {}
+    mu: dict[tuple[VertexId, VertexId], Membership] = {}
+    edge_lines: list[int] = []
+    try:
+        _read_records(text, sigma, mu, edge_lines)
+        return FuzzyGraph(sigma, mu)
+    except FuzzyGraphError:
+        # The reader stops at the first bad line and the constructor at
+        # the first bad edge in key order; an edge read before either
+        # may fail the constructor's checks on an earlier line.
+        for lineno, ((u, v), grade) in zip(edge_lines, mu.items()):
+            try:
+                _check_edge(sigma, u, v, grade)
+            except GraphConstructionError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+        raise
+
+
+def _read_records(
+    text: str,
+    sigma: dict[VertexId, Membership],
+    mu: dict[tuple[VertexId, VertexId], Membership],
+    edge_lines: list[int],
+) -> None:
+    """Fill sigma and mu from .fzg text, edges under canonical keys in
+    file order, and record each edge's line number in edge_lines.
+
+    Checks the syntax, the names, declaration before use and
+    duplicates; the per-edge grade checks are the constructor's.  Each
+    distinct grade literal is parsed once, so equal literals share one
+    Membership.
+    """
+    grades: dict[str, Membership] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = stripped.split()
         kind = tokens[0]
         if kind == "v":
             if len(tokens) != 3:
                 raise ParseError(
-                    f"expected 'v <name> <grade>', got {stripped!r}", lineno
+                    f"expected 'v <name> <grade>', got {ascii(line.strip())}",
+                    lineno,
                 )
-            name = tokens[1]
-            try:
-                grade = Membership.parse(tokens[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            vertices.append((name, grade))
-            declared.add(name)
+            _, name, literal = tokens
+            if _NAME_RE.fullmatch(name) is None:
+                raise ParseError(
+                    f"bad vertex name {ascii(name)}: names are printable "
+                    "ASCII without spaces",
+                    lineno,
+                )
         elif kind == "e":
             if len(tokens) != 4:
                 raise ParseError(
-                    f"expected 'e <name1> <name2> <grade>', got {stripped!r}",
+                    "expected 'e <name1> <name2> <grade>', got "
+                    f"{ascii(line.strip())}",
                     lineno,
                 )
-            u, v = tokens[1], tokens[2]
+            _, u, v, literal = tokens
             for name in (u, v):
-                if name not in declared:
+                if name not in sigma:
                     raise UnknownEndpointError(
-                        f"line {lineno}: edge references undeclared vertex {name!r}"
+                        f"line {lineno}: edge references undeclared vertex "
+                        f"{ascii(name)}"
                     )
+        elif kind.startswith("#"):
+            continue
+        else:
+            raise ParseError(f"unknown directive {ascii(kind)}", lineno)
+        grade = grades.get(literal)
+        if grade is None:
             try:
-                grade = Membership.parse(tokens[3])
+                grade = grades[literal] = Membership.parse(literal)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
-            edges.append((u, v, grade))
+        if kind == "v":
+            if name in sigma:
+                raise DuplicateVertexError(
+                    f"line {lineno}: vertex {name!r} declared twice"
+                )
+            sigma[name] = grade
         else:
-            raise ParseError(f"unknown directive {kind!r}", lineno)
-    return build_graph(vertices, edges)
+            key = (u, v) if u <= v else (v, u)
+            if key in mu:
+                raise DuplicateEdgeError(
+                    f"line {lineno}: edge {key[0]!r} {key[1]!r} declared twice"
+                )
+            mu[key] = grade
+            edge_lines.append(lineno)

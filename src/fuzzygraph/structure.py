@@ -102,7 +102,10 @@ def fuzzy_tree_mst(g: FuzzyGraph) -> SpanningTree | None:
     the tree alone achieves between its endpoints.  When that holds the
     tree is automatically the unique maximum spanning tree.
     """
-    analysis = _Analysis(g)
+    return _fuzzy_tree_mst(g, _Analysis(g))
+
+
+def _fuzzy_tree_mst(g: FuzzyGraph, analysis: _Analysis) -> SpanningTree | None:
     tree = _spanning_tree(g, analysis)
     return tree if _is_fuzzy_forest(analysis) else None
 

@@ -103,3 +103,30 @@ def spanning_tree_totals(g: FuzzyGraph) -> list[tuple[frozenset, int]]:
             (frozenset((u, v) for u, v, _ in combo), total)
         )
     return results
+
+
+def random_sparse_graph(seed: int, n: int, extra: int) -> FuzzyGraph:
+    """Random connected graph on n vertices with n - 1 + ``extra`` edges.
+
+    A random attachment tree plus ``extra`` random further pairs; grades
+    on the 0.01 grid.  Vertices and edges are handed over in shuffled
+    order, each edge with its endpoints in random order.
+    """
+    rng = random.Random(seed)
+    width = len(str(n - 1))
+    names = [f"n{i:0{width}d}" for i in range(n)]
+    sigma = {name: grid_grade(rng) for name in names}
+    pairs = {tuple(sorted((names[rng.randrange(i)], names[i])))
+             for i in range(1, n)}
+    while len(pairs) < n - 1 + extra:
+        pairs.add(tuple(sorted(rng.sample(names, 2))))
+    edges = []
+    for u, v in sorted(pairs):
+        cap = min(sigma[u], sigma[v]).micro // GRID
+        if rng.randrange(2):
+            u, v = v, u
+        edges.append((u, v, Membership(rng.randrange(1, cap + 1) * GRID)))
+    vertices = list(sigma.items())
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return build_graph(vertices, edges)

@@ -335,6 +335,32 @@ def test_parse_error_reports_the_line(tmp_path, capsys):
     assert "line 2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("v a 1\nv \u00e9 1\n", 2),
+        ("v a 1\nv a 1\n", 2),
+        ("v a 1\nv b 1\ne a b 0.1\ne b a 0.1\n", 4),
+        ("v a 1\ne a a 0.1\n", 2),
+        ("v a 1\nv b 1\n\ne a b 0\n", 4),
+        ("v a 0.2\nv b 1\ne a b 0.3\n", 3),
+    ],
+)
+def test_every_input_error_is_one_line_naming_its_line(
+    tmp_path, capsys, text, line
+):
+    path = tmp_path / "bad.fzg"
+    path.write_bytes(text.encode("utf-8"))
+    for command in ("indices", "classify", "mst", "kind"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.err.isascii()
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert main(["indices"]) == 2
     capsys.readouterr()

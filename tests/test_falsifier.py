@@ -19,7 +19,9 @@ from fuzzygraph import (
     search_counterexamples,
     wi_bruteforce,
 )
+from fuzzygraph import connectivity
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
+from fuzzygraph.structure import random_fuzzy_tree
 
 
 def M(text: str) -> Membership:
@@ -55,6 +57,23 @@ def test_corollary_star_fails_on_every_path_of_three():
     assert not verdict.holds
     assert verdict.lhs == Fraction(4, 5)
     assert verdict.rhs == Fraction(3, 5)
+
+
+def test_corollary_star_analyses_each_graph_once(monkeypatch):
+    g = random_fuzzy_tree(5, 8, 2)
+    analysed = []
+    original = connectivity._Analysis.__init__
+
+    def counting(self, g):
+        analysed.append(g)
+        original(self, g)
+
+    monkeypatch.setattr(connectivity._Analysis, "__init__", counting)
+    verdict = check_corollary_star(g)
+    assert len(analysed) == 2
+    assert analysed[0] is g
+    assert analysed[1] == g.edge_subgraph(fuzzy_tree_mst(g).edges)
+    assert verdict.detail["wi_g"] == wi_bruteforce(g)
 
 
 def test_corollary_star_rejects_non_trees():

@@ -26,6 +26,7 @@ from fuzzygraph import (
 from fuzzygraph.samples import five_vertex_tree
 
 from conftest import fuzzy_graphs
+from support import random_sparse_graph
 
 
 def M(text: str) -> Membership:
@@ -166,6 +167,63 @@ def test_parse_reports_line_numbers():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        ("v a 1\nv b 1\nv a 0.5\n", DuplicateVertexError, 3),
+        ("v a 1\nv b 1\ne a b 0.1\n\ne b a 0.2\n", DuplicateEdgeError, 5),
+        ("v a 1\n# loop\ne a a 0.1\n", SelfLoopError, 3),
+        ("v a 1\nv b 1\ne a b 0\n", ZeroMuError, 3),
+        ("v b 1\nv a 0.2\ne b a 0.3\n", MuExceedsSigmaError, 3),
+    ],
+)
+def test_structural_errors_name_their_line(text, error, line):
+    with pytest.raises(error) as info:
+        parse_graph(text)
+    assert str(info.value).startswith(f"line {line}: ")
+
+
+def test_the_first_error_in_file_order_is_reported():
+    # line 4 is the first bad line; line 5 holds the first bad edge in
+    # key order and line 6 a duplicate vertex
+    text = "v a 0.1\nv b 1\nv c 1\ne b c 0\ne a c 0.5\nv a 1\n"
+    with pytest.raises(ZeroMuError, match="^line 4: "):
+        parse_graph(text)
+    with pytest.raises(MuExceedsSigmaError, match="^line 5: "):
+        parse_graph(text.replace("e b c 0\n", "e b c 0.5\n"))
+    with pytest.raises(ZeroMuError, match="^line 3: "):
+        parse_graph("v a 1\nv b 1\ne a b 0\nbogus\n")
+    with pytest.raises(SelfLoopError, match="^line 2: "):
+        parse_graph("v a 1\ne a a 0.1\ne a a 0.1\n")
+    with pytest.raises(ZeroMuError, match="^line 3: "):
+        parse_graph(b"v a 1\nv b 1\ne a b 0\nv \xff 1\n")
+    with pytest.raises(ParseError) as info:
+        parse_graph(b"v a 1\nv b 1\ne a b 0.5\nv \xff 1\n")
+    assert info.value.line == 4
+
+
+@pytest.mark.parametrize("name", ["\u00e9", "a\u00e9", "a\x01", "a\x7f"])
+def test_names_outside_printable_ascii_are_rejected(name):
+    with pytest.raises(ParseError) as info:
+        parse_graph(f"v a 1\nv {name} 1\n".encode("utf-8"))
+    assert info.value.line == 2
+    assert str(info.value).isascii()
+    with pytest.raises(ValueError):
+        FuzzyGraph({name: M("1")}, {})
+
+
+def test_constructor_rejects_a_name_with_a_trailing_newline():
+    with pytest.raises(ValueError):
+        FuzzyGraph({"a\n": M("1")}, {})
+
+
+def test_equal_grade_literals_parse_to_equal_grades():
+    g = parse_graph("v a 0.5\nv b 0.50\nv c 0.5\ne a b 0.500000\n")
+    assert g.sigma("a") == g.sigma("b") == g.mu("a", "b") == M("0.5")
+    assert g.sigma("a") is g.sigma("c")
+    assert g.serialize() == "v a 0.5\nv b 0.5\nv c 0.5\ne a b 0.5\n"
+
+
 def test_parse_requires_vertices_before_edges():
     with pytest.raises(UnknownEndpointError):
         parse_graph("e a b 0.1\nv a 1\nv b 1\n")
@@ -272,3 +330,64 @@ def test_build_graph_rejects_exactly_the_invalid(g, violation):
     else:
         with pytest.raises(expected):
             build_graph(vertices, edges)
+
+
+# ------------------------------------------------- construction invariants
+
+
+def _assert_neighbors_in_name_order(g: FuzzyGraph) -> None:
+    incident = {name: {} for name in g.vertices()}
+    for u, v, grade in g.edges():
+        incident[u][v] = grade
+        incident[v][u] = grade
+    for name in g.vertices():
+        nbrs = g.neighbors(name)
+        assert list(nbrs) == sorted(incident[name].items())
+
+
+@given(fuzzy_graphs(max_vertices=8), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_key_order_and_orientation_do_not_matter(g, rng):
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    mu = {((v, u) if rng.random() < 0.5 else (u, v)): grade
+          for u, v, grade in edges}
+    vertices = [(name, g.sigma(name)) for name in g.vertices()]
+    rng.shuffle(vertices)
+    rebuilt = FuzzyGraph(dict(vertices), mu)
+    assert rebuilt == g
+    assert rebuilt.serialize() == g.serialize()
+    assert rebuilt.edge_pairs() == g.edge_pairs()
+    _assert_neighbors_in_name_order(rebuilt)
+
+
+def test_neighbors_in_name_order_on_a_large_graph():
+    _assert_neighbors_in_name_order(random_sparse_graph(7, 2000, 4000))
+
+
+def test_round_trip_on_a_large_graph():
+    g = random_sparse_graph(11, 2000, 4000)
+    text = g.serialize()
+    again = parse_graph(text)
+    assert again == g
+    assert again.serialize() == text
+
+
+def test_constructor_reports_the_first_bad_edge_in_key_order():
+    sigma = {"a": M("0.2"), "b": M("1"), "c": M("1"), "d": M("1")}
+    # inserted against key order, two of them with the endpoints swapped
+    mu = {("d", "c"): M("0"), ("b", "b"): M("0.1"), ("c", "a"): M("0.5")}
+    with pytest.raises(MuExceedsSigmaError, match="'a','c'"):
+        FuzzyGraph(sigma, mu)
+    del mu[("c", "a")]
+    with pytest.raises(SelfLoopError):
+        FuzzyGraph(sigma, mu)
+    del mu[("b", "b")]
+    with pytest.raises(ZeroMuError, match="'c' 'd'"):
+        FuzzyGraph(sigma, mu)
+
+
+def test_constructor_rejects_an_edge_keyed_in_both_orders():
+    one = M("1")
+    with pytest.raises(DuplicateEdgeError, match="'a' 'b'"):
+        FuzzyGraph({"a": one, "b": one}, {("b", "a"): one, ("a", "b"): one})
