@@ -10,18 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .connectivity import classify_edges
+from .connectivity import _Analysis
 from .errors import BadParamsError, FuzzyGraphError
 from .falsifier import (
     ClaimId,
     ClaimVerdict,
     search_counterexamples,
 )
-from .indices import index_report
-from .model import FuzzyGraph, format_fraction, parse_graph
+from .indices import _index_tables
+from .model import FuzzyGraph, _micro_text, format_fraction, parse_graph
 from .replication import replication_checks
 from .structure import (
     GraphKind,
@@ -211,84 +211,103 @@ def _load(path: str) -> FuzzyGraph:
     return parse_graph(Path(path).read_bytes())
 
 
+class _MicroTexts(dict):
+    """micro-unit count -> its decimal text, rendering each distinct
+    count of one report once."""
+
+    def __missing__(self, micro: int) -> str:
+        text = self[micro] = _micro_text(micro)
+        return text
+
+
 def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
-    report = index_report(g)
-    warnings = _warnings_for(report.zero_sigma_vertices)
-    code = 0 if report.wiener is not None else 3
+    tables = _index_tables(g)
+    names, text = tables.names, _MicroTexts()
+    pairs = [
+        (
+            u,
+            names[j],
+            text[conn_row[j]],
+            None if ds_row[j] is None else text[ds_row[j]],
+        )
+        for i, (u, conn_row, ds_row) in enumerate(
+            zip(names, tables.conn, tables.ds)
+        )
+        for j in range(i + 1, len(names))
+    ]
+    warnings = _warnings_for(tables.zero_sigma_vertices)
+    code = 0 if tables.wiener is not None else 3
     if args.format == "json":
         doc = _base_doc()
         doc["wiener"] = (
-            None if report.wiener is None else format_fraction(report.wiener)
+            None if tables.wiener is None else format_fraction(tables.wiener)
         )
-        doc["connectivity"] = format_fraction(report.connectivity)
+        doc["connectivity"] = format_fraction(tables.connectivity)
         doc["pairs"] = [
-            {
-                "u": entry.u,
-                "v": entry.v,
-                "conn": str(entry.conn),
-                "ds": None if entry.ds is None else format_fraction(entry.ds),
-            }
-            for entry in report.pairs
+            {"u": u, "v": v, "conn": conn, "ds": ds}
+            for u, v, conn, ds in pairs
         ]
-        doc["kind"] = _kind_json(report.kind)
+        doc["kind"] = _kind_json(tables.kind)
         doc["warnings"] = warnings
         return code, _json_text(doc)
     lines = [
         f"vertices: {g.vertex_count}",
         f"edges: {g.edge_count}",
     ]
-    lines += _kind_lines(report.kind)
+    lines += _kind_lines(tables.kind)
     lines += [f"warning: {message}" for message in warnings]
-    if report.wiener is None:
+    if tables.wiener is None:
         lines.append("WI = unavailable (strong subgraph disconnected)")
     else:
-        lines.append(f"WI = {format_fraction(report.wiener)}")
-    lines.append(f"CI = {format_fraction(report.connectivity)}")
-    if report.pairs:
+        lines.append(f"WI = {format_fraction(tables.wiener)}")
+    lines.append(f"CI = {format_fraction(tables.connectivity)}")
+    if pairs:
         lines.append("pair conn d_s")
-        for entry in report.pairs:
-            ds = "-" if entry.ds is None else format_fraction(entry.ds)
-            lines.append(f"{entry.u} {entry.v} {entry.conn} {ds}")
+        lines += [
+            f"{u} {v} {conn} {'-' if ds is None else ds}"
+            for u, v, conn, ds in pairs
+        ]
     return code, "\n".join(lines) + "\n"
 
 
 def _cmd_classify(args) -> tuple[int, str]:
     g = _load(args.file)
-    rows = classify_edges(g)
+    analysis = _Analysis(g)
+    text = _MicroTexts()
+    rows = [
+        (u, v, text[grade], edge_class.value, text[res])
+        for (u, v), grade, res, edge_class in zip(
+            g.edge_pairs(),
+            analysis.mu,
+            analysis.residual(),
+            analysis.edge_classes(),
+        )
+    ]
     if args.format == "json":
         doc = _base_doc()
         doc["edges"] = [
-            {
-                "u": u,
-                "v": v,
-                "mu": str(record.grade),
-                "class": record.edge_class.value,
-                "residual": str(record.residual),
-            }
-            for (u, v), record in rows.items()
+            {"u": u, "v": v, "mu": grade, "class": name, "residual": res}
+            for u, v, grade, name, res in rows
         ]
         return 0, _json_text(doc)
-    lines = [
-        f"{u} {v} {record.grade} {record.edge_class.value} {record.residual}"
-        for (u, v), record in rows.items()
-    ]
+    lines = [" ".join(row) for row in rows]
     return 0, "\n".join(lines) + ("\n" if lines else "")
 
 
 def _cmd_mst(args) -> tuple[int, str]:
     g = _load(args.file)
     tree = maximum_spanning_tree(g)
+    text = _MicroTexts()
+    rows = [(u, v, text[g.mu(u, v).micro]) for u, v in tree.edges]
     if args.format == "json":
         doc = _base_doc()
         doc["mst"] = {
-            "edges": [
-                {"u": u, "v": v, "mu": str(g.mu(u, v))} for u, v in tree.edges
-            ],
+            "edges": [{"u": u, "v": v, "mu": grade} for u, v, grade in rows],
             "total_strength": format_fraction(tree.total_strength),
         }
         return 0, _json_text(doc)
-    lines = [f"{u} {v} {g.mu(u, v)}" for u, v in tree.edges]
+    lines = [" ".join(row) for row in rows]
     lines.append(f"total = {format_fraction(tree.total_strength)}")
     return 0, "\n".join(lines) + "\n"
 
@@ -367,7 +386,47 @@ def _cmd_falsify(args) -> tuple[int, str]:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for documents
+    of dicts with string keys, lists, strings and other JSON scalars.
+
+    With an indent the json module drops its C encoder for a pure-Python
+    one; here only the layout is Python and strings are escaped in C.
+    """
+    out: list[str] = []
+    _render(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            out.append(lead)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _render(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _render(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 _COMMANDS = {
@@ -380,10 +439,17 @@ _COMMANDS = {
 }
 
 
+# Built on the first call to main and reused by later calls in the same
+# process; parse_args keeps no state between calls.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

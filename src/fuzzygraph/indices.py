@@ -133,17 +133,9 @@ def wiener_index(g: FuzzyGraph) -> Fraction:
 
 
 def _wiener_index(analysis: _Analysis) -> Fraction:
-    rows, names = _strong_distances(analysis), analysis.names
-    sigma = analysis.sigma
-    total = 0
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            if row[j] is None:
-                raise StrongDisconnectedError(
-                    f"no strong path between {names[i]!r} and {names[j]!r}"
-                )
-            total += sigma[i] * sigma[j] * row[j]
-    return Fraction(total, _SUM_SCALE)
+    return Fraction(
+        _pair_sum(_strong_distances(analysis), analysis), _SUM_SCALE
+    )
 
 
 def connectivity_index(g: FuzzyGraph) -> Fraction:
@@ -152,12 +144,26 @@ def connectivity_index(g: FuzzyGraph) -> Fraction:
 
 
 def _connectivity_index(analysis: _Analysis) -> Fraction:
-    rows, sigma = analysis.conn_rows(), analysis.sigma
+    return Fraction(_pair_sum(analysis.conn_rows(), analysis), _SUM_SCALE)
+
+
+def _pair_sum(rows: list[list[int | None]], analysis: _Analysis) -> int:
+    """Sum of sigma(u) sigma(v) rows[u][v] over pairs u < v, in units of
+    _SUM_SCALE.  A None entry is a pair with no strong path: raises
+    StrongDisconnectedError for the first one."""
+    sigma = analysis.sigma
     total = 0
     for i, row in enumerate(rows):
+        weight = sigma[i]
         for j in range(i + 1, len(rows)):
-            total += sigma[i] * sigma[j] * row[j]
-    return Fraction(total, _SUM_SCALE)
+            value = row[j]
+            if value is None:
+                raise StrongDisconnectedError(
+                    f"no strong path between {analysis.names[i]!r} and "
+                    f"{analysis.names[j]!r}"
+                )
+            total += weight * sigma[j] * value
+    return total
 
 
 def theorem_star_formula(spec: SaturatedCycleSpec) -> Fraction:
@@ -171,38 +177,65 @@ def theorem_star_formula(spec: SaturatedCycleSpec) -> Fraction:
     return coefficient * (spec.kappa.as_fraction() + spec.eta.as_fraction())
 
 
-def index_report(g: FuzzyGraph) -> IndexReport:
-    """Compute both indices plus the per-pair table and structure flags."""
+@dataclass(frozen=True)
+class _IndexTables:
+    """What index_report and the CLI's indices report are built from.
+
+    Row i of ``conn`` and ``ds`` belongs to ``names[i]``; entries are
+    micro-units, a ``ds`` entry None when the pair has no strong path.
+    """
+
+    names: tuple[VertexId, ...]
+    conn: list[list[int]]
+    ds: list[list[int | None]]
+    wiener: Fraction | None
+    connectivity: Fraction
+    kind: GraphKind
+    zero_sigma_vertices: tuple[VertexId, ...]
+
+
+def _index_tables(g: FuzzyGraph) -> _IndexTables:
     analysis = _Analysis(g)
     conn, ds = analysis.conn_rows(), _strong_distances(analysis)
-    names, sigma = analysis.names, analysis.sigma
-    entries = []
-    wiener_total = connectivity_total = 0
-    strongly_connected = True
-    for i, u in enumerate(names):
-        conn_row, ds_row = conn[i], ds[i]
-        for j in range(i + 1, len(names)):
-            weight = sigma[i] * sigma[j]
-            connectivity_total += weight * conn_row[j]
-            micro = ds_row[j]
-            if micro is None:
-                strongly_connected = False
-                distance = None
-            else:
-                wiener_total += weight * micro
-                distance = Fraction(micro, MICRO)
-            entries.append(
-                PairEntry(u, names[j], Membership(conn_row[j]), distance)
-            )
-    zero_sigma = tuple(
-        name for name in g.vertices() if g.sigma(name).is_zero
-    )
-    return IndexReport(
-        wiener=(
-            Fraction(wiener_total, _SUM_SCALE) if strongly_connected else None
-        ),
-        connectivity=Fraction(connectivity_total, _SUM_SCALE),
-        pairs=tuple(entries),
+    try:
+        wiener = Fraction(_pair_sum(ds, analysis), _SUM_SCALE)
+    except StrongDisconnectedError:
+        wiener = None
+    names = analysis.names
+    return _IndexTables(
+        names=names,
+        conn=conn,
+        ds=ds,
+        wiener=wiener,
+        connectivity=Fraction(_pair_sum(conn, analysis), _SUM_SCALE),
         kind=_graph_kind(g, analysis),
-        zero_sigma_vertices=zero_sigma,
+        zero_sigma_vertices=tuple(
+            name for name, grade in zip(names, analysis.sigma) if grade == 0
+        ),
+    )
+
+
+def index_report(g: FuzzyGraph) -> IndexReport:
+    """Compute both indices plus the per-pair table and structure flags."""
+    tables = _index_tables(g)
+    names = tables.names
+    entries = []
+    for i, u in enumerate(names):
+        conn_row, ds_row = tables.conn[i], tables.ds[i]
+        for j in range(i + 1, len(names)):
+            micro = ds_row[j]
+            entries.append(
+                PairEntry(
+                    u,
+                    names[j],
+                    Membership(conn_row[j]),
+                    None if micro is None else Fraction(micro, MICRO),
+                )
+            )
+    return IndexReport(
+        wiener=tables.wiener,
+        connectivity=tables.connectivity,
+        pairs=tuple(entries),
+        kind=tables.kind,
+        zero_sigma_vertices=tables.zero_sigma_vertices,
     )

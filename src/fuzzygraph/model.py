@@ -32,7 +32,8 @@ MICRO = 10**6
 
 VertexId = str
 
-_GRADE_RE = re.compile(r"^(\d+)(?:\.(\d{1,6}))?$")
+# ASCII digits only: \d would also match other scripts' decimal digits.
+_GRADE_RE = re.compile(r"([0-9]+)(?:\.([0-9]{1,6}))?")
 # Vertex names: printable ASCII without spaces, so every report stays ASCII.
 _NAME_RE = re.compile(r"[!-~]+")
 
@@ -56,7 +57,7 @@ class Membership:
         Parsing is exact: ``parse("0.1")`` yields precisely 100000
         micro-units.  Raises ValueError for anything else.
         """
-        match = _GRADE_RE.match(text)
+        match = _GRADE_RE.fullmatch(text)
         if match is None:
             raise ValueError(f"not a grade literal: {ascii(text)}")
         whole, frac = match.group(1), match.group(2) or ""
@@ -73,14 +74,20 @@ class Membership:
         return self.micro == 0
 
     def __str__(self) -> str:
-        whole, frac = divmod(self.micro, MICRO)
-        if frac == 0:
-            return str(whole)
-        return f"{whole}.{f'{frac:06d}'.rstrip('0')}"
+        return _micro_text(self.micro)
 
 
 ZERO = Membership(0)
 ONE = Membership(MICRO)
+
+
+def _micro_text(micro: int) -> str:
+    """A non-negative micro-unit count as the shortest exact decimal;
+    equals ``format_fraction(Fraction(micro, MICRO))``."""
+    whole, frac = divmod(micro, MICRO)
+    if frac == 0:
+        return str(whole)
+    return f"{whole}.{f'{frac:06d}'.rstrip('0')}"
 
 
 def format_fraction(value: Fraction) -> str:

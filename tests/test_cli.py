@@ -1,15 +1,32 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuzzygraph import maximum_spanning_tree, parse_graph
+from fuzzygraph import (
+    FuzzyGraph,
+    Membership,
+    classify_edges,
+    format_fraction,
+    index_report,
+    maximum_spanning_tree,
+    parse_graph,
+)
+from fuzzygraph import cli
 from fuzzygraph.cli import main
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
+
+from conftest import fuzzy_graphs
 
 BASE_KEYS = {"wiener", "connectivity", "pairs", "kind", "verdicts", "warnings"}
 
@@ -431,3 +448,201 @@ def test_module_entry_point_runs_repro():
     )
     assert proc.returncode == 0
     assert "result: 13 of 13 checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("literal", ["\u0660.\u0665", "\uff10.\uff15"])
+def test_non_ascii_digit_grade_exits_2_with_one_ascii_line(
+    tmp_path, capsys, literal
+):
+    path = tmp_path / "digits.fzg"
+    path.write_bytes(f"v a 1\nv b {literal}\n".encode("utf-8"))
+    code = main(["indices", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: not a grade literal: ")
+    assert captured.err.count("\n") == 1
+    assert captured.err.isascii()
+
+
+# ----------------------------------------------- one parser for many calls
+
+_FRESH_MAIN = (
+    "import sys; from fuzzygraph.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_repeated_calls_in_one_process_match_fresh_interpreters(
+    tmp_path, capsys, monkeypatch
+):
+    # a fixed width keeps argparse's usage wrapping the same in both
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(
+        cli, "build_parser", lambda: built.append(1) or build_parser()
+    )
+    monkeypatch.setattr(cli, "_parser", None)
+    tree = data_path("tree5.fzg")
+    calls = [
+        ["--format", "json", "indices", tree],
+        ["indices", tree],
+        ["falsify", "corollary-star", "--trials", "0"],
+        ["falsify", "corollary-star", "--trials", "3", "--seed", "7"],
+        ["falsify", "theorem-star"],
+        ["--output", str(tmp_path / "missing_dir" / "x.txt"), "indices", tree],
+    ]
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_MAIN, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert len(built) == 1
+
+
+# ------------------------------------------------------------ JSON renderer
+
+_TRICKY = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u00e9", "\u2028", "\U0001f600"]
+)
+_STRINGS = st.text(_TRICKY | st.characters(), max_size=8)
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _STRINGS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_STRINGS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_json_dumps_with_indent_2(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+_QUOTED_NAMES = (
+    'v "a 1\nv b\\ 0.7\nv c\\" 0.25\nv d 0.5\n'
+    'e "a b\\ 0.7\ne b\\ c\\" 0.25\ne "a c\\" 0.2\ne "a d 0.5\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["indices", "GRAPH"],
+        ["classify", "GRAPH"],
+        ["mst", "GRAPH"],
+        ["kind", "GRAPH"],
+        ["repro"],
+        ["falsify", "corollary-star", "--trials", "5", "--seed", "1"],
+        ["falsify", "theorem-star", "--n", "4..6", "--trials", "2"],
+    ],
+)
+def test_every_json_report_is_json_dumps_with_indent_2(tmp_path, capsys, argv):
+    graph = tmp_path / "quoted.fzg"
+    graph.write_text(_QUOTED_NAMES)
+    names_shown = "GRAPH" in argv and argv[0] != "kind"
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if names_shown:
+        assert '"b\\\\"' in out and '"c\\\\\\""' in out
+
+
+# ------------------------------------------- CLI tables and the public API
+
+
+@st.composite
+def report_graphs(draw) -> FuzzyGraph:
+    """Graphs of 0-7 vertices, some of them with sigma 0 and so isolated."""
+    g = draw(fuzzy_graphs(min_vertices=0, max_vertices=5))
+    sigma = {name: g.sigma(name) for name in g.vertices()}
+    for i in range(draw(st.integers(0, 2))):
+        sigma[f"z{i}"] = Membership(0)
+    return FuzzyGraph(sigma, {(u, v): grade for u, v, grade in g.edges()})
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+@given(report_graphs())
+@settings(max_examples=150, deadline=None)
+def test_cli_tables_match_the_public_api(g):
+    report = index_report(g)
+    ds = lambda entry: None if entry.ds is None else format_fraction(entry.ds)
+    rows = [(e.u, e.v, str(e.conn), ds(e)) for e in report.pairs]
+    wiener = None if report.wiener is None else format_fraction(report.wiener)
+    kind = report.kind
+    expected = [
+        f"vertices: {g.vertex_count}",
+        f"edges: {g.edge_count}",
+        f"connected: {_yes(kind.is_connected)}",
+        f"fuzzy tree: {_yes(kind.is_fuzzy_tree)}",
+        f"fuzzy cycle: {_yes(kind.is_fuzzy_cycle)}",
+        f"saturated fuzzy cycle: {_yes(kind.is_saturated_fuzzy_cycle)}",
+    ]
+    if report.zero_sigma_vertices:
+        names = " ".join(report.zero_sigma_vertices)
+        expected.append(
+            f"warning: zero-grade vertices contribute nothing: {names}"
+        )
+    expected.append(
+        "WI = unavailable (strong subgraph disconnected)"
+        if wiener is None
+        else f"WI = {wiener}"
+    )
+    expected.append(f"CI = {format_fraction(report.connectivity)}")
+    if rows:
+        expected.append("pair conn d_s")
+        expected += [f"{u} {v} {conn} {d or '-'}" for u, v, conn, d in rows]
+    edges = [
+        (u, v, str(rec.grade), rec.edge_class.value, str(rec.residual))
+        for (u, v), rec in classify_edges(g).items()
+    ]
+    exit_code = 0 if wiener is not None else 3
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "g.fzg")
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(g.serialize())
+        assert _run_quietly(["indices", path]) == (
+            exit_code,
+            "\n".join(expected) + "\n",
+        )
+        code, out = _run_quietly(["--format", "json", "indices", path])
+        doc = json.loads(out)
+        assert code == exit_code
+        assert (doc["wiener"], doc["connectivity"]) == (
+            wiener,
+            format_fraction(report.connectivity),
+        )
+        assert [
+            (p["u"], p["v"], p["conn"], p["ds"]) for p in doc["pairs"]
+        ] == rows
+        code, out = _run_quietly(["classify", path])
+        assert code == 0
+        assert [tuple(line.split(" ")) for line in out.splitlines()] == edges
+        code, out = _run_quietly(["--format", "json", "classify", path])
+        assert code == 0
+        assert [
+            (e["u"], e["v"], e["mu"], e["class"], e["residual"])
+            for e in json.loads(out)["edges"]
+        ] == edges

@@ -23,6 +23,7 @@ from fuzzygraph import (
     parse_graph,
     path_record,
 )
+from fuzzygraph.model import _micro_text
 from fuzzygraph.samples import five_vertex_tree
 
 from conftest import fuzzy_graphs
@@ -53,6 +54,34 @@ def test_summing_grades_is_exact():
 def test_parse_rejects_bad_grades(bad):
     with pytest.raises(ValueError):
         M(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.5\n", "1\n", "\u0660.\u0665", "\uff10.\uff15", "0.\u0665"]
+)
+def test_parse_rejects_non_ascii_digits_and_a_trailing_newline(bad):
+    with pytest.raises(ValueError):
+        M(bad)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("v a 1\n\nv b \u0660.\u0665\n", 3),
+        ("v a 1\nv b 1\ne a b \uff10.\uff15\n", 3),
+        ("v a \u0661\n", 1),
+    ],
+)
+def test_parse_graph_rejects_non_ascii_digit_grades(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert info.value.line == line
+
+
+@given(st.integers(0, 10**12))
+@settings(deadline=None)
+def test_micro_text_is_the_exact_decimal(micro):
+    assert _micro_text(micro) == format_fraction(Fraction(micro, MICRO))
 
 
 def test_membership_range_checked():
