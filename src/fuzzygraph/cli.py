@@ -355,15 +355,13 @@ def _cmd_falsify(args) -> tuple[int, str]:
         if args.cycle_lengths is not None:
             raise BadParamsError("--n applies to theorem-star only")
         trials = args.trials if args.trials is not None else 50
-        size_range = args.sizes if args.sizes is not None else (3, 8)
+        size_range = args.sizes
         note = _COROLLARY_NOTE
     else:
         if args.sizes is not None:
             raise BadParamsError("--sizes applies to corollary-star only")
         trials = args.trials
-        size_range = (
-            args.cycle_lengths if args.cycle_lengths is not None else (4, 12)
-        )
+        size_range = args.cycle_lengths
         note = None
     verdicts = search_counterexamples(
         claim, trials=trials, seed=args.seed, size_range=size_range

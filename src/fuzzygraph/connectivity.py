@@ -30,9 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
-from .model import MICRO, FuzzyGraph, Membership, VertexId, pair
+from .model import (
+    MICRO,
+    FuzzyGraph,
+    Membership,
+    PairTable,
+    VertexId,
+    pair,
+)
 
 
 class EdgeClass(Enum):
@@ -52,38 +58,6 @@ class EdgeClassification:
     grade: Membership
     residual: Membership
     edge_class: EdgeClass
-
-
-class StrengthMatrix:
-    """Symmetric table of max-min strengths, keyed on unordered pairs.
-
-    Entries exist for every unordered pair of distinct vertices; pairs in
-    different crisp components have strength 0.
-    """
-
-    __slots__ = ("_conn",)
-
-    def __init__(self, conn: dict[tuple[VertexId, VertexId], Membership]):
-        self._conn = dict(sorted(conn.items()))
-
-    def value(self, u: VertexId, v: VertexId) -> Membership:
-        return self._conn[pair(u, v)]
-
-    def pairs(
-        self,
-    ) -> Iterator[tuple[tuple[VertexId, VertexId], Membership]]:
-        yield from self._conn.items()
-
-    def __len__(self) -> int:
-        return len(self._conn)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StrengthMatrix):
-            return NotImplemented
-        return self._conn == other._conn
-
-    def __repr__(self) -> str:
-        return f"StrengthMatrix({len(self._conn)} pairs)"
 
 
 def _edge_class(grade: int, residual: int) -> EdgeClass:
@@ -256,17 +230,11 @@ class _Analysis:
         return self._conn
 
 
-def strength_of_connectedness(g: FuzzyGraph) -> StrengthMatrix:
-    """CONN for every unordered pair, read off the maximum spanning forest."""
+def strength_of_connectedness(g: FuzzyGraph) -> PairTable[Membership]:
+    """CONN for every unordered pair, read off the maximum spanning forest;
+    pairs in different crisp components have strength 0."""
     analysis = _Analysis(g)
-    rows, names = analysis.conn_rows(), analysis.names
-    return StrengthMatrix(
-        {
-            (u, names[j]): Membership(rows[i][j])
-            for i, u in enumerate(names)
-            for j in range(i + 1, len(names))
-        }
-    )
+    return PairTable(analysis.names, analysis.conn_rows(), Membership)
 
 
 def classify_edge(g: FuzzyGraph, u: VertexId, v: VertexId) -> EdgeClass:

@@ -12,41 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterator
+from operator import mul
 
 from .connectivity import _Analysis
 from .errors import StrongDisconnectedError
-from .model import MICRO, FuzzyGraph, Membership, VertexId, pair
+from .model import (
+    MICRO,
+    FuzzyGraph,
+    Membership,
+    PairTable,
+    VertexId,
+    _micro_fraction,
+)
 from .structure import GraphKind, SaturatedCycleSpec, _graph_kind
 
 # sigma(u) sigma(v) value, each factor in micro-units
 _SUM_SCALE = MICRO**3
-
-
-class DistanceMatrix:
-    """Symmetric table of geodesic distances, keyed on unordered pairs."""
-
-    __slots__ = ("_ds",)
-
-    def __init__(self, ds: dict[tuple[VertexId, VertexId], Fraction]):
-        self._ds = dict(sorted(ds.items()))
-
-    def value(self, u: VertexId, v: VertexId) -> Fraction:
-        return self._ds[pair(u, v)]
-
-    def pairs(self) -> Iterator[tuple[tuple[VertexId, VertexId], Fraction]]:
-        yield from self._ds.items()
-
-    def __len__(self) -> int:
-        return len(self._ds)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DistanceMatrix):
-            return NotImplemented
-        return self._ds == other._ds
-
-    def __repr__(self) -> str:
-        return f"DistanceMatrix({len(self._ds)} pairs)"
 
 
 @dataclass(frozen=True)
@@ -96,35 +77,31 @@ def _strong_distances(analysis: _Analysis) -> list[list[int | None]]:
     return [_single_source(adj, source) for source in range(len(adj))]
 
 
-def _strong_distance_table(
-    g: FuzzyGraph,
-) -> dict[tuple[VertexId, VertexId], Fraction | None]:
-    """Geodesic distances over the strong subgraph; None when unreachable."""
-    analysis = _Analysis(g)
-    rows, names = _strong_distances(analysis), analysis.names
-    table: dict[tuple[VertexId, VertexId], Fraction | None] = {}
-    for i, u in enumerate(names):
-        for j in range(i + 1, len(names)):
-            micro = rows[i][j]
-            table[(u, names[j])] = (
-                None if micro is None else Fraction(micro, MICRO)
-            )
-    return table
+def _require_strong_paths(
+    rows: list[list[int | None]], names: tuple[VertexId, ...]
+) -> None:
+    """Raise StrongDisconnectedError for the first pair, in lexicographic
+    order, with no strong path (a None entry).  Strong reachability is
+    an equivalence, so when some pair has no strong path the first
+    vertex has none to some vertex, and the first such pair is in row 0.
+    """
+    if rows and None in rows[0]:
+        raise StrongDisconnectedError(
+            f"no strong path between {names[0]!r} and "
+            f"{names[rows[0].index(None)]!r}"
+        )
 
 
-def geodesic_distance(g: FuzzyGraph) -> DistanceMatrix:
+def geodesic_distance(g: FuzzyGraph) -> PairTable[Fraction]:
     """All-pairs min-length distances over strong edges only.
 
     Raises StrongDisconnectedError if any pair of vertices has no path
     consisting solely of strong edges.
     """
-    table = _strong_distance_table(g)
-    for (u, v), value in table.items():
-        if value is None:
-            raise StrongDisconnectedError(
-                f"no strong path between {u!r} and {v!r}"
-            )
-    return DistanceMatrix(table)
+    analysis = _Analysis(g)
+    rows = _strong_distances(analysis)
+    _require_strong_paths(rows, analysis.names)
+    return PairTable(analysis.names, rows, _micro_fraction)
 
 
 def wiener_index(g: FuzzyGraph) -> Fraction:
@@ -151,18 +128,10 @@ def _pair_sum(rows: list[list[int | None]], analysis: _Analysis) -> int:
     """Sum of sigma(u) sigma(v) rows[u][v] over pairs u < v, in units of
     _SUM_SCALE.  A None entry is a pair with no strong path: raises
     StrongDisconnectedError for the first one."""
-    sigma = analysis.sigma
-    total = 0
+    _require_strong_paths(rows, analysis.names)
+    sigma, total = analysis.sigma, 0
     for i, row in enumerate(rows):
-        weight = sigma[i]
-        for j in range(i + 1, len(rows)):
-            value = row[j]
-            if value is None:
-                raise StrongDisconnectedError(
-                    f"no strong path between {analysis.names[i]!r} and "
-                    f"{analysis.names[j]!r}"
-                )
-            total += weight * sigma[j] * value
+        total += sigma[i] * sum(map(mul, sigma[i + 1 :], row[i + 1 :]))
     return total
 
 
@@ -219,19 +188,18 @@ def index_report(g: FuzzyGraph) -> IndexReport:
     """Compute both indices plus the per-pair table and structure flags."""
     tables = _index_tables(g)
     names = tables.names
-    entries = []
-    for i, u in enumerate(names):
-        conn_row, ds_row = tables.conn[i], tables.ds[i]
-        for j in range(i + 1, len(names)):
-            micro = ds_row[j]
-            entries.append(
-                PairEntry(
-                    u,
-                    names[j],
-                    Membership(conn_row[j]),
-                    None if micro is None else Fraction(micro, MICRO),
-                )
-            )
+    entries = (
+        PairEntry(
+            u,
+            names[j],
+            Membership(conn_row[j]),
+            None if ds_row[j] is None else _micro_fraction(ds_row[j]),
+        )
+        for i, (u, conn_row, ds_row) in enumerate(
+            zip(names, tables.conn, tables.ds)
+        )
+        for j in range(i + 1, len(names))
+    )
     return IndexReport(
         wiener=tables.wiener,
         connectivity=tables.connectivity,

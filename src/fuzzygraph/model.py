@@ -13,7 +13,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
     DuplicateEdgeError,
@@ -36,6 +36,12 @@ VertexId = str
 _GRADE_RE = re.compile(r"([0-9]+)(?:\.([0-9]{1,6}))?")
 # Vertex names: printable ASCII without spaces, so every report stays ASCII.
 _NAME_RE = re.compile(r"[!-~]+")
+# Whitespace that str.split() splits on besides space, tab and newline:
+# its ASCII members as bytes, and all of it as a pattern.
+_ODD_ASCII_SPACE = b"\x0b\x0c\r\x1c\x1d\x1e\x1f"
+_ODD_SPACE_RE = re.compile(r"[^\S \t]")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, order=True)
@@ -90,6 +96,10 @@ def _micro_text(micro: int) -> str:
     return f"{whole}.{f'{frac:06d}'.rstrip('0')}"
 
 
+def _micro_fraction(micro: int) -> Fraction:
+    return Fraction(micro, MICRO)
+
+
 def format_fraction(value: Fraction) -> str:
     """Render an exact rational, never rounding.
 
@@ -120,6 +130,61 @@ def format_fraction(value: Fraction) -> str:
 def pair(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
     """Canonical unordered-pair key (lexicographically sorted)."""
     return (u, v) if u <= v else (v, u)
+
+
+class PairTable(Generic[_T]):
+    """Symmetric table over the unordered pairs of distinct vertices.
+
+    Row i belongs to ``names[i]``, names sorted.  Entries are micro-unit
+    ints, the rows the caller computed; ``read`` turns an entry into its
+    public value only when it is read: ``Membership`` for CONN,
+    ``Fraction(m, MICRO)`` for d_s.  Only entries above the diagonal are
+    read, so the diagonal may hold anything.
+    """
+
+    __slots__ = ("_names", "_index", "_rows", "_read")
+
+    def __init__(
+        self,
+        names: tuple[VertexId, ...],
+        rows: list[list[int]],
+        read: Callable[[int], _T],
+    ):
+        self._names = names
+        self._index = {name: i for i, name in enumerate(names)}
+        self._rows = rows
+        self._read = read
+
+    def value(self, u: VertexId, v: VertexId) -> _T:
+        """The entry of u and v, in either order; KeyError when u == v or
+        a name is unknown."""
+        i, j = self._index.get(u), self._index.get(v)
+        if i is None or j is None or i == j:
+            raise KeyError(pair(u, v))
+        return self._read(self._rows[i][j] if i < j else self._rows[j][i])
+
+    def pairs(self) -> Iterator[tuple[tuple[VertexId, VertexId], _T]]:
+        """((u, v), value) for every pair u < v, in lexicographic order."""
+        names, read = self._names, self._read
+        for i, (u, row) in enumerate(zip(names, self._rows)):
+            for j in range(i + 1, len(names)):
+                yield (u, names[j]), read(row[j])
+
+    def __len__(self) -> int:
+        n = len(self._names)
+        return n * (n - 1) // 2
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairTable):
+            return NotImplemented
+        same = (self._names, self._read) == (other._names, other._read)
+        return same and all(
+            mine[i + 1 :] == theirs[i + 1 :]
+            for i, (mine, theirs) in enumerate(zip(self._rows, other._rows))
+        )
+
+    def __repr__(self) -> str:
+        return f"PairTable({len(self)} pairs)"
 
 
 class FuzzyGraph:
@@ -348,13 +413,16 @@ def build_graph(
 def parse_graph(text: str | bytes) -> FuzzyGraph:
     """Parse the line-oriented .fzg format.
 
-    Blank lines and lines starting with ``#`` are ignored.  ``v name
-    grade`` declares a vertex, ``e name1 name2 grade`` an edge between
-    previously declared vertices.  Names are printable ASCII without
-    spaces.  Every error names its line: syntax problems raise
-    ParseError, structural ones the build_graph errors with a
-    ``line N:`` prefix.  When a file has several errors, the one on the
-    earliest line is raised.
+    Lines end at ``\n``, and one trailing ``\r`` is dropped; tokens are
+    separated by spaces and tabs, and any other whitespace (a form feed,
+    a Unicode space or line separator) outside a comment is a
+    ParseError.  Blank lines and lines whose first token starts with
+    ``#`` are ignored.  ``v name grade`` declares a vertex, ``e name1
+    name2 grade`` an edge between previously declared vertices.  Names
+    are printable ASCII without spaces.  Every error names its line:
+    syntax problems raise ParseError, structural ones the build_graph
+    errors with a ``line N:`` prefix.  When a file has several errors,
+    the one on the earliest line is raised.
     """
     if isinstance(text, (bytes, bytearray)):
         raw = bytes(text)
@@ -398,7 +466,16 @@ def _read_records(
     Membership.
     """
     grades: dict[str, Membership] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # str.split() splits on every whitespace character.  When the text
+    # holds no whitespace besides spaces, tabs, newlines and a CR before
+    # a newline, that is the format's split, trailing CRs included;
+    # otherwise each line is checked for the others.
+    plain = text.isascii() and len(
+        text.encode("ascii").translate(None, _ODD_ASCII_SPACE)
+    ) == len(text) - text.count("\r\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not plain:
+            line = _checked_line(line, lineno)
         tokens = line.split()
         if not tokens:
             continue
@@ -454,3 +531,16 @@ def _read_records(
                 )
             mu[key] = grade
             edge_lines.append(lineno)
+
+
+def _checked_line(line: str, lineno: int) -> str:
+    """The line without one trailing CR; ParseError when a line other
+    than a comment holds whitespace besides spaces and tabs."""
+    if line.endswith("\r"):
+        line = line[:-1]
+    odd = _ODD_SPACE_RE.search(line)
+    if odd is not None and not line.lstrip(" \t").startswith("#"):
+        raise ParseError(
+            f"separator {ascii(odd.group())} is not a space or tab", lineno
+        )
+    return line

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connectivity import EdgeClass, EdgeClassification, StrengthMatrix
+from .connectivity import EdgeClass, EdgeClassification
 from .errors import StrongDisconnectedError, TooLargeError
-from .model import MICRO, FuzzyGraph, Membership, VertexId
+from .model import MICRO, FuzzyGraph, Membership, PairTable, VertexId
 
 MAX_VERTICES = 12
 
@@ -162,7 +162,7 @@ def ci_bruteforce(g: FuzzyGraph) -> Fraction:
     return total
 
 
-def conn_reference(g: FuzzyGraph) -> StrengthMatrix:
+def conn_reference(g: FuzzyGraph) -> PairTable[Membership]:
     """CONN for every pair by a max-min Floyd-Warshall closure, O(n^3)."""
     names = g.vertices()
     index = {name: i for i, name in enumerate(names)}
@@ -184,11 +184,7 @@ def conn_reference(g: FuzzyGraph) -> StrengthMatrix:
                 width = via if via < row_k[j] else row_k[j]
                 if width > row_i[j]:
                     row_i[j] = width
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[(names[i], names[j])] = Membership(conn[i][j])
-    return StrengthMatrix(table)
+    return PairTable(names, conn, Membership)
 
 
 def classify_edges_reference(

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .falsifier import ClaimVerdict, check_corollary_star, check_theorem_star
-from .indices import (
-    connectivity_index,
-    geodesic_distance,
-    theorem_star_formula,
-    wiener_index,
-)
+from .indices import connectivity_index, geodesic_distance
 from .model import Membership, format_fraction
-from .samples import alternating_cycle, five_vertex_tree
-from .structure import SaturatedCycleSpec, fuzzy_tree_mst, is_fuzzy_tree
+from .samples import five_vertex_tree
+from .structure import SaturatedCycleSpec, is_fuzzy_tree, make_saturated_cycle
 
 GRADINGS: tuple[tuple[str, str], ...] = (("0.5", "0.3"), ("0.7", "0.2"))
 
@@ -75,70 +70,51 @@ def _value_check(
 
 def _tree_checks(verdicts: list[ClaimVerdict]) -> list[ReplicationCheck]:
     tree = five_vertex_tree()
-    checks = [
-        ReplicationCheck(
-            "tree5", "recognized as fuzzy tree", is_fuzzy_tree(tree)
-        )
-    ]
-    mst = fuzzy_tree_mst(tree)
-    skeleton = tree.edge_subgraph(mst.edges)
-    checks.append(
-        _value_check("tree5", "WI(G)", wiener_index(tree), Fraction(37, 5))
-    )
-    checks.append(
-        _value_check("tree5", "WI(F)", wiener_index(skeleton), Fraction(37, 5))
-    )
-    checks.append(
-        _value_check(
-            "tree5", "CI(F)", connectivity_index(skeleton), Fraction(7, 2)
-        )
-    )
-    checks.append(
-        _value_check(
-            "tree5", "CI(G)", connectivity_index(tree), Fraction(7, 2)
-        )
-    )
     verdict = check_corollary_star(tree)
     verdicts.append(verdict)
-    checks.append(
+    figures = verdict.detail
+    return [
+        ReplicationCheck(
+            "tree5", "recognized as fuzzy tree", is_fuzzy_tree(tree)
+        ),
+        _value_check("tree5", "WI(G)", figures["wi_g"], Fraction(37, 5)),
+        _value_check("tree5", "WI(F)", figures["wi_f"], Fraction(37, 5)),
+        _value_check("tree5", "CI(F)", figures["ci_f"], Fraction(7, 2)),
+        _value_check(
+            "tree5", "CI(G)", connectivity_index(tree), Fraction(7, 2)
+        ),
         ReplicationCheck(
             "tree5",
             "WI(G) = WI(F) differs from CI(F), counterexample CONFIRMED",
             not verdict.holds,
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def _cycle_checks(n: int, verdicts: list[ClaimVerdict]) -> list[ReplicationCheck]:
     label = f"cycle{n}"
     wi_k, wi_e = CYCLE_WI_COEFFS[n]
     checks = []
-    wi_ok = True
-    formula_ok = True
+    wi_ok = formula_ok = confirmed = True
     entry_ok = {key: True for key in CYCLE6_TABLE} if n == 6 else {}
-    confirmed = True
     for kappa_text, eta_text in GRADINGS:
-        kappa = Membership.parse(kappa_text).as_fraction()
-        eta = Membership.parse(eta_text).as_fraction()
-        cycle = alternating_cycle(n, kappa_text, eta_text)
         spec = SaturatedCycleSpec(
             n, Membership.parse(kappa_text), Membership.parse(eta_text)
         )
-        if wiener_index(cycle) != wi_k * kappa + wi_e * eta:
-            wi_ok = False
-        if theorem_star_formula(spec) != FORMULA_COEFFS[n] * (kappa + eta):
-            formula_ok = False
+        kappa, eta = spec.kappa.as_fraction(), spec.eta.as_fraction()
+        # lhs is the directly computed WI, rhs the published closed form
+        verdict = check_theorem_star(spec)
+        verdicts.append(verdict)
+        wi_ok &= verdict.lhs == wi_k * kappa + wi_e * eta
+        formula_ok &= verdict.rhs == FORMULA_COEFFS[n] * (kappa + eta)
+        confirmed &= not verdict.holds
         if n == 6:
+            cycle = make_saturated_cycle(spec)
             names = cycle.vertices()
             ds = geodesic_distance(cycle)
             for (i, j), (ck, ce) in sorted(CYCLE6_TABLE.items()):
                 if ds.value(names[i], names[j]) != ck * kappa + ce * eta:
                     entry_ok[(i, j)] = False
-        verdict = check_theorem_star(spec)
-        verdicts.append(verdict)
-        if verdict.holds:
-            confirmed = False
     gradings = len(GRADINGS)
     if n == 6:
         matches = sum(1 for ok in entry_ok.values() if ok)

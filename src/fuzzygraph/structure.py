@@ -39,6 +39,9 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class GraphKind:
+    """Structure flags.  The empty graph (no vertices) is connected, has
+    no spanning tree, and so is no fuzzy tree."""
+
     is_connected: bool
     is_fuzzy_tree: bool
     is_fuzzy_cycle: bool

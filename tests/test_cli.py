@@ -646,3 +646,86 @@ def test_cli_tables_match_the_public_api(g):
             (e["u"], e["v"], e["mu"], e["class"], e["residual"])
             for e in json.loads(out)["edges"]
         ] == edges
+
+
+def test_unicode_separators_exit_2_with_one_ascii_line(tmp_path, capsys):
+    path = tmp_path / "spaces.fzg"
+    path.write_bytes("v\u00a0a\u20031\n".encode("utf-8"))
+    code = main(["indices", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: ")
+    assert captured.err.count("\n") == 1
+    assert captured.err.isascii()
+
+
+# ------------------------------------------------------- the empty graph
+
+_EMPTY_KIND = {
+    "connected": True,
+    "fuzzy_tree": False,
+    "fuzzy_cycle": False,
+    "saturated_fuzzy_cycle": False,
+}
+_EMPTY_KIND_TEXT = (
+    "connected: yes\nfuzzy tree: no\nfuzzy cycle: no\n"
+    "saturated fuzzy cycle: no\n"
+)
+
+
+@pytest.mark.parametrize("content", ["", "# nothing here\n\n# at all\n"])
+def test_the_empty_graph_is_connected_and_no_fuzzy_tree(
+    tmp_path, capsys, content
+):
+    path = tmp_path / "empty.fzg"
+    path.write_text(content, encoding="ascii")
+    file = str(path)
+    empty_doc = {key: [] for key in ("pairs", "verdicts", "warnings")}
+    empty_doc.update(wiener=None, connectivity=None, kind=None)
+
+    assert run_cli(capsys, "indices", file) == (
+        0,
+        "vertices: 0\nedges: 0\n" + _EMPTY_KIND_TEXT + "WI = 0\nCI = 0\n",
+    )
+    code, out = run_cli(capsys, "indices", file, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        **empty_doc, "wiener": "0", "connectivity": "0", "kind": _EMPTY_KIND
+    }
+    assert run_cli(capsys, "kind", file) == (0, _EMPTY_KIND_TEXT)
+    code, out = run_cli(capsys, "kind", file, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {**empty_doc, "kind": _EMPTY_KIND}
+    assert run_cli(capsys, "classify", file) == (0, "")
+    code, out = run_cli(capsys, "classify", file, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {**empty_doc, "edges": []}
+    for fmt in ("text", "json"):
+        assert main(["mst", file, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty graph has no spanning tree\n"
+
+
+def test_falsify_leaves_the_size_defaults_to_the_library(
+    capsys, monkeypatch
+):
+    calls = []
+
+    def recording(claim, trials=None, seed=0, size_range=None):
+        calls.append((claim.value, trials, size_range))
+        return []
+
+    monkeypatch.setattr(cli, "search_counterexamples", recording)
+    assert main(["falsify", "corollary-star"]) == 4
+    assert main(["falsify", "theorem-star"]) == 4
+    assert main(
+        ["falsify", "theorem-star", "--n", "6..8", "--trials", "3"]
+    ) == 4
+    capsys.readouterr()
+    assert calls == [
+        ("corollary-star", 50, None),
+        ("theorem-star", None, None),
+        ("theorem-star", 3, (6, 8)),
+    ]

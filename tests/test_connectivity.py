@@ -19,6 +19,7 @@ from fuzzygraph import (
     classify_edges_reference,
     conn_bruteforce,
     conn_reference,
+    geodesic_distance,
     graph_kind,
     index_report,
     maximum_spanning_tree,
@@ -314,3 +315,23 @@ def test_analysis_never_deletes_edges(monkeypatch):
     assert len(classify_edges(g)) == 325
     assert len(index_report(g).pairs) == 80 * 79 // 2
     assert graph_kind(g).is_connected
+
+
+def test_strength_table_builds_no_object_per_pair(monkeypatch):
+    g = random_graph(3, 300, 0.03)
+    assert g.vertex_count == 300 and g.edge_count >= 1000
+    built = []
+    original = Membership.__post_init__
+
+    def counting(self):
+        built.append(self.micro)
+        original(self)
+
+    monkeypatch.setattr(Membership, "__post_init__", counting)
+    conn = strength_of_connectedness(g)
+    ds_len = len(geodesic_distance(g))
+    assert built == []
+    assert len(conn) == ds_len == 300 * 299 // 2
+    u, v = g.vertices()[:2]
+    assert isinstance(conn.value(u, v), Membership)
+    assert len(built) == 1

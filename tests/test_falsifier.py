@@ -20,6 +20,7 @@ from fuzzygraph import (
     wi_bruteforce,
 )
 from fuzzygraph import connectivity
+from fuzzygraph.replication import replication_checks
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 from fuzzygraph.structure import random_fuzzy_tree
 
@@ -181,3 +182,18 @@ def test_search_parameter_validation():
         )
     with pytest.raises(BadParamsError):
         search_counterexamples(ClaimId.THEOREM_STAR, size_range=(5, 5))
+
+
+def test_replication_builds_at_most_ten_analyses(monkeypatch):
+    analysed = []
+    original = connectivity._Analysis.__init__
+
+    def counting(self, g):
+        analysed.append(g)
+        original(self, g)
+
+    monkeypatch.setattr(connectivity._Analysis, "__init__", counting)
+    checks, verdicts = replication_checks()
+    assert all(check.passed for check in checks)
+    assert len(checks) == 13 and len(verdicts) == 5
+    assert len(analysed) <= 10

@@ -14,6 +14,7 @@ from fuzzygraph import (
     Membership,
     MuExceedsSigmaError,
     NoSuchEdgeError,
+    PairTable,
     ParseError,
     SelfLoopError,
     UnknownEndpointError,
@@ -420,3 +421,79 @@ def test_constructor_rejects_an_edge_keyed_in_both_orders():
     one = M("1")
     with pytest.raises(DuplicateEdgeError, match="'a' 'b'"):
         FuzzyGraph({"a": one, "b": one}, {("b", "a"): one, ("a", "b"): one})
+
+
+# ------------------------------------------------------- records and tokens
+
+
+@pytest.mark.parametrize("text", ["# note\u2028v x 1\n", "# note\x0cv y 1\n"])
+def test_a_comment_cannot_smuggle_a_record(text):
+    assert parse_graph(text).vertex_count == 0
+    assert parse_graph(text.encode("utf-8")).vertex_count == 0
+
+
+def test_str_and_bytes_count_the_same_lines():
+    text = "# a\x0cb\n# c\u2028d\n# e\x85f\nv a 1\nbogus\n"
+    for source in (text, text.encode("utf-8")):
+        with pytest.raises(ParseError) as info:
+            parse_graph(source)
+        assert info.value.line == 5
+    with pytest.raises(ParseError) as info:
+        parse_graph(b"# a\x0cb\n# c\xe2\x80\xa8d\n# e\nv a 1\nv \xff 1\n")
+    assert info.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("v a 1\x0cv b 1\n", 1),
+        ("v a 1\nv\u00a0b 1\n", 2),
+        ("v a 1\nv b\u20031\n", 2),
+        ("v a 1\nv b 1\ne a\x0bb 0.5\n", 3),
+        ("v a 1\n\x1c\n", 2),
+        ("v a 1\rv b 1\n", 1),
+        ("v a 1\r\r\n", 1),
+    ],
+)
+def test_separators_other_than_spaces_and_tabs_are_rejected(text, line):
+    for source in (text, text.encode("utf-8")):
+        with pytest.raises(ParseError) as info:
+            parse_graph(source)
+        assert info.value.line == line
+        assert str(info.value).isascii()
+
+
+def test_crlf_and_tabs_still_parse():
+    g = parse_graph("# crlf\r\nv a 1\r\nv\tb\t1\r\n\t\r\ne a  b 0.5\r\n")
+    assert g == parse_graph("v a 1\nv b 1\ne a b 0.5\n")
+    assert parse_graph(b"v a 1\r\nv b 1\r\ne a b 0.5") == g
+    assert parse_graph("# caf\u00e9\nv a 1\r\n").vertices() == ("a",)
+
+
+# ---------------------------------------------------------------- PairTable
+
+
+def test_pair_table_reads_entries_on_demand():
+    rows = [[9, 1, 2], [1, 9, 3], [2, 3, 9]]
+    table = PairTable(("a", "b", "c"), rows, Membership)
+    assert table.value("a", "c") == table.value("c", "a") == Membership(2)
+    assert list(table.pairs()) == [
+        (("a", "b"), Membership(1)),
+        (("a", "c"), Membership(2)),
+        (("b", "c"), Membership(3)),
+    ]
+    assert len(table) == 3
+    assert repr(table) == "PairTable(3 pairs)"
+    for u, v in [("a", "a"), ("a", "z"), ("z", "a")]:
+        with pytest.raises(KeyError):
+            table.value(u, v)
+
+
+def test_pair_tables_compare_off_diagonal_entries_and_reader():
+    names = ("a", "b")
+    table = PairTable(names, [[0, 5], [5, 0]], Membership)
+    assert table == PairTable(names, [[7, 5], [5, 8]], Membership)
+    assert table != PairTable(names, [[0, 6], [6, 0]], Membership)
+    assert table != PairTable(("a", "c"), [[0, 5], [5, 0]], Membership)
+    assert table != PairTable(names, [[0, 5], [5, 0]], Membership.as_fraction)
+    assert len(PairTable((), [], Membership)) == 0
