@@ -13,23 +13,12 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .connectivity import _Analysis
-from .errors import BadParamsError, FuzzyGraphError
-from .falsifier import (
-    ClaimId,
-    ClaimVerdict,
-    search_counterexamples,
-)
-from .indices import _index_tables
-from .model import FuzzyGraph, _micro_text, format_fraction, parse_graph
+from .analysis import Analysis, GraphKind
+from .errors import BadParamsError, FuzzyGraphError, StrongDisconnectedError
+from .falsifier import ClaimId, ClaimVerdict, search_counterexamples
+from .model import FuzzyGraph, format_fraction, micro_text, parse_graph
 from .replication import replication_checks
-from .structure import (
-    GraphKind,
-    SaturatedCycleSpec,
-    graph_kind,
-    make_saturated_cycle,
-    maximum_spanning_tree,
-)
+from .structure import SaturatedCycleSpec, graph_kind, maximum_spanning_tree
 
 _COROLLARY_NOTE = (
     "claim tested exactly as published; no auxiliary hypotheses assumed"
@@ -175,16 +164,11 @@ def _verdict_json(verdict: ClaimVerdict) -> dict:
             for name, value in verdict.detail.items()
         },
     }
+    instance = doc["instance"] = {}
     if isinstance(verdict.instance, SaturatedCycleSpec):
         spec = verdict.instance
-        doc["instance"] = {
-            "n": spec.n,
-            "kappa": str(spec.kappa),
-            "eta": str(spec.eta),
-            "fzg": make_saturated_cycle(spec).serialize(),
-        }
-    else:
-        doc["instance"] = {"fzg": verdict.instance.serialize()}
+        instance.update(n=spec.n, kappa=str(spec.kappa), eta=str(spec.eta))
+    instance["fzg"] = verdict.graph.serialize()
     return doc
 
 
@@ -199,11 +183,7 @@ def _verdict_lines(index: int, verdict: ClaimVerdict) -> list[str]:
         for name, value in verdict.detail.items()
     )
     lines.append(f"  {detail}")
-    if isinstance(verdict.instance, SaturatedCycleSpec):
-        instance = make_saturated_cycle(verdict.instance)
-    else:
-        instance = verdict.instance
-    lines += [f"  {line}" for line in instance.serialize().splitlines()]
+    lines += [f"  {line}" for line in verdict.graph.serialize().splitlines()]
     return lines
 
 
@@ -216,14 +196,18 @@ class _MicroTexts(dict):
     count of one report once."""
 
     def __missing__(self, micro: int) -> str:
-        text = self[micro] = _micro_text(micro)
+        text = self[micro] = micro_text(micro)
         return text
 
 
 def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
-    tables = _index_tables(g)
-    names, text = tables.names, _MicroTexts()
+    analysis = Analysis(g)
+    try:
+        wiener = analysis.wiener()
+    except StrongDisconnectedError:
+        wiener = None
+    names, text = analysis.names, _MicroTexts()
     pairs = [
         (
             u,
@@ -232,36 +216,36 @@ def _cmd_indices(args) -> tuple[int, str]:
             None if ds_row[j] is None else text[ds_row[j]],
         )
         for i, (u, conn_row, ds_row) in enumerate(
-            zip(names, tables.conn, tables.ds)
+            zip(names, analysis.conn_rows(), analysis.ds_rows())
         )
         for j in range(i + 1, len(names))
     ]
-    warnings = _warnings_for(tables.zero_sigma_vertices)
-    code = 0 if tables.wiener is not None else 3
+    kind = analysis.kind()
+    connectivity = format_fraction(analysis.connectivity())
+    warnings = _warnings_for(analysis.zero_sigma_vertices())
+    code = 0 if wiener is not None else 3
     if args.format == "json":
         doc = _base_doc()
-        doc["wiener"] = (
-            None if tables.wiener is None else format_fraction(tables.wiener)
-        )
-        doc["connectivity"] = format_fraction(tables.connectivity)
+        doc["wiener"] = None if wiener is None else format_fraction(wiener)
+        doc["connectivity"] = connectivity
         doc["pairs"] = [
             {"u": u, "v": v, "conn": conn, "ds": ds}
             for u, v, conn, ds in pairs
         ]
-        doc["kind"] = _kind_json(tables.kind)
+        doc["kind"] = _kind_json(kind)
         doc["warnings"] = warnings
         return code, _json_text(doc)
     lines = [
         f"vertices: {g.vertex_count}",
         f"edges: {g.edge_count}",
     ]
-    lines += _kind_lines(tables.kind)
+    lines += _kind_lines(kind)
     lines += [f"warning: {message}" for message in warnings]
-    if tables.wiener is None:
+    if wiener is None:
         lines.append("WI = unavailable (strong subgraph disconnected)")
     else:
-        lines.append(f"WI = {format_fraction(tables.wiener)}")
-    lines.append(f"CI = {format_fraction(tables.connectivity)}")
+        lines.append(f"WI = {format_fraction(wiener)}")
+    lines.append(f"CI = {connectivity}")
     if pairs:
         lines.append("pair conn d_s")
         lines += [
@@ -273,12 +257,12 @@ def _cmd_indices(args) -> tuple[int, str]:
 
 def _cmd_classify(args) -> tuple[int, str]:
     g = _load(args.file)
-    analysis = _Analysis(g)
+    analysis = Analysis(g)
     text = _MicroTexts()
     rows = [
         (u, v, text[grade], edge_class.value, text[res])
         for (u, v), grade, res, edge_class in zip(
-            g.edge_pairs(),
+            analysis.pairs,
             analysis.mu,
             analysis.residual(),
             analysis.edge_classes(),

@@ -14,18 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .connectivity import _Analysis
+from .analysis import Analysis
 from .errors import BadParamsError, NotAFuzzyTreeError
-from .indices import (
-    _connectivity_index,
-    _wiener_index,
-    theorem_star_formula,
-    wiener_index,
-)
+from .indices import theorem_star_formula, wiener_index
 from .model import FuzzyGraph, Membership
 from .structure import (
     SaturatedCycleSpec,
-    _fuzzy_tree_mst,
     make_saturated_cycle,
     random_fuzzy_tree,
 )
@@ -42,12 +36,15 @@ class ClaimId(Enum):
 class ClaimVerdict:
     """Outcome of evaluating one claim on one instance.
 
-    ``holds`` is exact equality of lhs and rhs; ``detail`` carries every
+    ``graph`` is the graph that was evaluated: the instance itself for
+    corollary-star, the built cycle for theorem-star.  ``holds`` is
+    exact equality of lhs and rhs; ``detail`` carries every
     intermediate quantity needed to audit the verdict by hand.
     """
 
     claim_id: ClaimId
     instance: FuzzyGraph | SaturatedCycleSpec
+    graph: FuzzyGraph
     lhs: Fraction
     rhs: Fraction
     holds: bool
@@ -55,9 +52,7 @@ class ClaimVerdict:
 
     @property
     def size(self) -> int:
-        if isinstance(self.instance, SaturatedCycleSpec):
-            return self.instance.n
-        return self.instance.vertex_count
+        return self.graph.vertex_count
 
 
 def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
@@ -66,17 +61,18 @@ def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
     The claim is tested exactly as published, with no auxiliary
     hypotheses.  lhs is WI(G), rhs is CI(F); WI(F) is in the detail map.
     """
-    analysis = _Analysis(g)
-    tree = _fuzzy_tree_mst(g, analysis)
+    analysis = Analysis(g)
+    tree = analysis.fuzzy_tree_mst()
     if tree is None:
         raise NotAFuzzyTreeError("corollary-star applies to fuzzy trees only")
-    skeleton = _Analysis(g.edge_subgraph(tree.edges))
-    wi_g = _wiener_index(analysis)
-    wi_f = _wiener_index(skeleton)
-    ci_f = _connectivity_index(skeleton)
+    skeleton = Analysis(g.edge_subgraph(tree.edges))
+    wi_g = analysis.wiener()
+    wi_f = skeleton.wiener()
+    ci_f = skeleton.connectivity()
     return ClaimVerdict(
         claim_id=ClaimId.COROLLARY_STAR,
         instance=g,
+        graph=g,
         lhs=wi_g,
         rhs=ci_f,
         holds=(wi_g == wi_f == ci_f),
@@ -92,6 +88,7 @@ def check_theorem_star(spec: SaturatedCycleSpec) -> ClaimVerdict:
     return ClaimVerdict(
         claim_id=ClaimId.THEOREM_STAR,
         instance=spec,
+        graph=cycle,
         lhs=direct,
         rhs=formula,
         holds=(direct == formula),

@@ -10,7 +10,6 @@ operation returns a new graph and leaves its input untouched.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Generic, Iterable, Iterator, Mapping, TypeVar
@@ -80,24 +79,20 @@ class Membership:
         return self.micro == 0
 
     def __str__(self) -> str:
-        return _micro_text(self.micro)
+        return micro_text(self.micro)
 
 
 ZERO = Membership(0)
 ONE = Membership(MICRO)
 
 
-def _micro_text(micro: int) -> str:
+def micro_text(micro: int) -> str:
     """A non-negative micro-unit count as the shortest exact decimal;
     equals ``format_fraction(Fraction(micro, MICRO))``."""
     whole, frac = divmod(micro, MICRO)
     if frac == 0:
         return str(whole)
     return f"{whole}.{f'{frac:06d}'.rstrip('0')}"
-
-
-def _micro_fraction(micro: int) -> Fraction:
-    return Fraction(micro, MICRO)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -300,28 +295,6 @@ class FuzzyGraph:
                 raise NoSuchEdgeError(f"no edge between {u!r} and {v!r}")
             keep.add(key)
         return FuzzyGraph(self._sigma, {k: self._mu[k] for k in keep})
-
-    def crisp_components(self) -> tuple[tuple[VertexId, ...], ...]:
-        seen: set[VertexId] = set()
-        components = []
-        for start in self._sigma:
-            if start in seen:
-                continue
-            queue = deque([start])
-            seen.add(start)
-            members = []
-            while queue:
-                node = queue.popleft()
-                members.append(node)
-                for nbr, _ in self._adj[node]:
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        queue.append(nbr)
-            components.append(tuple(sorted(members)))
-        return tuple(components)
-
-    def is_crisp_connected(self) -> bool:
-        return len(self.crisp_components()) <= 1
 
     def serialize(self) -> str:
         """Canonical .fzg text; parsing it back reproduces this graph."""

@@ -17,7 +17,7 @@ from .falsifier import ClaimVerdict, check_corollary_star, check_theorem_star
 from .indices import connectivity_index, geodesic_distance
 from .model import Membership, format_fraction
 from .samples import five_vertex_tree
-from .structure import SaturatedCycleSpec, is_fuzzy_tree, make_saturated_cycle
+from .structure import SaturatedCycleSpec, is_fuzzy_tree
 
 GRADINGS: tuple[tuple[str, str], ...] = (("0.5", "0.3"), ("0.7", "0.2"))
 
@@ -109,9 +109,8 @@ def _cycle_checks(n: int, verdicts: list[ClaimVerdict]) -> list[ReplicationCheck
         formula_ok &= verdict.rhs == FORMULA_COEFFS[n] * (kappa + eta)
         confirmed &= not verdict.holds
         if n == 6:
-            cycle = make_saturated_cycle(spec)
-            names = cycle.vertices()
-            ds = geodesic_distance(cycle)
+            names = verdict.graph.vertices()
+            ds = geodesic_distance(verdict.graph)
             for (i, j), (ck, ce) in sorted(CYCLE6_TABLE.items()):
                 if ds.value(names[i], names[j]) != ck * kappa + ce * eta:
                     entry_ok[(i, j)] = False

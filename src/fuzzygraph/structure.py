@@ -5,47 +5,22 @@ every left-out edge strictly: mu(uv) < strength of connectedness between
 u and v inside F.  A fuzzy cycle is a crisp cycle whose weakest grade is
 attained at least twice.  A saturated fuzzy cycle additionally touches
 every vertex with at least one alpha-strong and one beta-strong edge.
+
+The recognisers are views over ``analysis.Analysis``; the generators
+build graphs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 
-from .connectivity import EdgeClass, _Analysis
-from .errors import BadParamsError, BadSpecError, DisconnectedError
-from .model import (
-    MICRO,
-    ONE,
-    FuzzyGraph,
-    Membership,
-    VertexId,
-    build_graph,
-    pair,
-)
+from .analysis import Analysis, GraphKind, SpanningTree
+from .errors import BadParamsError, BadSpecError
+from .model import ONE, FuzzyGraph, Membership, VertexId, build_graph, pair
 
 _GRID = 10_000  # micro-units per 0.01 step used by the random generator
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """Edge set of a spanning tree plus its total strength (sum of mu)."""
-
-    edges: tuple[tuple[VertexId, VertexId], ...]
-    total_strength: Fraction
-
-
-@dataclass(frozen=True)
-class GraphKind:
-    """Structure flags.  The empty graph (no vertices) is connected, has
-    no spanning tree, and so is no fuzzy tree."""
-
-    is_connected: bool
-    is_fuzzy_tree: bool
-    is_fuzzy_cycle: bool
-    is_saturated_fuzzy_cycle: bool
 
 
 @dataclass(frozen=True)
@@ -69,33 +44,9 @@ class SaturatedCycleSpec:
             )
 
 
-def _spanning_tree(g: FuzzyGraph, analysis: _Analysis) -> SpanningTree:
-    if g.vertex_count == 0:
-        raise DisconnectedError("empty graph has no spanning tree")
-    if analysis.components > 1:
-        raise DisconnectedError("graph is not crisp-connected")
-    chosen = [e for e, kept in enumerate(analysis.in_forest) if kept]
-    pairs = g.edge_pairs()
-    return SpanningTree(
-        tuple(pairs[e] for e in chosen),
-        Fraction(sum(analysis.mu[e] for e in chosen), MICRO),
-    )
-
-
 def maximum_spanning_tree(g: FuzzyGraph) -> SpanningTree:
     """Greedy descending-mu Kruskal with lexicographic tie-breaking."""
-    return _spanning_tree(g, _Analysis(g))
-
-
-def _is_fuzzy_forest(analysis: _Analysis) -> bool:
-    """Every edge outside the forest is delta, i.e. strictly weaker than
-    the forest's strength between its endpoints."""
-    residual = analysis.residual()
-    return all(
-        analysis.mu[e] < residual[e]
-        for e, kept in enumerate(analysis.in_forest)
-        if not kept
-    )
+    return Analysis(g).spanning_tree()
 
 
 def fuzzy_tree_mst(g: FuzzyGraph) -> SpanningTree | None:
@@ -105,12 +56,7 @@ def fuzzy_tree_mst(g: FuzzyGraph) -> SpanningTree | None:
     the tree alone achieves between its endpoints.  When that holds the
     tree is automatically the unique maximum spanning tree.
     """
-    return _fuzzy_tree_mst(g, _Analysis(g))
-
-
-def _fuzzy_tree_mst(g: FuzzyGraph, analysis: _Analysis) -> SpanningTree | None:
-    tree = _spanning_tree(g, analysis)
-    return tree if _is_fuzzy_forest(analysis) else None
+    return Analysis(g).fuzzy_tree_mst()
 
 
 def is_fuzzy_tree(g: FuzzyGraph) -> bool:
@@ -119,56 +65,25 @@ def is_fuzzy_tree(g: FuzzyGraph) -> bool:
 
 def is_fuzzy_cycle(g: FuzzyGraph) -> bool:
     """Crisp cycle through all vertices whose weakest grade ties >= 2."""
-    n = g.vertex_count
-    if n < 3 or g.edge_count != n:
-        return False
-    if any(len(g.neighbors(name)) != 2 for name in g.vertices()):
-        return False
-    if not g.is_crisp_connected():
-        return False
-    weakest = min(grade for _, _, grade in g.edges())
-    ties = sum(1 for _, _, grade in g.edges() if grade == weakest)
-    return ties >= 2
-
-
-def _touches_alpha_and_beta(analysis: _Analysis) -> bool:
-    """Every vertex meets at least one alpha and one beta edge."""
-    incident: list[set[EdgeClass]] = [set() for _ in analysis.names]
-    for (i, j), edge_class in zip(analysis.ends, analysis.edge_classes()):
-        incident[i].add(edge_class)
-        incident[j].add(edge_class)
-    return all(
-        EdgeClass.ALPHA_STRONG in classes and EdgeClass.BETA_STRONG in classes
-        for classes in incident
-    )
+    return Analysis(g).is_fuzzy_cycle()
 
 
 def is_saturated_fuzzy_cycle(g: FuzzyGraph) -> bool:
-    return is_fuzzy_cycle(g) and _touches_alpha_and_beta(_Analysis(g))
-
-
-def _graph_kind(g: FuzzyGraph, analysis: _Analysis) -> GraphKind:
-    connected = analysis.components <= 1
-    fuzzy_tree = (
-        connected and g.vertex_count >= 1 and _is_fuzzy_forest(analysis)
-    )
-    cycle = is_fuzzy_cycle(g)
-    saturated = cycle and _touches_alpha_and_beta(analysis)
-    return GraphKind(connected, fuzzy_tree, cycle, saturated)
+    return Analysis(g).is_saturated_fuzzy_cycle()
 
 
 def graph_kind(g: FuzzyGraph) -> GraphKind:
-    return _graph_kind(g, _Analysis(g))
+    return Analysis(g).kind()
 
 
-def _cycle_names(n: int) -> list[VertexId]:
+def _vertex_names(n: int) -> list[VertexId]:
     width = max(2, len(str(n - 1)))
     return [f"v{i:0{width}d}" for i in range(n)]
 
 
 def make_saturated_cycle(spec: SaturatedCycleSpec) -> FuzzyGraph:
     """Even cycle v0..v(n-1), sigma 1 everywhere, grades kappa/eta alternating."""
-    names = _cycle_names(spec.n)
+    names = _vertex_names(spec.n)
     edges = []
     for i in range(spec.n):
         grade = spec.kappa if i % 2 == 0 else spec.eta
@@ -210,8 +125,7 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     if extra_edges < 0:
         raise BadParamsError(f"extra_edges must be >= 0, got {extra_edges}")
     rng = random.Random(seed)
-    width = max(2, len(str(n - 1)))
-    names = [f"v{i:0{width}d}" for i in range(n)]
+    names = _vertex_names(n)
     sigma = {
         name: Membership(rng.randrange(1, 101) * _GRID) for name in names
     }
@@ -223,7 +137,7 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     for u, v in tree_pairs:
         cap = min(sigma[u], sigma[v]).micro // _GRID
         edges.append((u, v, Membership(rng.randrange(1, cap + 1) * _GRID)))
-    tree = _Analysis(build_graph(sigma.items(), edges))
+    tree = Analysis(build_graph(sigma.items(), edges))
     in_tree = set(tree_pairs)
     candidates = [
         (u, v)

@@ -729,3 +729,19 @@ def test_falsify_leaves_the_size_defaults_to_the_library(
         ("theorem-star", None, None),
         ("theorem-star", 3, (6, 8)),
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_falsify_builds_each_witness_cycle_once(capsys, monkeypatch, fmt):
+    built = []
+    original = FuzzyGraph.__init__
+
+    def counting(self, sigma, mu):
+        built.append(len(sigma))
+        original(self, sigma, mu)
+
+    monkeypatch.setattr(FuzzyGraph, "__init__", counting)
+    code, _ = run_cli(capsys, "--format", fmt, "falsify", "theorem-star")
+    assert code == 0
+    # 5 even lengths 4..12, 45 gradings each, one cycle per spec
+    assert len(built) == 225

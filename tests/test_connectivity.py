@@ -218,7 +218,7 @@ def test_forest_route_matches_the_reference():
                 p,
                 seed,
             )
-            seen["disconnected"] += not g.is_crisp_connected()
+            seen["disconnected"] += not graph_kind(g).is_connected
             seen["zero sigma"] += any(
                 g.sigma(name).is_zero for name in g.vertices()
             )
@@ -290,11 +290,11 @@ def test_strong_edges_are_the_maximum_spanning_forest_edges(g):
 def test_maximum_spanning_tree_weight_matches_networkx(seed, n):
     nx = pytest.importorskip("networkx")
     g = random_graph(seed, n, 12 / n)
-    assert g.is_crisp_connected()
     reference = nx.Graph()
     reference.add_nodes_from(g.vertices())
     for u, v, grade in g.edges():
         reference.add_edge(u, v, weight=grade.micro)
+    assert nx.is_connected(reference)
     expected = nx.maximum_spanning_tree(reference).size(weight="weight")
     tree = maximum_spanning_tree(g)
     assert tree.total_strength * MICRO == expected
@@ -306,7 +306,7 @@ def test_analysis_never_deletes_edges(monkeypatch):
     # Guards against a return of the per-edge remove-and-recompute route,
     # which made an 80-vertex classification take seconds.
     g = random_graph(6, 80, 0.1)
-    assert g.edge_count == 325 and g.is_crisp_connected()
+    assert g.edge_count == 325 and graph_kind(g).is_connected
 
     def refuse(self, u, v):
         raise AssertionError("edge deletion on the production path")

@@ -19,7 +19,7 @@ from fuzzygraph import (
     search_counterexamples,
     wi_bruteforce,
 )
-from fuzzygraph import connectivity
+from fuzzygraph import analysis
 from fuzzygraph.replication import replication_checks
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 from fuzzygraph.structure import random_fuzzy_tree
@@ -63,13 +63,13 @@ def test_corollary_star_fails_on_every_path_of_three():
 def test_corollary_star_analyses_each_graph_once(monkeypatch):
     g = random_fuzzy_tree(5, 8, 2)
     analysed = []
-    original = connectivity._Analysis.__init__
+    original = analysis.Analysis.__init__
 
     def counting(self, g):
         analysed.append(g)
         original(self, g)
 
-    monkeypatch.setattr(connectivity._Analysis, "__init__", counting)
+    monkeypatch.setattr(analysis.Analysis, "__init__", counting)
     verdict = check_corollary_star(g)
     assert len(analysed) == 2
     assert analysed[0] is g
@@ -186,13 +186,13 @@ def test_search_parameter_validation():
 
 def test_replication_builds_at_most_ten_analyses(monkeypatch):
     analysed = []
-    original = connectivity._Analysis.__init__
+    original = analysis.Analysis.__init__
 
     def counting(self, g):
         analysed.append(g)
         original(self, g)
 
-    monkeypatch.setattr(connectivity._Analysis, "__init__", counting)
+    monkeypatch.setattr(analysis.Analysis, "__init__", counting)
     checks, verdicts = replication_checks()
     assert all(check.passed for check in checks)
     assert len(checks) == 13 and len(verdicts) == 5

@@ -24,7 +24,7 @@ from fuzzygraph import (
     parse_graph,
     path_record,
 )
-from fuzzygraph.model import _micro_text
+from fuzzygraph.model import micro_text
 from fuzzygraph.samples import five_vertex_tree
 
 from conftest import fuzzy_graphs
@@ -82,7 +82,7 @@ def test_parse_graph_rejects_non_ascii_digit_grades(text, line):
 @given(st.integers(0, 10**12))
 @settings(deadline=None)
 def test_micro_text_is_the_exact_decimal(micro):
-    assert _micro_text(micro) == format_fraction(Fraction(micro, MICRO))
+    assert micro_text(micro) == format_fraction(Fraction(micro, MICRO))
 
 
 def test_membership_range_checked():
@@ -122,7 +122,6 @@ def test_build_five_vertex_tree():
 def test_single_vertex_and_empty_graph():
     lone = build_graph([("x", M("0.7"))], [])
     assert lone.vertex_count == 1
-    assert lone.is_crisp_connected()
     empty = build_graph([], [])
     assert empty.vertex_count == 0
 
@@ -294,15 +293,6 @@ def test_edge_subgraph_keeps_all_vertices():
     assert sub.edge_count == 1
     with pytest.raises(NoSuchEdgeError):
         g.edge_subgraph([("a", "d")])
-
-
-def test_crisp_components():
-    g = build_graph(
-        [("a", M("1")), ("b", M("1")), ("c", M("1"))],
-        [("a", "b", M("0.5"))],
-    )
-    assert g.crisp_components() == (("a", "b"), ("c",))
-    assert not g.is_crisp_connected()
 
 
 def test_path_record():

@@ -126,6 +126,15 @@ def test_is_fuzzy_cycle():
     path = five_vertex_tree().remove_edge("a", "b")
     assert not is_fuzzy_cycle(path)
     assert not is_fuzzy_cycle(five_vertex_tree())
+    # n = m = 6 and every degree is 2, but the graph is disconnected
+    triangles = build_graph(
+        [(name, M("1")) for name in "abcxyz"],
+        [
+            (u, v, M("0.5"))
+            for u, v in ("ab", "bc", "ac", "xy", "yz", "xz")
+        ],
+    )
+    assert not is_fuzzy_cycle(triangles)
 
 
 def test_uniform_cycle_is_fuzzy_cycle_but_not_saturated():
