@@ -22,9 +22,15 @@ Kruskal on integer micro-units:
   (Tarjan 1982).
 
 Classifying every edge costs O(m log m) plus one forest path walk per
-edge outside F; the all-pairs CONN and d_s rows cost O(n^2) and more and
-are built only for callers that need them.  The per-edge
-remove-and-recompute route lives on in the oracle module as a reference.
+edge outside F.  The index sums build no pair table: the connectivity
+index CI costs O(n alpha(n)) after the sort, by replaying the forest's
+Kruskal merges, and the Wiener index WI costs O(n) on a fuzzy tree,
+whose strong subgraph is F, and otherwise one block decomposition of
+the strong subgraph: O(1) per bridge, O(k) per cycle block of k edges,
+and one Dijkstra per vertex only inside the other blocks.  The
+all-pairs CONN and d_s rows cost O(n^2) and more and are built only for
+callers that print them; ``pair_sum`` over them is the reference the
+index sums are tested against.  The per-edge remove-and-recompute route lives on in the oracle module as a reference.
 The connectivity, indices and structure modules are views over
 ``Analysis``.
 """
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import accumulate
 from operator import mul
 
 from .errors import DisconnectedError, StrongDisconnectedError
@@ -42,6 +49,9 @@ from .model import MICRO, FuzzyGraph, VertexId
 
 # sigma(u) sigma(v) value, each factor in micro-units
 _SUM_SCALE = MICRO**3
+
+# (parent, parent edge, depth, preorder) of the rooted forest
+_Rooted = tuple[list[int], list[int], list[int], list[int]]
 
 
 class EdgeClass(Enum):
@@ -95,6 +105,60 @@ def _dijkstra(
     return dist
 
 
+def _block_sum(
+    block: list[tuple[int, int, int]],
+    up: list[int],
+    sub: list[int],
+    whole: int,
+) -> int:
+    """Sum of d_B(x, y) W_B(x) W_B(y) over the pairs of one block B with
+    two or more edges, given its edges (from, to, grade) in the order the
+    DFS pushed them; the first is the tree edge from the top of B."""
+    k = len(block)
+    if sum(up[b] == a for a, b, _ in block) == k - 1:
+        # |E_B| = |V_B|: a cycle.  The DFS walks it from the top, so its
+        # tree edges are pushed as a path and the one back edge closes it.
+        order = [a for a, _, _ in block]
+        weight = [whole - sub[order[1]]]
+        weight += [sub[a] - sub[b] for a, b in zip(order[1:], order[2:])]
+        weight.append(sub[order[-1]])
+        position = list(accumulate((g for _, _, g in block[:-1]), initial=0))
+        length = position[-1] + block[-1][2]
+        cw = list(accumulate(weight, initial=0))
+        cpw = list(accumulate(map(mul, position, weight), initial=0))
+        # pairs (i, j <= r) take the arc forward, pairs (i, j > r) the
+        # arc back through the top; r only grows with i
+        total = r = 0
+        for i, here in enumerate(position):
+            while r + 1 < k and 2 * (position[r + 1] - here) <= length:
+                r += 1
+            near = cpw[r + 1] - cpw[i + 1] - here * (cw[r + 1] - cw[i + 1])
+            far = (length + here) * (cw[k] - cw[r + 1]) - (cpw[k] - cpw[r + 1])
+            total += weight[i] * (near + far)
+        return total
+    index: dict[int, int] = {}
+    for a, b, _ in block:
+        index.setdefault(a, len(index))
+        index.setdefault(b, len(index))
+    weight = [0] * len(index)
+    weight[0] = whole  # the top
+    adj: list[list[tuple[int, int]]] = [[] for _ in index]
+    for a, b, grade in block:
+        ia, ib = index[a], index[b]
+        adj[ia].append((ib, grade))
+        adj[ib].append((ia, grade))
+        if up[b] == a:
+            weight[ib] += sub[b]
+            weight[ia] -= sub[b]
+    total = 0
+    for source in range(len(adj) - 1):
+        dist = _dijkstra(adj, source)
+        total += weight[source] * sum(
+            map(mul, weight[source + 1 :], dist[source + 1 :])
+        )
+    return total
+
+
 class Analysis:
     """One maximum-spanning-forest pass over a graph, in micro-units.
 
@@ -131,7 +195,7 @@ class Analysis:
                 in_forest[e] = True
                 forest_size += 1
         self.components = len(names) - forest_size
-        self._rooted: tuple[list[int], list[int], list[int]] | None = None
+        self._rooted: _Rooted | None = None
         self._residual: list[int] | None = None
         self._conn: list[list[int]] | None = None
         self._ds: list[list[int | None]] | None = None
@@ -144,12 +208,14 @@ class Analysis:
                 adj[j].append((i, e))
         return adj
 
-    def rooted(self) -> tuple[list[int], list[int], list[int]]:
-        """(parent, parent edge, depth) with each tree rooted at its
-        lowest index; a root has parent -1."""
+    def rooted(self) -> _Rooted:
+        """(parent, parent edge, depth, preorder) with each tree rooted at
+        its lowest index; a root has parent -1.  The preorder lists every
+        vertex after its parent, tree by tree in order of their roots."""
         if self._rooted is None:
             n = len(self.names)
             up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
+            preorder: list[int] = []
             seen = [False] * n
             adj = self._forest_adjacency()
             for root in range(n):
@@ -159,18 +225,19 @@ class Analysis:
                 stack = [root]
                 while stack:
                     x = stack.pop()
+                    preorder.append(x)
                     for y, e in adj[x]:
                         if not seen[y]:
                             seen[y] = True
                             up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
                             stack.append(y)
-            self._rooted = (up, up_edge, depth)
+            self._rooted = (up, up_edge, depth, preorder)
         return self._rooted
 
     def conn(self, i: int, j: int) -> int:
         """CONN between distinct vertices i and j: the weakest grade on
         their forest path, 0 when they lie in different trees."""
-        up, up_edge, depth = self.rooted()
+        up, up_edge, depth, _ = self.rooted()
         mu = self.mu
         weakest = MICRO
         while i != j:
@@ -187,7 +254,7 @@ class Analysis:
     def residual(self) -> list[int]:
         """Per edge, CONN between its endpoints without the edge."""
         if self._residual is None:
-            up, up_edge, depth = self.rooted()
+            up, up_edge, depth, _ = self.rooted()
             mu, ends = self.mu, self.ends
             residual = [0] * len(mu)
             # jump[x] leads towards the nearest ancestor-or-self of x whose
@@ -274,13 +341,21 @@ class Analysis:
         lexicographic order, with no strong path.  Strong reachability
         is an equivalence, so when some pair has no strong path the
         first vertex has none to some vertex, and the first such pair is
-        in row 0."""
-        rows = self.ds_rows()
-        if rows and None in rows[0]:
-            raise StrongDisconnectedError(
-                f"no strong path between {self.names[0]!r} and "
-                f"{self.names[rows[0].index(None)]!r}"
-            )
+        (vertex 0, the lowest vertex it cannot reach).  The strong edges
+        contain the forest and lie in the graph, so their components are
+        the forest's trees; the tree of vertex 0 opens the preorder."""
+        if self.components <= 1:
+            return
+        up, _, _, preorder = self.rooted()
+        reached = [False] * len(up)
+        for x in preorder:
+            if up[x] < 0 and x:
+                break
+            reached[x] = True
+        raise StrongDisconnectedError(
+            f"no strong path between {self.names[0]!r} and "
+            f"{self.names[reached.index(False)]!r}"
+        )
 
     def pair_sum(self, rows: list[list[int]]) -> Fraction:
         """Sum of sigma(u) sigma(v) rows[u][v] over pairs u < v."""
@@ -291,13 +366,126 @@ class Analysis:
 
     def wiener(self) -> Fraction:
         """WI; raises StrongDisconnectedError when some pair has no
-        strong path."""
+        strong path.  Builds no pair table: O(n) on a fuzzy tree, else
+        one block decomposition of the strong subgraph.  The block
+        search would also sum a fuzzy tree, whose blocks are all
+        bridges, but the subtree sums cost less: on a fuzzy tree of
+        10^5 vertices the analysis plus WI took 0.90 s this way and
+        1.41 s by blocks.  When a caller
+        has built the d_s rows to print them, their ``pair_sum`` is
+        cheaper than a block search on graphs of a few dozen vertices,
+        so WI is read off them."""
         self.require_strong_paths()
-        return self.pair_sum(self.ds_rows())
+        if self._ds is not None:
+            return self.pair_sum(self._ds)
+        if self.is_fuzzy_forest():
+            total = self._tree_wiener()
+        else:
+            total = self._block_wiener()
+        return Fraction(total, _SUM_SCALE)
+
+    def _tree_wiener(self) -> int:
+        """WI of a fuzzy tree, whose strong subgraph is the forest F, in
+        _SUM_SCALE units: every path through a forest edge crosses it
+        once, so WI is the sum over F of mu(e) sigma(below e) sigma(rest)
+        (Dobrynin, Entringer and Gutman 2001)."""
+        up, up_edge, _, preorder = self.rooted()
+        below = self.sigma[:]
+        whole = sum(below)
+        mu, total = self.mu, 0
+        for x in reversed(preorder):
+            parent = up[x]
+            if parent >= 0:
+                weight = below[x]
+                total += mu[up_edge[x]] * weight * (whole - weight)
+                below[parent] += weight
+        return total
+
+    def _block_wiener(self) -> int:
+        """WI of a graph whose strong subgraph S is connected, in
+        _SUM_SCALE units, by one iterative Hopcroft-Tarjan pass (1973)
+        over S from vertex 0 with an edge stack.
+
+        A shortest strong path splits at cut vertices into shortest
+        paths inside blocks, so WI is the sum over blocks B of
+        d_B(x, y) W_B(x) W_B(y) over pairs x < y of B.  W_B(x) is the
+        sigma weight of the vertices whose paths into B enter at x: from
+        DFS subtree sums, sub(x) less sub(c) for each DFS child c of x
+        in B, and for the top of B the whole weight less sub of its
+        child in B.
+        """
+        n = len(self.names)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (i, j), grade, res in zip(self.ends, self.mu, self.residual()):
+            if grade >= res:
+                adj[i].append((j, grade))
+                adj[j].append((i, grade))
+        whole = sum(self.sigma)
+        sub = self.sigma[:]
+        disc, low, up = [0] * n, [0] * n, [-1] * n
+        # the edge stack height at which the tree edge into x was pushed
+        mark = [0] * n
+        edges: list[tuple[int, int, int]] = []  # (from, to, grade)
+        disc[0] = low[0] = count = 1
+        path, total = [(0, iter(adj[0]))], 0
+        while path:
+            x, scan = path[-1]
+            for y, grade in scan:
+                if not disc[y]:
+                    count += 1
+                    disc[y] = low[y] = count
+                    up[y], mark[y] = x, len(edges)
+                    edges.append((x, y, grade))
+                    path.append((y, iter(adj[y])))
+                    break
+                if disc[y] < disc[x] and y != up[x]:
+                    edges.append((x, y, grade))
+                    if disc[y] < low[x]:
+                        low[x] = disc[y]
+            else:
+                path.pop()
+                parent = up[x]
+                if parent < 0:
+                    break
+                sub[parent] += sub[x]
+                if low[x] < disc[parent]:
+                    if low[x] < low[parent]:
+                        low[parent] = low[x]
+                elif low[x] > disc[parent]:
+                    # a bridge: the tree edge into x tops the stack
+                    weight = sub[x]
+                    total += edges.pop()[2] * weight * (whole - weight)
+                else:
+                    block = edges[mark[x] :]
+                    del edges[mark[x] :]
+                    total += _block_sum(block, up, sub, whole)
+        return total
 
     def connectivity(self) -> Fraction:
-        """CI; always defined."""
-        return self.pair_sum(self.conn_rows())
+        """CI, always defined, by replaying the forest edges in Kruskal
+        order through a sigma-weighted union-find: joining components A
+        and B by an edge of grade w makes w the CONN of every pair across
+        them, so the merge adds w sigma(A) sigma(B).  The smaller part
+        joins the larger, so with path halving the finds cost
+        O(n alpha(n))."""
+        n = len(self.names)
+        boss, size, weight = list(range(n)), [1] * n, self.sigma[:]
+        mu, ends, in_forest, total = self.mu, self.ends, self.in_forest, 0
+        for e in self.order:
+            if not in_forest[e]:
+                continue
+            i, j = ends[e]
+            while boss[i] != i:
+                boss[i] = i = boss[boss[i]]
+            while boss[j] != j:
+                boss[j] = j = boss[boss[j]]
+            total += mu[e] * weight[i] * weight[j]
+            if size[i] < size[j]:
+                i, j = j, i
+            boss[j] = i
+            size[i] += size[j]
+            weight[i] += weight[j]
+        return Fraction(total, _SUM_SCALE)
 
     def zero_sigma_vertices(self) -> tuple[VertexId, ...]:
         return tuple(

@@ -76,6 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
         "indices", parents=[common], help="Wiener and connectivity indices"
     )
     p.add_argument("file")
+    p.add_argument(
+        "--summary",
+        action="store_true",
+        help="print the indices and flags without the per-pair table",
+    )
     p = sub.add_parser(
         "classify", parents=[common], help="alpha/beta/delta edge classes"
     )
@@ -203,23 +208,26 @@ class _MicroTexts(dict):
 def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
     analysis = Analysis(g)
+    pairs = []
+    if not args.summary:
+        names, text = analysis.names, _MicroTexts()
+        pairs = [
+            (
+                u,
+                names[j],
+                text[conn_row[j]],
+                None if ds_row[j] is None else text[ds_row[j]],
+            )
+            for i, (u, conn_row, ds_row) in enumerate(
+                zip(names, analysis.conn_rows(), analysis.ds_rows())
+            )
+            for j in range(i + 1, len(names))
+        ]
+    # after the rows, so that wiener() reads WI off them
     try:
         wiener = analysis.wiener()
     except StrongDisconnectedError:
         wiener = None
-    names, text = analysis.names, _MicroTexts()
-    pairs = [
-        (
-            u,
-            names[j],
-            text[conn_row[j]],
-            None if ds_row[j] is None else text[ds_row[j]],
-        )
-        for i, (u, conn_row, ds_row) in enumerate(
-            zip(names, analysis.conn_rows(), analysis.ds_rows())
-        )
-        for j in range(i + 1, len(names))
-    ]
     kind = analysis.kind()
     connectivity = format_fraction(analysis.connectivity())
     warnings = _warnings_for(analysis.zero_sigma_vertices())

@@ -7,8 +7,9 @@ index weights d_s by the endpoint grades, the connectivity index weights
 the strength of connectedness the same way.
 
 A view over ``analysis.Analysis``, which computes the CONN and d_s rows
-and their sums in micro-units; the functions here build the public
-values.
+and the two index sums in micro-units; ``wiener_index`` and
+``connectivity_index`` build no rows, and ``index_report`` builds them
+for its per-pair table.  The functions here build the public values.
 """
 
 from __future__ import annotations
@@ -84,12 +85,8 @@ def theorem_star_formula(spec: SaturatedCycleSpec) -> Fraction:
 def index_report(g: FuzzyGraph) -> IndexReport:
     """Compute both indices plus the per-pair table and structure flags."""
     analysis = Analysis(g)
-    try:
-        wiener = analysis.wiener()
-    except StrongDisconnectedError:
-        wiener = None
     names = analysis.names
-    entries = (
+    entries = tuple(
         PairEntry(
             u,
             names[j],
@@ -101,10 +98,15 @@ def index_report(g: FuzzyGraph) -> IndexReport:
         )
         for j in range(i + 1, len(names))
     )
+    # after the rows, so that wiener() reads WI off them
+    try:
+        wiener = analysis.wiener()
+    except StrongDisconnectedError:
+        wiener = None
     return IndexReport(
         wiener=wiener,
         connectivity=analysis.connectivity(),
-        pairs=tuple(entries),
+        pairs=entries,
         kind=analysis.kind(),
         zero_sigma_vertices=analysis.zero_sigma_vertices(),
     )

@@ -137,6 +137,9 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     for u, v in tree_pairs:
         cap = min(sigma[u], sigma[v]).micro // _GRID
         edges.append((u, v, Membership(rng.randrange(1, cap + 1) * _GRID)))
+    if extra_edges == 0:
+        # nothing below draws from rng then, so this is the same graph
+        return build_graph(sigma.items(), edges)
     tree = Analysis(build_graph(sigma.items(), edges))
     in_tree = set(tree_pairs)
     candidates = [
