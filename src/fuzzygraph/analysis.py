@@ -27,12 +27,14 @@ index CI costs O(n alpha(n)) after the sort, by replaying the forest's
 Kruskal merges, and the Wiener index WI costs O(n) on a fuzzy tree,
 whose strong subgraph is F, and otherwise one block decomposition of
 the strong subgraph: O(1) per bridge, O(k) per cycle block of k edges,
-and one Dijkstra per vertex only inside the other blocks.  The
-all-pairs CONN and d_s rows cost O(n^2) and more and are built only for
-callers that print them; ``pair_sum`` over them is the reference the
-index sums are tested against.  The per-edge remove-and-recompute route lives on in the oracle module as a reference.
-The connectivity, indices and structure modules are views over
-``Analysis``.
+and one Dijkstra per vertex only inside the other blocks.  The same
+two sums over F alone give WI(F) and CI(F) of the forest as a graph on
+its own, with no second graph or pass.  The all-pairs CONN and d_s rows
+cost O(n^2) and more and are built only for callers that print them;
+``pair_sum`` over them is the reference the index sums are tested
+against.  The per-edge remove-and-recompute route lives on in the
+oracle module as a reference.  The connectivity, indices and structure
+modules are views over ``Analysis``.
 """
 
 from __future__ import annotations
@@ -379,16 +381,18 @@ class Analysis:
         if self._ds is not None:
             return self.pair_sum(self._ds)
         if self.is_fuzzy_forest():
-            total = self._tree_wiener()
-        else:
-            total = self._block_wiener()
-        return Fraction(total, _SUM_SCALE)
+            # the strong subgraph S is the forest F
+            return self.forest_wiener()
+        return Fraction(self._block_wiener(), _SUM_SCALE)
 
-    def _tree_wiener(self) -> int:
-        """WI of a fuzzy tree, whose strong subgraph is the forest F, in
-        _SUM_SCALE units: every path through a forest edge crosses it
-        once, so WI is the sum over F of mu(e) sigma(below e) sigma(rest)
-        (Dobrynin, Entringer and Gutman 2001)."""
+    def forest_wiener(self) -> Fraction:
+        """WI of the forest F as a graph on its own; raises
+        StrongDisconnectedError when F, like the graph, is disconnected.
+        Every edge of F is a bridge and strong, so every path through it
+        crosses it once and WI(F) is the sum over F of mu(e)
+        sigma(below e) sigma(rest) (Dobrynin, Entringer and Gutman
+        2001): O(n) after the rooted forest."""
+        self.require_strong_paths()
         up, up_edge, _, preorder = self.rooted()
         below = self.sigma[:]
         whole = sum(below)
@@ -399,7 +403,7 @@ class Analysis:
                 weight = below[x]
                 total += mu[up_edge[x]] * weight * (whole - weight)
                 below[parent] += weight
-        return total
+        return Fraction(total, _SUM_SCALE)
 
     def _block_wiener(self) -> int:
         """WI of a graph whose strong subgraph S is connected, in
@@ -467,7 +471,9 @@ class Analysis:
         and B by an edge of grade w makes w the CONN of every pair across
         them, so the merge adds w sigma(A) sigma(B).  The smaller part
         joins the larger, so with path halving the finds cost
-        O(n alpha(n))."""
+        O(n alpha(n)).  Only forest edges are replayed, and F is its own
+        maximum spanning forest with CONN_F = CONN, so this is also
+        CI(F) of the forest as a graph on its own."""
         n = len(self.names)
         boss, size, weight = list(range(n)), [1] * n, self.sigma[:]
         mu, ends, in_forest, total = self.mu, self.ends, self.in_forest, 0

@@ -60,15 +60,17 @@ def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
 
     The claim is tested exactly as published, with no auxiliary
     hypotheses.  lhs is WI(G), rhs is CI(F); WI(F) is in the detail map.
+    F is the maximum spanning forest of G's one analysis, not a second
+    graph: WI(F) is the sum over the forest edges of mu(e) sigma(below
+    e) sigma(rest), and CI(F) is the replay of the forest's Kruskal
+    merges.  Raises NotAFuzzyTreeError or DisconnectedError.
     """
     analysis = Analysis(g)
-    tree = analysis.fuzzy_tree_mst()
-    if tree is None:
+    if analysis.fuzzy_tree_mst() is None:
         raise NotAFuzzyTreeError("corollary-star applies to fuzzy trees only")
-    skeleton = Analysis(g.edge_subgraph(tree.edges))
     wi_g = analysis.wiener()
-    wi_f = skeleton.wiener()
-    ci_f = skeleton.connectivity()
+    wi_f = analysis.forest_wiener()
+    ci_f = analysis.connectivity()
     return ClaimVerdict(
         claim_id=ClaimId.COROLLARY_STAR,
         instance=g,

@@ -78,8 +78,8 @@ def theorem_star_formula(spec: SaturatedCycleSpec) -> Fraction:
     (see the falsifier module), so never use this as a shortcut for the
     Wiener index of a saturated cycle.
     """
-    coefficient = Fraction(spec.n * ((spec.n + 3) ** 2 - 6), 16)
-    return coefficient * (spec.kappa.as_fraction() + spec.eta.as_fraction())
+    n, grades = spec.n, spec.kappa.micro + spec.eta.micro
+    return Fraction(n * ((n + 3) ** 2 - 6) * grades, 16 * MICRO)
 
 
 def index_report(g: FuzzyGraph) -> IndexReport:

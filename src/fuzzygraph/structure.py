@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 
 from .analysis import Analysis, GraphKind, SpanningTree
 from .errors import BadParamsError, BadSpecError
-from .model import ONE, FuzzyGraph, Membership, VertexId, build_graph, pair
+from .model import MICRO, ONE, FuzzyGraph, Membership, VertexId, build_graph
 
 _GRID = 10_000  # micro-units per 0.01 step used by the random generator
 
@@ -119,44 +119,79 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     than the in-tree strength between its endpoints.  Such edges can
     never enter the maximum spanning tree, so the result is always a
     fuzzy tree.
+
+    Cost: O(n log n) and one ``FuzzyGraph``.  With ``extra_edges > 0``
+    it also lists and shuffles all (n-1)(n-2)/2 pairs outside the tree,
+    O(n^2) time and memory: ``shuffle`` draws once per candidate, so a
+    shorter list would change every tree drawn from a seed.  The
+    in-tree strength of each candidate tried is the weakest grade on
+    its tree path, walked up the parent pointers of one rooting of the
+    tree in O(depth).
     """
     if n < 2:
         raise BadParamsError(f"need at least 2 vertices, got {n}")
     if extra_edges < 0:
         raise BadParamsError(f"extra_edges must be >= 0, got {extra_edges}")
     rng = random.Random(seed)
+    # the names sort in index order, so pair (i, j) with i < j is in
+    # name order too
     names = _vertex_names(n)
-    sigma = {
-        name: Membership(rng.randrange(1, 101) * _GRID) for name in names
-    }
+    sigma = [rng.randrange(1, 101) * _GRID for _ in names]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     tree_pairs = sorted(
-        pair(names[i], names[j]) for i, j in _decode_pruefer(seq, n)
+        (min(ends), max(ends)) for ends in _decode_pruefer(seq, n)
     )
-    edges = []
-    for u, v in tree_pairs:
-        cap = min(sigma[u], sigma[v]).micro // _GRID
-        edges.append((u, v, Membership(rng.randrange(1, cap + 1) * _GRID)))
+    mu = [
+        rng.randrange(1, min(sigma[i], sigma[j]) // _GRID + 1) * _GRID
+        for i, j in tree_pairs
+    ]
+    vertices = [(name, Membership(grade)) for name, grade in zip(names, sigma)]
+    edges = [
+        (names[i], names[j], Membership(grade))
+        for (i, j), grade in zip(tree_pairs, mu)
+    ]
     if extra_edges == 0:
         # nothing below draws from rng then, so this is the same graph
-        return build_graph(sigma.items(), edges)
-    tree = Analysis(build_graph(sigma.items(), edges))
+        return build_graph(vertices, edges)
+    # root the tree at vertex 0: parent, grade of the edge to it, depth
+    adj: list[list[tuple[int, int]]] = [[] for _ in names]
+    for (i, j), grade in zip(tree_pairs, mu):
+        adj[i].append((j, grade))
+        adj[j].append((i, grade))
+    up, up_grade, depth = [-1] * n, [0] * n, [0] * n
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, grade in adj[x]:
+            if y and up[y] < 0:
+                up[y], up_grade[y], depth[y] = x, grade, depth[x] + 1
+                stack.append(y)
     in_tree = set(tree_pairs)
     candidates = [
-        (u, v)
-        for i, u in enumerate(names)
-        for v in names[i + 1 :]
-        if (u, v) not in in_tree
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in in_tree
     ]
     rng.shuffle(candidates)
     added = 0
-    for u, v in candidates:
+    for i, j in candidates:
         if added == extra_edges:
             break
-        # strictly below the in-tree strength, still on the 0.01 grid
-        limit = tree.conn(tree.index[u], tree.index[v]) // _GRID
+        # the in-tree strength: the weakest grade on the i-j tree path
+        a, b, weakest = i, j, MICRO
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            if up_grade[a] < weakest:
+                weakest = up_grade[a]
+            a = up[a]
+        # strictly below it, still on the 0.01 grid
+        limit = weakest // _GRID
         if limit <= 1:
             continue
-        edges.append((u, v, Membership(rng.randrange(1, limit) * _GRID)))
+        edges.append(
+            (names[i], names[j], Membership(rng.randrange(1, limit) * _GRID))
+        )
         added += 1
-    return build_graph(sigma.items(), edges)
+    return build_graph(vertices, edges)

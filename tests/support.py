@@ -6,6 +6,9 @@ import random
 from itertools import combinations
 
 from fuzzygraph import FuzzyGraph, Membership, build_graph
+from fuzzygraph.analysis import Analysis
+from fuzzygraph.model import pair
+from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
 GRID = 10_000  # micro-units per 0.01 step
 
@@ -130,3 +133,47 @@ def random_sparse_graph(seed: int, n: int, extra: int) -> FuzzyGraph:
     rng.shuffle(vertices)
     rng.shuffle(edges)
     return build_graph(vertices, edges)
+
+
+def random_fuzzy_tree_reference(
+    seed: int, n: int, extra_edges: int
+) -> FuzzyGraph:
+    """The generator ``structure.random_fuzzy_tree`` replaced, kept as
+    its reference: it reads each candidate's in-tree strength from an
+    ``Analysis`` of a throwaway graph of the bare tree.  The two must
+    draw the same numbers in the same order and so give the same graph.
+    """
+    rng = random.Random(seed)
+    names = _vertex_names(n)
+    sigma = {
+        name: Membership(rng.randrange(1, 101) * GRID) for name in names
+    }
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    tree_pairs = sorted(
+        pair(names[i], names[j]) for i, j in _decode_pruefer(seq, n)
+    )
+    edges = []
+    for u, v in tree_pairs:
+        cap = min(sigma[u], sigma[v]).micro // GRID
+        edges.append((u, v, Membership(rng.randrange(1, cap + 1) * GRID)))
+    if extra_edges == 0:
+        return build_graph(sigma.items(), edges)
+    tree = Analysis(build_graph(sigma.items(), edges))
+    in_tree = set(tree_pairs)
+    candidates = [
+        (u, v)
+        for i, u in enumerate(names)
+        for v in names[i + 1 :]
+        if (u, v) not in in_tree
+    ]
+    rng.shuffle(candidates)
+    added = 0
+    for u, v in candidates:
+        if added == extra_edges:
+            break
+        limit = tree.conn(tree.index[u], tree.index[v]) // GRID
+        if limit <= 1:
+            continue
+        edges.append((u, v, Membership(rng.randrange(1, limit) * GRID)))
+        added += 1
+    return build_graph(sigma.items(), edges)

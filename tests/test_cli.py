@@ -22,7 +22,7 @@ from fuzzygraph import (
     maximum_spanning_tree,
     parse_graph,
 )
-from fuzzygraph import cli
+from fuzzygraph import analysis, cli
 from fuzzygraph.cli import main
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
@@ -745,3 +745,29 @@ def test_falsify_builds_each_witness_cycle_once(capsys, monkeypatch, fmt):
     assert code == 0
     # 5 even lengths 4..12, 45 gradings each, one cycle per spec
     assert len(built) == 225
+
+
+def test_falsify_corollary_star_builds_one_graph_per_trial(
+    capsys, monkeypatch
+):
+    built, analysed = [], []
+    build, analyse = FuzzyGraph.__init__, analysis.Analysis.__init__
+
+    def counting_build(self, sigma, mu):
+        built.append(len(sigma))
+        build(self, sigma, mu)
+
+    def counting_analyse(self, g):
+        analysed.append(g)
+        analyse(self, g)
+
+    monkeypatch.setattr(FuzzyGraph, "__init__", counting_build)
+    monkeypatch.setattr(analysis.Analysis, "__init__", counting_analyse)
+    code, _ = run_cli(
+        capsys, "falsify", "corollary-star",
+        "--trials", "20", "--sizes", "3..10", "--seed", "5",
+    )
+    assert code == 0
+    # one generated tree per trial, analysed once
+    assert len(built) == 20
+    assert len(analysed) == 20

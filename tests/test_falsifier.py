@@ -1,28 +1,38 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzygraph import (
     BadParamsError,
     ClaimId,
+    FuzzyGraph,
     Membership,
     NotAFuzzyTreeError,
     SaturatedCycleSpec,
+    build_graph,
     check_corollary_star,
     check_theorem_star,
     ci_bruteforce,
+    connectivity_index,
     fuzzy_tree_mst,
     make_saturated_cycle,
     parse_graph,
     search_counterexamples,
     wi_bruteforce,
+    wiener_index,
 )
 from fuzzygraph import analysis
+from fuzzygraph.model import MICRO
 from fuzzygraph.replication import replication_checks
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 from fuzzygraph.structure import random_fuzzy_tree
+
+from support import GRID
 
 
 def M(text: str) -> Membership:
@@ -71,10 +81,102 @@ def test_corollary_star_analyses_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(analysis.Analysis, "__init__", counting)
     verdict = check_corollary_star(g)
-    assert len(analysed) == 2
+    assert len(analysed) == 1
     assert analysed[0] is g
-    assert analysed[1] == g.edge_subgraph(fuzzy_tree_mst(g).edges)
     assert verdict.detail["wi_g"] == wi_bruteforce(g)
+
+
+def test_corollary_star_builds_no_graph(monkeypatch):
+    g = random_fuzzy_tree(5, 8, 2)
+    built = []
+    original = FuzzyGraph.__init__
+
+    def counting(self, sigma, mu):
+        built.append(len(sigma))
+        original(self, sigma, mu)
+
+    def refuse(self, pairs):
+        raise AssertionError("edge_subgraph called")
+
+    monkeypatch.setattr(FuzzyGraph, "__init__", counting)
+    monkeypatch.setattr(FuzzyGraph, "edge_subgraph", refuse)
+    verdict = check_corollary_star(g)
+    assert built == []
+    assert not verdict.holds
+
+
+def assert_matches_two_graph_route(g) -> None:
+    """The verdict's figures equal those of F built as a graph of its
+    own and analysed apart from G, and brute force on small graphs."""
+    verdict = check_corollary_star(g)
+    skeleton = g.edge_subgraph(fuzzy_tree_mst(g).edges)
+    assert verdict.detail == {
+        "wi_g": wiener_index(g),
+        "wi_f": wiener_index(skeleton),
+        "ci_f": connectivity_index(skeleton),
+    }
+    assert verdict.lhs == verdict.detail["wi_g"]
+    assert verdict.rhs == verdict.detail["ci_f"]
+    if g.vertex_count <= 12:
+        assert verdict.detail["wi_g"] == wi_bruteforce(g)
+        assert verdict.detail["wi_f"] == wi_bruteforce(skeleton)
+        assert verdict.detail["ci_f"] == ci_bruteforce(skeleton)
+
+
+def _tree_strength(tree_adj, a: int, b: int) -> int:
+    """The weakest grade on the a-b path of a tree, by a search from a."""
+    best = {a: MICRO}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for y, grade in tree_adj[x]:
+            if y not in best:
+                best[y] = min(best[x], grade)
+                stack.append(y)
+    return best[b]
+
+
+@st.composite
+def tied_fuzzy_trees(draw):
+    """Fuzzy trees on 2..60 vertices with up to 3 extra edges, whose
+    grades come from a few 0.01 steps, so many of them tie."""
+    n = draw(st.integers(2, 60))
+    extra = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_fuzzy_tree(rng.randrange(1 << 63), n, extra)
+    steps = [1, 2, 3, 50, 51, 100]
+    sigma = [rng.choice(steps[2:]) * GRID for _ in range(n)]
+    adj = [[] for _ in range(n)]
+    edges = {}
+    for i in range(1, n):
+        j = rng.randrange(i)
+        cap = min(sigma[i], sigma[j])
+        grade = rng.choice([s * GRID for s in steps if s * GRID <= cap])
+        adj[i].append((j, grade))
+        adj[j].append((i, grade))
+        edges[(j, i)] = grade
+    for _ in range(extra):
+        i, j = sorted(rng.sample(range(n), 2))
+        limit = _tree_strength(adj, i, j) // GRID
+        if (i, j) in edges or limit <= 1:
+            continue
+        edges[(i, j)] = rng.randrange(1, limit) * GRID
+    names = [f"t{i:02d}" for i in range(n)]
+    return build_graph(
+        [(name, Membership(grade)) for name, grade in zip(names, sigma)],
+        [(names[i], names[j], Membership(g)) for (i, j), g in edges.items()],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_fuzzy_trees())
+def test_corollary_star_matches_the_two_graph_route(g):
+    assert_matches_two_graph_route(g)
+
+
+def test_corollary_star_matches_the_two_graph_route_on_tree5():
+    assert_matches_two_graph_route(five_vertex_tree())
 
 
 def test_corollary_star_rejects_non_trees():
@@ -184,7 +286,7 @@ def test_search_parameter_validation():
         search_counterexamples(ClaimId.THEOREM_STAR, size_range=(5, 5))
 
 
-def test_replication_builds_at_most_ten_analyses(monkeypatch):
+def test_replication_builds_nine_analyses(monkeypatch):
     analysed = []
     original = analysis.Analysis.__init__
 
@@ -196,4 +298,4 @@ def test_replication_builds_at_most_ten_analyses(monkeypatch):
     checks, verdicts = replication_checks()
     assert all(check.passed for check in checks)
     assert len(checks) == 13 and len(verdicts) == 5
-    assert len(analysed) <= 10
+    assert len(analysed) == 9

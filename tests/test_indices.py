@@ -21,6 +21,7 @@ from fuzzygraph import (
     wi_bruteforce,
     wiener_index,
 )
+from fuzzygraph.falsifier import _sweep_specs
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
 
@@ -106,6 +107,17 @@ def test_theorem_star_formula_values():
     assert theorem_star_formula(
         SaturatedCycleSpec(8, M("0.5"), M("0.3"))
     ) == Fraction(46)
+
+
+def test_theorem_star_formula_is_the_published_expression():
+    specs = _sweep_specs((4, 100))
+    specs.append(SaturatedCycleSpec(4, M("1"), M("0.000001")))
+    for spec in specs:
+        coefficient = Fraction(spec.n * ((spec.n + 3) ** 2 - 6), 16)
+        assert theorem_star_formula(spec) == coefficient * (
+            spec.kappa.as_fraction() + spec.eta.as_fraction()
+        )
+    assert len(specs) == 49 * 45 + 1
 
 
 def test_geodesics_match_bruteforce(small_graphs):

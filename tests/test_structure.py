@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -28,7 +29,7 @@ from fuzzygraph import (
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
 from conftest import fuzzy_graphs
-from support import spanning_tree_totals
+from support import random_fuzzy_tree_reference, spanning_tree_totals
 
 
 def M(text: str) -> Membership:
@@ -224,6 +225,20 @@ def test_random_fuzzy_tree_always_fuzzy_tree():
     # 1000 seeds at the size used in the acceptance run
     for seed in range(1000):
         assert is_fuzzy_tree(random_fuzzy_tree(seed, 10, 3))
+
+
+def test_random_fuzzy_tree_matches_the_reference_generator():
+    rng = random.Random(8)
+    triples = [(0, 2, 0), (1, 2, 3), (2, 3, 3), (3, 3, 1), (4, 200, 3)]
+    while len(triples) < 520:
+        large = len(triples) % 20 == 0
+        n = rng.randint(101, 200) if large else rng.randint(2, 40)
+        triples.append((rng.randrange(1 << 63), n, rng.randint(0, 4)))
+    for seed, n, extra in triples:
+        assert (
+            random_fuzzy_tree(seed, n, extra).serialize()
+            == random_fuzzy_tree_reference(seed, n, extra).serialize()
+        ), (seed, n, extra)
 
 
 def test_random_fuzzy_tree_param_validation():
