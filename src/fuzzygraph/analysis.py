@@ -22,19 +22,19 @@ Kruskal on integer micro-units:
   (Tarjan 1982).
 
 Classifying every edge costs O(m log m) plus one forest path walk per
-edge outside F.  The index sums build no pair table: the connectivity
-index CI costs O(n alpha(n)) after the sort, by replaying the forest's
-Kruskal merges, and the Wiener index WI costs O(n) on a fuzzy tree,
-whose strong subgraph is F, and otherwise one block decomposition of
-the strong subgraph: O(1) per bridge, O(k) per cycle block of k edges,
-and one Dijkstra per vertex only inside the other blocks.  The same
-two sums over F alone give WI(F) and CI(F) of the forest as a graph on
-its own, with no second graph or pass.  The all-pairs CONN and d_s rows
-cost O(n^2) and more and are built only for callers that print them;
-``pair_sum`` over them is the reference the index sums are tested
-against.  The per-edge remove-and-recompute route lives on in the
-oracle module as a reference.  The connectivity, indices and structure
-modules are views over ``Analysis``.
+edge outside F.  The index sums build no pair table.  The Kruskal pass
+itself sums the connectivity index CI, one multiply-add per merge.  The
+Wiener index WI costs O(n) on a fuzzy tree, whose strong subgraph is F,
+and otherwise one block decomposition of the strong subgraph: O(1) per
+bridge, O(k) per cycle block of k edges, and one Dijkstra per vertex
+only inside the other blocks.  The same two sums over F alone give
+WI(F) and CI(F) of the forest as a graph on its own, with no second
+graph or pass.  The all-pairs CONN and d_s rows cost O(n^2) and more
+and are built only for callers that print them; ``pair_sum`` over them
+is the reference the index sums are tested against.  The per-edge
+remove-and-recompute route lives on in the oracle module as a
+reference.  The connectivity, indices and structure modules are views
+over ``Analysis``.
 """
 
 from __future__ import annotations
@@ -166,9 +166,9 @@ class Analysis:
 
     Vertex i is the i-th name of ``g.vertices()`` and edge e the e-th
     pair of ``g.edge_pairs()``, so index order is name order.  The
-    forest is built eagerly; the rooted forest, the residuals and the
-    all-pairs CONN and d_s rows are each built on first use, so a caller
-    that needs only the forest pays O(m log m).
+    forest and CI are built eagerly; the rooted forest, the residuals
+    and the all-pairs CONN and d_s rows are each built on first use, so
+    a caller that needs only the forest pays O(m log m).
     """
 
     def __init__(self, g: FuzzyGraph):
@@ -176,27 +176,33 @@ class Analysis:
         index = {name: i for i, name in enumerate(names)}
         self.names = names
         self.index = index
-        self.sigma = [g.sigma(name).micro for name in names]
+        self.sigma = sigma = [g.sigma(name).micro for name in names]
         self.pairs = pairs = g.edge_pairs()
-        self.ends = [(index[u], index[v]) for u, v in pairs]
+        self.ends = ends = [(index[u], index[v]) for u, v in pairs]
         self.mu = mu = [grade.micro for _, _, grade in g.edges()]
         # Kruskal by descending grade; the sort is stable, so ties keep
         # the lexicographic (u, v) order of the edges.
         self.order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
         boss = list(range(len(names)))
+        # per root, the sigma weight of its part
+        weight = sigma[:]
         self.in_forest = in_forest = [False] * len(mu)
-        forest_size = 0
+        forest_size = ci = 0
         for e in self.order:
-            i, j = self.ends[e]
+            i, j = ends[e]
             while boss[i] != i:
                 boss[i] = i = boss[boss[i]]
             while boss[j] != j:
                 boss[j] = j = boss[boss[j]]
             if i != j:
+                # mu(e) is now the CONN of every pair across the parts
+                ci += mu[e] * weight[i] * weight[j]
+                weight[i] += weight[j]
                 boss[j] = i
                 in_forest[e] = True
                 forest_size += 1
         self.components = len(names) - forest_size
+        self._ci = ci
         self._rooted: _Rooted | None = None
         self._residual: list[int] | None = None
         self._conn: list[list[int]] | None = None
@@ -466,32 +472,12 @@ class Analysis:
         return total
 
     def connectivity(self) -> Fraction:
-        """CI, always defined, by replaying the forest edges in Kruskal
-        order through a sigma-weighted union-find: joining components A
-        and B by an edge of grade w makes w the CONN of every pair across
-        them, so the merge adds w sigma(A) sigma(B).  The smaller part
-        joins the larger, so with path halving the finds cost
-        O(n alpha(n)).  Only forest edges are replayed, and F is its own
+        """CI, always defined, summed by the Kruskal pass: the merge of
+        parts A and B by an edge of grade w makes w the CONN of every
+        pair across them, so it adds w sigma(A) sigma(B).  F is its own
         maximum spanning forest with CONN_F = CONN, so this is also
         CI(F) of the forest as a graph on its own."""
-        n = len(self.names)
-        boss, size, weight = list(range(n)), [1] * n, self.sigma[:]
-        mu, ends, in_forest, total = self.mu, self.ends, self.in_forest, 0
-        for e in self.order:
-            if not in_forest[e]:
-                continue
-            i, j = ends[e]
-            while boss[i] != i:
-                boss[i] = i = boss[boss[i]]
-            while boss[j] != j:
-                boss[j] = j = boss[boss[j]]
-            total += mu[e] * weight[i] * weight[j]
-            if size[i] < size[j]:
-                i, j = j, i
-            boss[j] = i
-            size[i] += size[j]
-            weight[i] += weight[j]
-        return Fraction(total, _SUM_SCALE)
+        return Fraction(self._ci, _SUM_SCALE)
 
     def zero_sigma_vertices(self) -> tuple[VertexId, ...]:
         return tuple(
@@ -539,8 +525,10 @@ class Analysis:
     def is_saturated_fuzzy_cycle(self) -> bool:
         """A fuzzy cycle whose every vertex meets at least one alpha and
         one beta edge."""
-        if not self.is_fuzzy_cycle():
-            return False
+        return self.is_fuzzy_cycle() and self._saturated()
+
+    def _saturated(self) -> bool:
+        """Every vertex meets at least one alpha and one beta edge."""
         incident: list[set[EdgeClass]] = [set() for _ in self.names]
         for (i, j), edge_class in zip(self.ends, self.edge_classes()):
             incident[i].add(edge_class)
@@ -553,9 +541,10 @@ class Analysis:
 
     def kind(self) -> GraphKind:
         connected = self.components <= 1
+        cycle = self.is_fuzzy_cycle()
         return GraphKind(
             connected,
             connected and bool(self.names) and self.is_fuzzy_forest(),
-            self.is_fuzzy_cycle(),
-            self.is_saturated_fuzzy_cycle(),
+            cycle,
+            cycle and self._saturated(),
         )

@@ -18,7 +18,7 @@ from .errors import BadParamsError, FuzzyGraphError, StrongDisconnectedError
 from .falsifier import ClaimId, ClaimVerdict, search_counterexamples
 from .model import FuzzyGraph, format_fraction, micro_text, parse_graph
 from .replication import replication_checks
-from .structure import SaturatedCycleSpec, graph_kind, maximum_spanning_tree
+from .structure import SaturatedCycleSpec, maximum_spanning_tree
 
 _COROLLARY_NOTE = (
     "claim tested exactly as published; no auxiliary hypotheses assumed"
@@ -305,14 +305,12 @@ def _cmd_mst(args) -> tuple[int, str]:
 
 
 def _cmd_kind(args) -> tuple[int, str]:
-    g = _load(args.file)
-    kind = graph_kind(g)
+    analysis = Analysis(_load(args.file))
+    kind = analysis.kind()
     if args.format == "json":
         doc = _base_doc()
         doc["kind"] = _kind_json(kind)
-        doc["warnings"] = _warnings_for(
-            tuple(name for name in g.vertices() if g.sigma(name).is_zero)
-        )
+        doc["warnings"] = _warnings_for(analysis.zero_sigma_vertices())
         return 0, _json_text(doc)
     return 0, "\n".join(_kind_lines(kind)) + "\n"
 

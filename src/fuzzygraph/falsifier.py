@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .analysis import Analysis
 from .errors import BadParamsError, NotAFuzzyTreeError
@@ -62,8 +64,8 @@ def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
     hypotheses.  lhs is WI(G), rhs is CI(F); WI(F) is in the detail map.
     F is the maximum spanning forest of G's one analysis, not a second
     graph: WI(F) is the sum over the forest edges of mu(e) sigma(below
-    e) sigma(rest), and CI(F) is the replay of the forest's Kruskal
-    merges.  Raises NotAFuzzyTreeError or DisconnectedError.
+    e) sigma(rest), and CI(F) is the CI its Kruskal pass summed.
+    Raises NotAFuzzyTreeError or DisconnectedError.
     """
     analysis = Analysis(g)
     if analysis.fuzzy_tree_mst() is None:
@@ -109,23 +111,22 @@ def _canonical_key(verdict: ClaimVerdict) -> tuple[int, str]:
     return (verdict.instance.vertex_count, verdict.instance.serialize())
 
 
-def _sweep_specs(size_range: tuple[int, int]) -> list[SaturatedCycleSpec]:
+def _sweep_specs(size_range: tuple[int, int]) -> Iterator[SaturatedCycleSpec]:
+    """The sweep's specs, built one at a time as the caller takes them."""
     lo, hi = size_range
     start = max(4, lo + lo % 2)
-    specs = []
-    for n in range(start, hi + 1, 2):
-        for kappa in range(2, 11):
-            for eta in range(1, kappa):
-                specs.append(
-                    SaturatedCycleSpec(
-                        n, Membership(kappa * _TENTH), Membership(eta * _TENTH)
-                    )
-                )
-    if not specs:
+    if start > hi:
         raise BadParamsError(
             f"no even cycle length of at least 4 in {lo}..{hi}"
         )
-    return specs
+    return (
+        SaturatedCycleSpec(
+            n, Membership(kappa * _TENTH), Membership(eta * _TENTH)
+        )
+        for n in range(start, hi + 1, 2)
+        for kappa in range(2, 11)
+        for eta in range(1, kappa)
+    )
 
 
 def search_counterexamples(
@@ -169,7 +170,7 @@ def search_counterexamples(
     elif claim_id is ClaimId.THEOREM_STAR:
         specs = _sweep_specs(size_range if size_range is not None else (4, 12))
         if trials is not None:
-            specs = specs[:trials]
+            specs = islice(specs, trials)
         for spec in specs:
             verdict = check_theorem_star(spec)
             if not verdict.holds:

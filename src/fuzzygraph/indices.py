@@ -6,44 +6,19 @@ ranges over all such paths, not only the strongest ones.  The Wiener
 index weights d_s by the endpoint grades, the connectivity index weights
 the strength of connectedness the same way.
 
-A view over ``analysis.Analysis``, which computes the CONN and d_s rows
-and the two index sums in micro-units; ``wiener_index`` and
-``connectivity_index`` build no rows, and ``index_report`` builds them
-for its per-pair table.  The functions here build the public values.
+A view over ``analysis.Analysis``, which computes the d_s rows and the
+two index sums in micro-units; ``wiener_index`` and
+``connectivity_index`` build no rows.  The functions here build the
+public values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import Analysis, GraphKind
-from .errors import StrongDisconnectedError
-from .model import MICRO, FuzzyGraph, Membership, PairTable, VertexId
+from .analysis import Analysis
+from .model import MICRO, FuzzyGraph, PairTable
 from .structure import SaturatedCycleSpec
-
-
-@dataclass(frozen=True)
-class PairEntry:
-    u: VertexId
-    v: VertexId
-    conn: Membership
-    ds: Fraction | None
-
-
-@dataclass(frozen=True)
-class IndexReport:
-    """Everything the CLI prints for one graph.
-
-    ``wiener`` is None when some pair has no strong path; the
-    connectivity index is always defined.
-    """
-
-    wiener: Fraction | None
-    connectivity: Fraction
-    pairs: tuple[PairEntry, ...]
-    kind: GraphKind
-    zero_sigma_vertices: tuple[VertexId, ...]
 
 
 def _distance(micro: int) -> Fraction:
@@ -80,33 +55,3 @@ def theorem_star_formula(spec: SaturatedCycleSpec) -> Fraction:
     """
     n, grades = spec.n, spec.kappa.micro + spec.eta.micro
     return Fraction(n * ((n + 3) ** 2 - 6) * grades, 16 * MICRO)
-
-
-def index_report(g: FuzzyGraph) -> IndexReport:
-    """Compute both indices plus the per-pair table and structure flags."""
-    analysis = Analysis(g)
-    names = analysis.names
-    entries = tuple(
-        PairEntry(
-            u,
-            names[j],
-            Membership(conn_row[j]),
-            None if ds_row[j] is None else _distance(ds_row[j]),
-        )
-        for i, (u, conn_row, ds_row) in enumerate(
-            zip(names, analysis.conn_rows(), analysis.ds_rows())
-        )
-        for j in range(i + 1, len(names))
-    )
-    # after the rows, so that wiener() reads WI off them
-    try:
-        wiener = analysis.wiener()
-    except StrongDisconnectedError:
-        wiener = None
-    return IndexReport(
-        wiener=wiener,
-        connectivity=analysis.connectivity(),
-        pairs=entries,
-        kind=analysis.kind(),
-        zero_sigma_vertices=analysis.zero_sigma_vertices(),
-    )

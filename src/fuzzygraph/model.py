@@ -193,7 +193,7 @@ class FuzzyGraph:
     but not both orders at once.
     """
 
-    __slots__ = ("_sigma", "_mu", "_adj")
+    __slots__ = ("_sigma", "_mu")
 
     def __init__(
         self,
@@ -218,23 +218,15 @@ class FuzzyGraph:
             )
             raise DuplicateEdgeError(f"edge {u!r} {v!r} given in both orders")
         # Validating in sorted key order reports the first bad edge of
-        # that order.  Sorted pairs also list every vertex's neighbours in
-        # name order: first those before it, as (w, x), then those after
-        # it, as (x, y).
+        # that order.
         clean_mu: dict[tuple[VertexId, VertexId], Membership] = {}
-        adj: dict[VertexId, list[tuple[VertexId, Membership]]] = {
-            name: [] for name in clean_sigma
-        }
         for key in sorted(canonical):
             u, v = key
             grade = canonical[key]
             _check_edge(clean_sigma, u, v, grade)
             clean_mu[key] = grade
-            adj[u].append((v, grade))
-            adj[v].append((u, grade))
         self._sigma = clean_sigma
         self._mu = clean_mu
-        self._adj = {name: tuple(nbrs) for name, nbrs in adj.items()}
 
     @property
     def vertex_count(self) -> int:
@@ -269,12 +261,6 @@ class FuzzyGraph:
             return self._mu[pair(u, v)]
         except KeyError:
             raise NoSuchEdgeError(f"no edge between {u!r} and {v!r}") from None
-
-    def neighbors(self, u: VertexId) -> tuple[tuple[VertexId, Membership], ...]:
-        try:
-            return self._adj[u]
-        except KeyError:
-            raise UnknownEndpointError(f"unknown vertex {u!r}") from None
 
     def remove_edge(self, u: VertexId, v: VertexId) -> "FuzzyGraph":
         """Return a copy without edge uv; this graph is unchanged."""

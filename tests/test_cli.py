@@ -16,11 +16,17 @@ from hypothesis import strategies as st
 from fuzzygraph import (
     FuzzyGraph,
     Membership,
+    StrongDisconnectedError,
     classify_edges,
+    connectivity_index,
+    ds_bruteforce,
     format_fraction,
-    index_report,
+    geodesic_distance,
+    graph_kind,
     maximum_spanning_tree,
     parse_graph,
+    strength_of_connectedness,
+    wiener_index,
 )
 from fuzzygraph import analysis, cli
 from fuzzygraph.cli import main
@@ -583,14 +589,31 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _ds_or_none(g: FuzzyGraph, u: str, v: str) -> str | None:
+    try:
+        return format_fraction(ds_bruteforce(g, u, v))
+    except StrongDisconnectedError:
+        return None
+
+
 @given(report_graphs())
 @settings(max_examples=150, deadline=None)
 def test_cli_tables_match_the_public_api(g):
-    report = index_report(g)
-    ds = lambda entry: None if entry.ds is None else format_fraction(entry.ds)
-    rows = [(e.u, e.v, str(e.conn), ds(e)) for e in report.pairs]
-    wiener = None if report.wiener is None else format_fraction(report.wiener)
-    kind = report.kind
+    try:
+        table = geodesic_distance(g)
+        ds = lambda u, v: format_fraction(table.value(u, v))
+        wiener = format_fraction(wiener_index(g))
+    except StrongDisconnectedError:
+        # some pair has no strong path; the report prints '-' for it
+        ds = lambda u, v: _ds_or_none(g, u, v)
+        wiener = None
+    connectivity = format_fraction(connectivity_index(g))
+    rows = [
+        (u, v, str(conn), ds(u, v))
+        for (u, v), conn in strength_of_connectedness(g).pairs()
+    ]
+    kind = graph_kind(g)
+    zero_sigma = [name for name in g.vertices() if g.sigma(name).is_zero]
     expected = [
         f"vertices: {g.vertex_count}",
         f"edges: {g.edge_count}",
@@ -599,8 +622,8 @@ def test_cli_tables_match_the_public_api(g):
         f"fuzzy cycle: {_yes(kind.is_fuzzy_cycle)}",
         f"saturated fuzzy cycle: {_yes(kind.is_saturated_fuzzy_cycle)}",
     ]
-    if report.zero_sigma_vertices:
-        names = " ".join(report.zero_sigma_vertices)
+    if zero_sigma:
+        names = " ".join(zero_sigma)
         expected.append(
             f"warning: zero-grade vertices contribute nothing: {names}"
         )
@@ -609,7 +632,7 @@ def test_cli_tables_match_the_public_api(g):
         if wiener is None
         else f"WI = {wiener}"
     )
-    expected.append(f"CI = {format_fraction(report.connectivity)}")
+    expected.append(f"CI = {connectivity}")
     if rows:
         expected.append("pair conn d_s")
         expected += [f"{u} {v} {conn} {d or '-'}" for u, v, conn, d in rows]
@@ -630,13 +653,21 @@ def test_cli_tables_match_the_public_api(g):
         code, out = _run_quietly(["--format", "json", "indices", path])
         doc = json.loads(out)
         assert code == exit_code
-        assert (doc["wiener"], doc["connectivity"]) == (
-            wiener,
-            format_fraction(report.connectivity),
-        )
+        assert (doc["wiener"], doc["connectivity"]) == (wiener, connectivity)
         assert [
             (p["u"], p["v"], p["conn"], p["ds"]) for p in doc["pairs"]
         ] == rows
+        assert _run_quietly(["kind", path]) == (
+            0,
+            "\n".join(expected[2:6]) + "\n",
+        )
+        code, out = _run_quietly(["--format", "json", "kind", path])
+        assert code == 0
+        assert json.loads(out)["warnings"] == [
+            line.removeprefix("warning: ")
+            for line in expected
+            if line.startswith("warning: ")
+        ]
         code, out = _run_quietly(["classify", path])
         assert code == 0
         assert [tuple(line.split(" ")) for line in out.splitlines()] == edges

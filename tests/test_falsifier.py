@@ -27,6 +27,7 @@ from fuzzygraph import (
     wiener_index,
 )
 from fuzzygraph import analysis
+from fuzzygraph.falsifier import _canonical_key, _sweep_specs
 from fuzzygraph.model import MICRO
 from fuzzygraph.replication import replication_checks
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
@@ -267,6 +268,25 @@ def test_theorem_sweep_trials_cap():
     )
     assert len(hits) == 5
     assert all(v.size == 4 for v in hits)
+
+
+def test_theorem_sweep_builds_only_the_specs_it_checks(monkeypatch):
+    built = []
+    original = SaturatedCycleSpec.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(SaturatedCycleSpec, "__init__", counting)
+    hits = search_counterexamples(
+        ClaimId.THEOREM_STAR, trials=3, size_range=(4, 4000)
+    )
+    assert len(built) == 3
+    monkeypatch.undo()
+    first = list(_sweep_specs((4, 4000)))[:3]
+    expected = [check_theorem_star(spec) for spec in first]
+    assert hits == sorted(expected, key=_canonical_key)
 
 
 def test_search_parameter_validation():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,13 +15,13 @@ from fuzzygraph import (
     connectivity_index,
     ds_bruteforce,
     geodesic_distance,
-    index_report,
     maximum_spanning_tree,
     strong_edges_bruteforce,
     theorem_star_formula,
     wi_bruteforce,
     wiener_index,
 )
+from fuzzygraph.cli import main
 from fuzzygraph.falsifier import _sweep_specs
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
@@ -110,7 +111,7 @@ def test_theorem_star_formula_values():
 
 
 def test_theorem_star_formula_is_the_published_expression():
-    specs = _sweep_specs((4, 100))
+    specs = list(_sweep_specs((4, 100)))
     specs.append(SaturatedCycleSpec(4, M("1"), M("0.000001")))
     for spec in specs:
         coefficient = Fraction(spec.n * ((spec.n + 3) ** 2 - 6), 16)
@@ -161,55 +162,60 @@ def test_geodesic_errors_on_disconnected_input():
         wiener_index(g)
 
 
-def test_index_report_on_tree5():
-    report = index_report(five_vertex_tree())
-    assert report.wiener == Fraction(37, 5)
-    assert report.connectivity == Fraction(7, 2)
-    assert report.kind.is_fuzzy_tree
-    assert len(report.pairs) == 10
-    assert report.zero_sigma_vertices == ()
-    wiener = sum(
-        M("1").as_fraction() * M("1").as_fraction() * entry.ds
-        for entry in report.pairs
-    )
-    connectivity = sum(
-        M("1").as_fraction()
-        * M("1").as_fraction()
-        * entry.conn.as_fraction()
-        for entry in report.pairs
-    )
-    assert report.wiener == wiener
-    assert report.connectivity == connectivity
+def indices_report(tmp_path, capsys, g) -> tuple[int, dict]:
+    """Exit code and JSON document of the CLI's ``indices`` report."""
+    path = tmp_path / "g.fzg"
+    path.write_text(g.serialize())
+    code = main(["--format", "json", "indices", str(path)])
+    return code, json.loads(capsys.readouterr().out)
 
 
-def test_index_report_on_saturated_cycle():
-    report = index_report(alternating_cycle(6, "0.5", "0.3"))
-    assert report.kind.is_saturated_fuzzy_cycle
-    assert report.wiener == Fraction(21, 2)
+def test_index_report_on_tree5(tmp_path, capsys):
+    code, doc = indices_report(tmp_path, capsys, five_vertex_tree())
+    assert code == 0
+    assert Fraction(doc["wiener"]) == Fraction(37, 5)
+    assert Fraction(doc["connectivity"]) == Fraction(7, 2)
+    assert doc["kind"]["fuzzy_tree"]
+    assert len(doc["pairs"]) == 10
+    assert doc["warnings"] == []
+    # every sigma is 1, so the indices are the plain sums of the rows
+    assert sum(Fraction(p["ds"]) for p in doc["pairs"]) == Fraction(37, 5)
+    assert sum(Fraction(p["conn"]) for p in doc["pairs"]) == Fraction(7, 2)
 
 
-def test_index_report_degrades_on_disconnected_input():
+def test_index_report_on_saturated_cycle(tmp_path, capsys):
+    g = alternating_cycle(6, "0.5", "0.3")
+    code, doc = indices_report(tmp_path, capsys, g)
+    assert doc["kind"]["saturated_fuzzy_cycle"]
+    assert Fraction(doc["wiener"]) == Fraction(21, 2)
+
+
+def test_index_report_degrades_on_disconnected_input(tmp_path, capsys):
     g = build_graph(
         [("a", M("1")), ("b", M("1")), ("c", M("0.9"))],
         [("a", "b", M("0.5"))],
     )
-    report = index_report(g)
-    assert report.wiener is None
-    assert report.connectivity == Fraction(1, 2)
-    entries = {(entry.u, entry.v): entry for entry in report.pairs}
-    assert entries[("a", "b")].ds == Fraction(1, 2)
-    assert entries[("a", "c")].ds is None
-    assert entries[("a", "c")].conn == M("0")
+    code, doc = indices_report(tmp_path, capsys, g)
+    assert code == 3
+    assert doc["wiener"] is None
+    assert Fraction(doc["connectivity"]) == Fraction(1, 2)
+    assert connectivity_index(g) == Fraction(1, 2)
+    entries = {(p["u"], p["v"]): p for p in doc["pairs"]}
+    assert Fraction(entries[("a", "b")]["ds"]) == Fraction(1, 2)
+    assert entries[("a", "c")]["ds"] is None
+    assert entries[("a", "c")]["conn"] == "0"
 
 
-def test_index_report_flags_zero_sigma_vertices():
+def test_index_report_flags_zero_sigma_vertices(tmp_path, capsys):
     g = build_graph([("a", M("1")), ("b", M("0"))], [])
-    report = index_report(g)
-    assert report.zero_sigma_vertices == ("b",)
+    _, doc = indices_report(tmp_path, capsys, g)
+    assert doc["warnings"] == ["zero-grade vertices contribute nothing: b"]
 
 
-def test_empty_and_single_vertex_reports():
-    report = index_report(build_graph([("a", M("0.4"))], []))
-    assert report.wiener == Fraction(0)
-    assert report.connectivity == Fraction(0)
-    assert report.pairs == ()
+def test_empty_and_single_vertex_reports(tmp_path, capsys):
+    g = build_graph([("a", M("0.4"))], [])
+    code, doc = indices_report(tmp_path, capsys, g)
+    assert code == 0
+    assert (doc["wiener"], doc["connectivity"]) == ("0", "0")
+    assert doc["pairs"] == []
+    assert wiener_index(g) == connectivity_index(g) == 0

@@ -150,6 +150,8 @@ def test_uniform_cycle_is_fuzzy_cycle_but_not_saturated():
     )
     assert is_fuzzy_cycle(g)
     assert not is_saturated_fuzzy_cycle(g)  # no alpha edge anywhere
+    kind = graph_kind(g)
+    assert kind.is_fuzzy_cycle and not kind.is_saturated_fuzzy_cycle
 
 
 def test_saturated_cycles():
@@ -309,6 +311,8 @@ def test_graph_kind_flags():
 @settings(max_examples=80, deadline=None)
 def test_graph_kind_invariants(g):
     kind = graph_kind(g)
+    assert kind.is_fuzzy_cycle == is_fuzzy_cycle(g)
+    assert kind.is_saturated_fuzzy_cycle == is_saturated_fuzzy_cycle(g)
     if kind.is_saturated_fuzzy_cycle:
         assert kind.is_fuzzy_cycle
     if kind.is_fuzzy_cycle:
