@@ -31,10 +31,12 @@ only inside the other blocks.  The same two sums over F alone give
 WI(F) and CI(F) of the forest as a graph on its own, with no second
 graph or pass.  The all-pairs CONN and d_s rows cost O(n^2) and more
 and are built only for callers that print them; ``pair_sum`` over them
-is the reference the index sums are tested against.  The per-edge
+is what such a caller prints and the reference the index sums are
+tested against, and no other answer reads them.  The per-edge
 remove-and-recompute route lives on in the oracle module as a
 reference.  The connectivity, indices and structure modules are views
-over ``Analysis``.
+over ``Analysis``; ``root_forest`` and ``path_min`` are the forest walks
+it shares with ``structure.random_fuzzy_tree``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .model import MICRO, FuzzyGraph, VertexId
 _SUM_SCALE = MICRO**3
 
 # (parent, parent edge, depth, preorder) of the rooted forest
-_Rooted = tuple[list[int], list[int], list[int], list[int]]
+Rooted = tuple[list[int], list[int], list[int], list[int]]
 
 
 class EdgeClass(Enum):
@@ -161,6 +163,50 @@ def _block_sum(
     return total
 
 
+def root_forest(adj: list[list[tuple[int, int]]]) -> Rooted:
+    """(parent, parent edge, depth, preorder) of the forest whose
+    (neighbour, edge index) lists are ``adj``, with each tree rooted at
+    its lowest index; a root has parent -1.  The preorder lists every
+    vertex after its parent, tree by tree in order of their roots."""
+    n = len(adj)
+    up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
+    preorder: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            preorder.append(x)
+            for y, e in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
+                    stack.append(y)
+    return up, up_edge, depth, preorder
+
+
+def path_min(rooted: Rooted, mu: list[int], i: int, j: int) -> int:
+    """The weakest edge grade ``mu`` on the path between distinct
+    vertices i and j of a rooted forest, 0 when they lie in different
+    trees.  A forest has one path between two vertices, so the choice of
+    roots does not change the answer."""
+    up, up_edge, depth, _ = rooted
+    weakest = MICRO
+    while i != j:
+        if depth[i] < depth[j]:
+            i, j = j, i
+        if up[i] < 0:
+            return 0
+        grade = mu[up_edge[i]]
+        if grade < weakest:
+            weakest = grade
+        i = up[i]
+    return weakest
+
+
 class Analysis:
     """One maximum-spanning-forest pass over a graph, in micro-units.
 
@@ -203,7 +249,7 @@ class Analysis:
                 forest_size += 1
         self.components = len(names) - forest_size
         self._ci = ci
-        self._rooted: _Rooted | None = None
+        self._rooted: Rooted | None = None
         self._residual: list[int] | None = None
         self._conn: list[list[int]] | None = None
         self._ds: list[list[int | None]] | None = None
@@ -216,53 +262,22 @@ class Analysis:
                 adj[j].append((i, e))
         return adj
 
-    def rooted(self) -> _Rooted:
-        """(parent, parent edge, depth, preorder) with each tree rooted at
-        its lowest index; a root has parent -1.  The preorder lists every
-        vertex after its parent, tree by tree in order of their roots."""
+    def rooted(self) -> Rooted:
+        """The forest rooted by ``root_forest``."""
         if self._rooted is None:
-            n = len(self.names)
-            up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
-            preorder: list[int] = []
-            seen = [False] * n
-            adj = self._forest_adjacency()
-            for root in range(n):
-                if seen[root]:
-                    continue
-                seen[root] = True
-                stack = [root]
-                while stack:
-                    x = stack.pop()
-                    preorder.append(x)
-                    for y, e in adj[x]:
-                        if not seen[y]:
-                            seen[y] = True
-                            up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
-                            stack.append(y)
-            self._rooted = (up, up_edge, depth, preorder)
+            self._rooted = root_forest(self._forest_adjacency())
         return self._rooted
 
     def conn(self, i: int, j: int) -> int:
         """CONN between distinct vertices i and j: the weakest grade on
         their forest path, 0 when they lie in different trees."""
-        up, up_edge, depth, _ = self.rooted()
-        mu = self.mu
-        weakest = MICRO
-        while i != j:
-            if depth[i] < depth[j]:
-                i, j = j, i
-            if up[i] < 0:
-                return 0
-            grade = mu[up_edge[i]]
-            if grade < weakest:
-                weakest = grade
-            i = up[i]
-        return weakest
+        return path_min(self.rooted(), self.mu, i, j)
 
     def residual(self) -> list[int]:
         """Per edge, CONN between its endpoints without the edge."""
         if self._residual is None:
-            up, up_edge, depth, _ = self.rooted()
+            rooted = self.rooted()
+            up, up_edge, depth, _ = rooted
             mu, ends = self.mu, self.ends
             residual = [0] * len(mu)
             # jump[x] leads towards the nearest ancestor-or-self of x whose
@@ -282,7 +297,7 @@ class Analysis:
                 if self.in_forest[e]:
                     continue
                 i, j = ends[e]
-                residual[e] = self.conn(i, j)
+                residual[e] = path_min(rooted, mu, i, j)
                 a, b = find(i), find(j)
                 while a != b:
                     if depth[a] < depth[b]:
@@ -306,6 +321,15 @@ class Analysis:
             for e, (grade, res) in enumerate(zip(self.mu, self.residual()))
             if grade >= res
         ]
+
+    def _strong_adjacency(self) -> list[list[tuple[int, int]]]:
+        """(neighbour, grade) lists of the strong subgraph, in edge order."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        for (i, j), grade, res in zip(self.ends, self.mu, self.residual()):
+            if grade >= res:
+                adj[i].append((j, grade))
+                adj[j].append((i, grade))
+        return adj
 
     def conn_rows(self) -> list[list[int]]:
         """All-pairs CONN by one forest walk per source; O(n^2)."""
@@ -336,11 +360,7 @@ class Analysis:
         """All-pairs d_s by one Dijkstra per source over the strong
         edges; None when a pair has no strong path."""
         if self._ds is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in self.names]
-            for e in self.strong_edges():
-                i, j = self.ends[e]
-                adj[i].append((j, self.mu[e]))
-                adj[j].append((i, self.mu[e]))
+            adj = self._strong_adjacency()
             self._ds = [_dijkstra(adj, source) for source in range(len(adj))]
         return self._ds
 
@@ -379,13 +399,9 @@ class Analysis:
         search would also sum a fuzzy tree, whose blocks are all
         bridges, but the subtree sums cost less: on a fuzzy tree of
         10^5 vertices the analysis plus WI took 0.90 s this way and
-        1.41 s by blocks.  When a caller
-        has built the d_s rows to print them, their ``pair_sum`` is
-        cheaper than a block search on graphs of a few dozen vertices,
-        so WI is read off them."""
+        1.41 s by blocks.  The route depends on the graph alone, never
+        on which rows were built before."""
         self.require_strong_paths()
-        if self._ds is not None:
-            return self.pair_sum(self._ds)
         if self.is_fuzzy_forest():
             # the strong subgraph S is the forest F
             return self.forest_wiener()
@@ -425,11 +441,7 @@ class Analysis:
         child in B.
         """
         n = len(self.names)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (i, j), grade, res in zip(self.ends, self.mu, self.residual()):
-            if grade >= res:
-                adj[i].append((j, grade))
-                adj[j].append((i, grade))
+        adj = self._strong_adjacency()
         whole = sum(self.sigma)
         sub = self.sigma[:]
         disc, low, up = [0] * n, [0] * n, [-1] * n
@@ -521,11 +533,6 @@ class Analysis:
             degree[i] += 1
             degree[j] += 1
         return all(d == 2 for d in degree) and mu.count(min(mu)) >= 2
-
-    def is_saturated_fuzzy_cycle(self) -> bool:
-        """A fuzzy cycle whose every vertex meets at least one alpha and
-        one beta edge."""
-        return self.is_fuzzy_cycle() and self._saturated()
 
     def _saturated(self) -> bool:
         """Every vertex meets at least one alpha and one beta edge."""

@@ -223,9 +223,14 @@ def _cmd_indices(args) -> tuple[int, str]:
             )
             for j in range(i + 1, len(names))
         ]
-    # after the rows, so that wiener() reads WI off them
     try:
-        wiener = analysis.wiener()
+        if args.summary:
+            wiener = analysis.wiener()
+        else:
+            # the printed d_s rows are already built, and on graphs of
+            # a few dozen vertices their sum costs less than a block search
+            analysis.require_strong_paths()
+            wiener = analysis.pair_sum(analysis.ds_rows())
     except StrongDisconnectedError:
         wiener = None
     kind = analysis.kind()

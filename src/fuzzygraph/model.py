@@ -82,7 +82,6 @@ class Membership:
         return micro_text(self.micro)
 
 
-ZERO = Membership(0)
 ONE = Membership(MICRO)
 
 

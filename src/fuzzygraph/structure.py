@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .analysis import Analysis, GraphKind, SpanningTree
+from .analysis import Analysis, GraphKind, SpanningTree, path_min, root_forest
 from .errors import BadParamsError, BadSpecError
-from .model import MICRO, ONE, FuzzyGraph, Membership, VertexId, build_graph
+from .model import ONE, FuzzyGraph, Membership, VertexId, build_graph
 
 _GRID = 10_000  # micro-units per 0.01 step used by the random generator
 
@@ -69,7 +69,7 @@ def is_fuzzy_cycle(g: FuzzyGraph) -> bool:
 
 
 def is_saturated_fuzzy_cycle(g: FuzzyGraph) -> bool:
-    return Analysis(g).is_saturated_fuzzy_cycle()
+    return Analysis(g).kind().is_saturated_fuzzy_cycle
 
 
 def graph_kind(g: FuzzyGraph) -> GraphKind:
@@ -125,8 +125,8 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     O(n^2) time and memory: ``shuffle`` draws once per candidate, so a
     shorter list would change every tree drawn from a seed.  The
     in-tree strength of each candidate tried is the weakest grade on
-    its tree path, walked up the parent pointers of one rooting of the
-    tree in O(depth).
+    its tree path, read in O(depth) by ``analysis.path_min`` over one
+    ``analysis.root_forest`` of the tree.
     """
     if n < 2:
         raise BadParamsError(f"need at least 2 vertices, got {n}")
@@ -153,19 +153,11 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     if extra_edges == 0:
         # nothing below draws from rng then, so this is the same graph
         return build_graph(vertices, edges)
-    # root the tree at vertex 0: parent, grade of the edge to it, depth
     adj: list[list[tuple[int, int]]] = [[] for _ in names]
-    for (i, j), grade in zip(tree_pairs, mu):
-        adj[i].append((j, grade))
-        adj[j].append((i, grade))
-    up, up_grade, depth = [-1] * n, [0] * n, [0] * n
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y, grade in adj[x]:
-            if y and up[y] < 0:
-                up[y], up_grade[y], depth[y] = x, grade, depth[x] + 1
-                stack.append(y)
+    for e, (i, j) in enumerate(tree_pairs):
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+    rooted = root_forest(adj)
     in_tree = set(tree_pairs)
     candidates = [
         (i, j)
@@ -178,16 +170,8 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     for i, j in candidates:
         if added == extra_edges:
             break
-        # the in-tree strength: the weakest grade on the i-j tree path
-        a, b, weakest = i, j, MICRO
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            if up_grade[a] < weakest:
-                weakest = up_grade[a]
-            a = up[a]
-        # strictly below it, still on the 0.01 grid
-        limit = weakest // _GRID
+        # strictly below the in-tree strength, still on the 0.01 grid
+        limit = path_min(rooted, mu, i, j) // _GRID
         if limit <= 1:
             continue
         edges.append(

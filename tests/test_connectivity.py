@@ -4,7 +4,7 @@ from collections import defaultdict
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuzzygraph import (
@@ -26,6 +26,7 @@ from fuzzygraph import (
     strong_subgraph,
     random_fuzzy_tree,
 )
+from fuzzygraph.analysis import Analysis, path_min
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
 from conftest import fuzzy_graphs
@@ -287,6 +288,30 @@ def test_strong_edges_are_the_maximum_spanning_forest_edges(g):
         )
         assert (record.edge_class is not EdgeClass.DELTA) == in_some
         assert (record.edge_class is EdgeClass.ALPHA_STRONG) == in_every
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 12),
+    st.sampled_from([0.05, 0.15, 0.3]),
+    st.sampled_from([GRID, QUARTER]),
+)
+@settings(max_examples=100, deadline=None)
+def test_path_min_over_the_rooted_forest_on_disconnected_graphs(
+    seed, n, edge_probability, step
+):
+    # residual() asks only about pairs that share an edge, so this is
+    # the test that reaches pairs in different trees
+    g = random_graph(seed, n, edge_probability, step, 0.2)
+    analysis = Analysis(g)
+    assume(analysis.components > 1)
+    rooted, rows, names = analysis.rooted(), analysis.conn_rows(), g.vertices()
+    for i, j in combinations(range(n), 2):
+        u, v = names[i], names[j]
+        walked = path_min(rooted, analysis.mu, i, j)
+        assert walked == rows[i][j] == conn_bruteforce(g, u, v).micro
+        if not _joined(g, u, v, lambda *_: True):
+            assert walked == 0
 
 
 @pytest.mark.parametrize("seed,n", [(0, 200), (1, 350), (2, 500)])

@@ -306,7 +306,7 @@ def test_search_parameter_validation():
         search_counterexamples(ClaimId.THEOREM_STAR, size_range=(5, 5))
 
 
-def test_replication_builds_nine_analyses(monkeypatch):
+def test_replication_builds_seven_analyses(monkeypatch):
     analysed = []
     original = analysis.Analysis.__init__
 
@@ -318,4 +318,4 @@ def test_replication_builds_nine_analyses(monkeypatch):
     checks, verdicts = replication_checks()
     assert all(check.passed for check in checks)
     assert len(checks) == 13 and len(verdicts) == 5
-    assert len(analysed) == 9
+    assert len(analysed) == 7

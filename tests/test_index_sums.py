@@ -69,7 +69,7 @@ def fast_route(
 ) -> tuple[Fraction | str, Fraction]:
     analysis = Analysis(g)
     if rows_first:
-        # as the full CLI report does, so that wiener() reads WI off them
+        # as the full CLI report does; wiener() must answer the same
         analysis.ds_rows()
     try:
         wiener = analysis.wiener()
@@ -320,6 +320,20 @@ def test_index_sums_build_no_pair_rows(label, build, monkeypatch, tmp_path):
     assert main(["indices", "--summary", str(path), "--output", str(out)]) == 0
     text = out.read_text()
     assert f"WI = {format_fraction(expected[0])}\n" in text
+
+
+@pytest.mark.parametrize("label,build", GUARDED, ids=[g[0] for g in GUARDED])
+def test_wiener_reads_no_rows_built_before_it(label, build, monkeypatch):
+    g = build()
+    expected = pair_route(g)[0]
+    analysis = Analysis(g)
+    analysis.ds_rows()
+
+    def refuse(self, rows):
+        raise AssertionError("wiener() summed pair rows")
+
+    monkeypatch.setattr(Analysis, "pair_sum", refuse)
+    assert analysis.wiener() == expected
 
 
 def test_strongly_disconnected_wiener_builds_no_pair_rows(monkeypatch):
