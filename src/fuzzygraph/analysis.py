@@ -47,6 +47,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import mul
+from typing import Sequence
 
 from .errors import DisconnectedError, StrongDisconnectedError
 from .model import MICRO, FuzzyGraph, VertexId
@@ -188,7 +189,7 @@ def root_forest(adj: list[list[tuple[int, int]]]) -> Rooted:
     return up, up_edge, depth, preorder
 
 
-def path_min(rooted: Rooted, mu: list[int], i: int, j: int) -> int:
+def path_min(rooted: Rooted, mu: Sequence[int], i: int, j: int) -> int:
     """The weakest edge grade ``mu`` on the path between distinct
     vertices i and j of a rooted forest, 0 when they lie in different
     trees.  A forest has one path between two vertices, so the choice of
@@ -210,28 +211,24 @@ def path_min(rooted: Rooted, mu: list[int], i: int, j: int) -> int:
 class Analysis:
     """One maximum-spanning-forest pass over a graph, in micro-units.
 
-    Vertex i is the i-th name of ``g.vertices()`` and edge e the e-th
-    pair of ``g.edge_pairs()``, so index order is name order.  The
-    forest and CI are built eagerly; the rooted forest, the residuals
-    and the all-pairs CONN and d_s rows are each built on first use, so
-    a caller that needs only the forest pays O(m log m).
+    ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
+    tuples, indexed as ``FuzzyGraph`` describes.  The forest and CI are
+    built eagerly; the rooted forest, the residuals and the all-pairs
+    CONN and d_s rows are each built on first use, so a caller that
+    needs only the forest pays O(m log m).
     """
 
     def __init__(self, g: FuzzyGraph):
-        names = g.vertices()
-        index = {name: i for i, name in enumerate(names)}
-        self.names = names
-        self.index = index
-        self.sigma = sigma = [g.sigma(name).micro for name in names]
-        self.pairs = pairs = g.edge_pairs()
-        self.ends = ends = [(index[u], index[v]) for u, v in pairs]
-        self.mu = mu = [grade.micro for _, _, grade in g.edges()]
+        self.names = names = g.vertices()
+        self.sigma = sigma = g.sigma_micro
+        self.ends = ends = g.ends
+        self.mu = mu = g.mu_micro
         # Kruskal by descending grade; the sort is stable, so ties keep
         # the lexicographic (u, v) order of the edges.
         self.order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
         boss = list(range(len(names)))
         # per root, the sigma weight of its part
-        weight = sigma[:]
+        weight = list(sigma)
         self.in_forest = in_forest = [False] * len(mu)
         forest_size = ci = 0
         for e in self.order:
@@ -267,11 +264,6 @@ class Analysis:
         if self._rooted is None:
             self._rooted = root_forest(self._forest_adjacency())
         return self._rooted
-
-    def conn(self, i: int, j: int) -> int:
-        """CONN between distinct vertices i and j: the weakest grade on
-        their forest path, 0 when they lie in different trees."""
-        return path_min(self.rooted(), self.mu, i, j)
 
     def residual(self) -> list[int]:
         """Per edge, CONN between its endpoints without the edge."""
@@ -416,7 +408,7 @@ class Analysis:
         2001): O(n) after the rooted forest."""
         self.require_strong_paths()
         up, up_edge, _, preorder = self.rooted()
-        below = self.sigma[:]
+        below = list(self.sigma)
         whole = sum(below)
         mu, total = self.mu, 0
         for x in reversed(preorder):
@@ -443,7 +435,7 @@ class Analysis:
         n = len(self.names)
         adj = self._strong_adjacency()
         whole = sum(self.sigma)
-        sub = self.sigma[:]
+        sub = list(self.sigma)
         disc, low, up = [0] * n, [0] * n, [-1] * n
         # the edge stack height at which the tree edge into x was pushed
         mark = [0] * n
@@ -504,8 +496,9 @@ class Analysis:
         if self.components > 1:
             raise DisconnectedError("graph is not crisp-connected")
         chosen = [e for e, kept in enumerate(self.in_forest) if kept]
+        names, ends = self.names, self.ends
         return SpanningTree(
-            tuple(self.pairs[e] for e in chosen),
+            tuple((names[ends[e][0]], names[ends[e][1]]) for e in chosen),
             Fraction(sum(self.mu[e] for e in chosen), MICRO),
         )
 

@@ -275,7 +275,7 @@ def _cmd_classify(args) -> tuple[int, str]:
     rows = [
         (u, v, text[grade], edge_class.value, text[res])
         for (u, v), grade, res, edge_class in zip(
-            analysis.pairs,
+            g.edge_pairs(),
             analysis.mu,
             analysis.residual(),
             analysis.edge_classes(),
@@ -296,7 +296,8 @@ def _cmd_mst(args) -> tuple[int, str]:
     g = _load(args.file)
     tree = maximum_spanning_tree(g)
     text = _MicroTexts()
-    rows = [(u, v, text[g.mu(u, v).micro]) for u, v in tree.edges]
+    grade = dict(zip(g.edge_pairs(), g.mu_micro))
+    rows = [(u, v, text[grade[u, v]]) for u, v in tree.edges]
     if args.format == "json":
         doc = _base_doc()
         doc["mst"] = {

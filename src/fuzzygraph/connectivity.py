@@ -55,5 +55,5 @@ def classify_edges(
 
 def strong_subgraph(g: FuzzyGraph) -> FuzzyGraph:
     """Same vertices, only the alpha-strong and beta-strong edges."""
-    analysis = Analysis(g)
-    return g.edge_subgraph(analysis.pairs[e] for e in analysis.strong_edges())
+    pairs = g.edge_pairs()
+    return g.edge_subgraph(pairs[e] for e in Analysis(g).strong_edges())

@@ -10,8 +10,10 @@ operation returns a new graph and leaves its input untouched.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
@@ -62,14 +64,7 @@ class Membership:
         Parsing is exact: ``parse("0.1")`` yields precisely 100000
         micro-units.  Raises ValueError for anything else.
         """
-        match = _GRADE_RE.fullmatch(text)
-        if match is None:
-            raise ValueError(f"not a grade literal: {ascii(text)}")
-        whole, frac = match.group(1), match.group(2) or ""
-        micro = int(whole) * MICRO + int(frac.ljust(6, "0") or "0")
-        if micro > MICRO:
-            raise ValueError(f"grade above 1: {ascii(text)}")
-        return cls(micro)
+        return cls(_literal_micro(text))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.micro, MICRO)
@@ -83,6 +78,18 @@ class Membership:
 
 
 ONE = Membership(MICRO)
+
+
+def _literal_micro(text: str) -> int:
+    """The micro-unit count of a grade literal; see ``Membership.parse``."""
+    match = _GRADE_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a grade literal: {ascii(text)}")
+    whole, frac = match.group(1), match.group(2) or ""
+    micro = int(whole) * MICRO + int(frac.ljust(6, "0") or "0")
+    if micro > MICRO:
+        raise ValueError(f"grade above 1: {ascii(text)}")
+    return micro
 
 
 def micro_text(micro: int) -> str:
@@ -188,112 +195,160 @@ class FuzzyGraph:
     of printable ASCII without spaces, there are no self loops, every
     edge grade is strictly positive and does not exceed the minimum of
     its endpoint grades.  Vertices with sigma 0 are allowed; they can
-    carry no edges.  Edge keys may name their endpoints in either order,
-    but not both orders at once.
+    carry no edges.  Edge keys are pairs of names, in either order but
+    not both orders at once.
+
+    The graph is stored once, in name order: vertex i is the i-th of the
+    sorted ``vertices()``, with grade ``sigma_micro[i]``; edge e joins
+    ``ends[e] = (i, j)``, i < j, with grade ``mu_micro[e]``, and ``ends``
+    is sorted, so edges follow the lexicographic order of their names.
+    The tuples are read-only and hold micro-unit ints; ``sigma()``,
+    ``mu()`` and ``edges()`` build a ``Membership`` when read.
     """
 
-    __slots__ = ("_sigma", "_mu")
+    __slots__ = ("_names", "sigma_micro", "ends", "mu_micro")
 
     def __init__(
         self,
         sigma: Mapping[VertexId, Membership],
         mu: Mapping[tuple[VertexId, VertexId], Membership],
     ):
-        clean_sigma: dict[VertexId, Membership] = {}
-        for name in sorted(sigma):
-            grade = sigma[name]
-            if not isinstance(name, str) or _NAME_RE.fullmatch(name) is None:
-                raise ValueError(f"bad vertex name: {name!r}")
+        grades: dict[VertexId, int] = {}
+        for name, grade in sigma.items():
             if not isinstance(grade, Membership):
                 raise TypeError(f"sigma for {name!r} must be a Membership")
-            clean_sigma[name] = grade
-        canonical = {
-            (key if key[0] <= key[1] else key[::-1]): grade
-            for key, grade in mu.items()
-        }
-        if len(canonical) != len(mu):
-            u, v = min(
-                key for key in mu if key[0] < key[1] and key[::-1] in mu
+            grades[name] = grade.micro
+        edges: dict[tuple[VertexId, VertexId], int] = {}
+        for key, grade in mu.items():
+            u, v = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
+            if not isinstance(u, str) or not isinstance(v, str):
+                raise TypeError(f"edge key {key!r} is not a pair of names")
+            if not isinstance(grade, Membership):
+                raise TypeError(f"mu for {key!r} must be a Membership")
+            edges[key] = grade.micro
+        self._fill(grades, edges)
+
+    def _fill(
+        self,
+        sigma: Mapping[VertexId, int],
+        mu: Mapping[tuple[VertexId, VertexId], int],
+    ) -> "FuzzyGraph":
+        """Validate and store micro-unit grades keyed as the constructor's
+        arguments are; every construction route runs it.  Raises for the
+        first bad vertex name, else the first pair given in both orders,
+        else the first bad edge in key order."""
+        for name in sigma:
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                raise ValueError(f"bad vertex name: {name!r}")
+        self._names = names = tuple(sorted({*sigma, *chain.from_iterable(mu)}))
+        rank = {name: i for i, name in enumerate(names)}
+        n, grades = len(names), list(mu.values())
+        keys = [
+            rank[u] * n + rank[v] if u < v else rank[v] * n + rank[u]
+            for u, v in mu
+        ]
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        # -1 marks a name only an edge uses
+        self.sigma_micro = sigma = tuple(map(sigma.get, names, repeat(-1)))
+        ordered = map(keys.__getitem__, by_key)
+        self.ends = ends = tuple(map(divmod, ordered, repeat(n)))
+        self.mu_micro = mu = tuple(map(grades.__getitem__, by_key))
+        if len(set(ends)) < len(ends):
+            a, b = next(e for e, last in zip(ends[1:], ends) if e == last)
+            raise DuplicateEdgeError(
+                f"edge {names[a]!r} {names[b]!r} given in both orders"
             )
-            raise DuplicateEdgeError(f"edge {u!r} {v!r} given in both orders")
-        # Validating in sorted key order reports the first bad edge of
-        # that order.
-        clean_mu: dict[tuple[VertexId, VertexId], Membership] = {}
-        for key in sorted(canonical):
-            u, v = key
-            grade = canonical[key]
-            _check_edge(clean_sigma, u, v, grade)
-            clean_mu[key] = grade
-        self._sigma = clean_sigma
-        self._mu = clean_mu
+        for (a, b), w in zip(ends, mu):
+            if a < b and 0 < w <= sigma[a] and w <= sigma[b]:
+                continue
+            u, v, cap = names[a], names[b], min(sigma[a], sigma[b])
+            if a == b:
+                raise SelfLoopError(f"self loop at {u!r}")
+            if cap < 0:
+                name = u if sigma[a] < 0 else v
+                raise UnknownEndpointError(f"unknown vertex {name!r}")
+            if w == 0:
+                raise ZeroMuError(f"edge {u!r} {v!r} has zero grade")
+            raise MuExceedsSigmaError(
+                f"mu({u!r},{v!r}) = {micro_text(w)} exceeds min sigma "
+                f"({micro_text(cap)})"
+            )
+        return self
 
     @property
     def vertex_count(self) -> int:
-        return len(self._sigma)
+        return len(self._names)
 
     @property
     def edge_count(self) -> int:
-        return len(self._mu)
+        return len(self.mu_micro)
 
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(self._sigma)
+        return self._names
 
     def sigma(self, name: VertexId) -> Membership:
-        try:
-            return self._sigma[name]
-        except KeyError:
-            raise UnknownEndpointError(f"unknown vertex {name!r}") from None
+        i = bisect_left(self._names, name)
+        if self._names[i : i + 1] != (name,):
+            raise UnknownEndpointError(f"unknown vertex {name!r}")
+        return Membership(self.sigma_micro[i])
 
     def edges(self) -> Iterator[tuple[VertexId, VertexId, Membership]]:
         """Edges in lexicographic order as (u, v, mu) with u < v."""
-        for (u, v), grade in self._mu.items():
-            yield u, v, grade
+        for (u, v), grade in zip(self.edge_pairs(), self.mu_micro):
+            yield u, v, Membership(grade)
 
     def edge_pairs(self) -> tuple[tuple[VertexId, VertexId], ...]:
-        return tuple(self._mu)
+        names = self._names
+        return tuple((names[i], names[j]) for i, j in self.ends)
+
+    def _edge(self, u: VertexId, v: VertexId) -> int:
+        """The index of edge uv, by bisection; NoSuchEdgeError if none."""
+        names, ends = self._names, self.ends
+        i, j = sorted((bisect_left(names, u), bisect_left(names, v)))
+        e = bisect_left(ends, (i, j))
+        if ends[e : e + 1] != ((i, j),) or {names[i], names[j]} != {u, v}:
+            raise NoSuchEdgeError(f"no edge between {u!r} and {v!r}")
+        return e
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return pair(u, v) in self._mu
+        try:
+            return self._edge(u, v) >= 0
+        except NoSuchEdgeError:
+            return False
 
     def mu(self, u: VertexId, v: VertexId) -> Membership:
-        try:
-            return self._mu[pair(u, v)]
-        except KeyError:
-            raise NoSuchEdgeError(f"no edge between {u!r} and {v!r}") from None
+        return Membership(self.mu_micro[self._edge(u, v)])
 
     def remove_edge(self, u: VertexId, v: VertexId) -> "FuzzyGraph":
         """Return a copy without edge uv; this graph is unchanged."""
-        key = pair(u, v)
-        if key not in self._mu:
-            raise NoSuchEdgeError(f"no edge between {u!r} and {v!r}")
-        remaining = {k: g for k, g in self._mu.items() if k != key}
-        return FuzzyGraph(self._sigma, remaining)
+        e, pairs = self._edge(u, v), self.edge_pairs()
+        return self.edge_subgraph(pairs[:e] + pairs[e + 1 :])
 
     def edge_subgraph(
         self, pairs: Iterable[tuple[VertexId, VertexId]]
     ) -> "FuzzyGraph":
         """Keep all vertices but only the listed edges."""
-        keep = set()
-        for u, v in pairs:
-            key = pair(u, v)
-            if key not in self._mu:
-                raise NoSuchEdgeError(f"no edge between {u!r} and {v!r}")
-            keep.add(key)
-        return FuzzyGraph(self._sigma, {k: self._mu[k] for k in keep})
+        mu = {pair(u, v): self.mu_micro[self._edge(u, v)] for u, v in pairs}
+        sigma = dict(zip(self._names, self.sigma_micro))
+        return FuzzyGraph.__new__(FuzzyGraph)._fill(sigma, mu)
 
     def serialize(self) -> str:
         """Canonical .fzg text; parsing it back reproduces this graph."""
-        lines = [f"v {name} {grade}" for name, grade in self._sigma.items()]
-        lines += [f"e {u} {v} {grade}" for (u, v), grade in self._mu.items()]
+        lines = [
+            f"v {name} {micro_text(grade)}"
+            for name, grade in zip(self._names, self.sigma_micro)
+        ]
+        edges = zip(self.edge_pairs(), self.mu_micro)
+        lines += [f"e {u} {v} {micro_text(w)}" for (u, v), w in edges]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FuzzyGraph):
             return NotImplemented
-        return self._sigma == other._sigma and self._mu == other._mu
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def __hash__(self) -> int:
-        return hash((tuple(self._sigma.items()), tuple(self._mu.items())))
+        return hash(tuple(getattr(self, k) for k in self.__slots__))
 
     def __repr__(self) -> str:
         return f"FuzzyGraph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -318,31 +373,6 @@ def path_record(g: FuzzyGraph, vertices: Iterable[VertexId]) -> PathRecord:
     grades = [g.mu(a, b) for a, b in zip(names, names[1:])]
     total = sum(grade.micro for grade in grades)
     return PathRecord(names, min(grades), Fraction(total, MICRO))
-
-
-def _check_edge(
-    sigma: Mapping[VertexId, Membership],
-    u: VertexId,
-    v: VertexId,
-    grade: Membership,
-) -> None:
-    """Raise the error for edge uv of the given grade, if it has one."""
-    if u == v:
-        raise SelfLoopError(f"self loop at {u!r}")
-    su, sv = sigma.get(u), sigma.get(v)
-    if su is None or sv is None:
-        name = u if su is None else v
-        raise UnknownEndpointError(f"unknown vertex {name!r}")
-    if not isinstance(grade, Membership):
-        raise TypeError(f"mu for {(u, v)!r} must be a Membership")
-    micro = grade.micro
-    if micro == 0:
-        raise ZeroMuError(f"edge {u!r} {v!r} has zero grade")
-    cap = su if su.micro <= sv.micro else sv
-    if micro > cap.micro:
-        raise MuExceedsSigmaError(
-            f"mu({u!r},{v!r}) = {grade} exceeds min sigma ({cap})"
-        )
 
 
 def build_graph(
@@ -391,19 +421,20 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
             parse_graph(raw[: raw.rfind(b"\n", 0, exc.start) + 1])
             line = raw[: exc.start].count(b"\n") + 1
             raise ParseError("invalid UTF-8", line) from exc
-    sigma: dict[VertexId, Membership] = {}
-    mu: dict[tuple[VertexId, VertexId], Membership] = {}
+    sigma: dict[VertexId, int] = {}
+    mu: dict[tuple[VertexId, VertexId], int] = {}
     edge_lines: list[int] = []
     try:
         _read_records(text, sigma, mu, edge_lines)
-        return FuzzyGraph(sigma, mu)
+        return FuzzyGraph.__new__(FuzzyGraph)._fill(sigma, mu)
     except FuzzyGraphError:
         # The reader stops at the first bad line and the constructor at
         # the first bad edge in key order; an edge read before either
         # may fail the constructor's checks on an earlier line.
         for lineno, ((u, v), grade) in zip(edge_lines, mu.items()):
+            one_edge = FuzzyGraph.__new__(FuzzyGraph)
             try:
-                _check_edge(sigma, u, v, grade)
+                one_edge._fill({u: sigma[u], v: sigma[v]}, {(u, v): grade})
             except GraphConstructionError as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from None
         raise
@@ -411,8 +442,8 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
 
 def _read_records(
     text: str,
-    sigma: dict[VertexId, Membership],
-    mu: dict[tuple[VertexId, VertexId], Membership],
+    sigma: dict[VertexId, int],
+    mu: dict[tuple[VertexId, VertexId], int],
     edge_lines: list[int],
 ) -> None:
     """Fill sigma and mu from .fzg text, edges under canonical keys in
@@ -420,10 +451,9 @@ def _read_records(
 
     Checks the syntax, the names, declaration before use and
     duplicates; the per-edge grade checks are the constructor's.  Each
-    distinct grade literal is parsed once, so equal literals share one
-    Membership.
+    distinct grade literal is parsed once, to micro-units.
     """
-    grades: dict[str, Membership] = {}
+    grades: dict[str, int] = {}
     # str.split() splits on every whitespace character.  When the text
     # holds no whitespace besides spaces, tabs, newlines and a CR before
     # a newline, that is the format's split, trailing CRs included;
@@ -472,7 +502,7 @@ def _read_records(
         grade = grades.get(literal)
         if grade is None:
             try:
-                grade = grades[literal] = Membership.parse(literal)
+                grade = grades[literal] = _literal_micro(literal)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
         if kind == "v":

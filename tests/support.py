@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 
 from fuzzygraph import FuzzyGraph, Membership, build_graph
-from fuzzygraph.analysis import Analysis
+from fuzzygraph.analysis import Analysis, path_min
 from fuzzygraph.model import pair
 from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
@@ -139,9 +139,10 @@ def random_fuzzy_tree_reference(
     seed: int, n: int, extra_edges: int
 ) -> FuzzyGraph:
     """The generator ``structure.random_fuzzy_tree`` replaced, kept as
-    its reference: it reads each candidate's in-tree strength from an
-    ``Analysis`` of a throwaway graph of the bare tree.  The two must
-    draw the same numbers in the same order and so give the same graph.
+    its reference: it reads each candidate's in-tree strength with
+    ``path_min`` over the rooted forest of an ``Analysis`` of a
+    throwaway graph of the bare tree.  The two must draw the same
+    numbers in the same order and so give the same graph.
     """
     rng = random.Random(seed)
     names = _vertex_names(n)
@@ -158,7 +159,10 @@ def random_fuzzy_tree_reference(
         edges.append((u, v, Membership(rng.randrange(1, cap + 1) * GRID)))
     if extra_edges == 0:
         return build_graph(sigma.items(), edges)
-    tree = Analysis(build_graph(sigma.items(), edges))
+    bare = build_graph(sigma.items(), edges)
+    index = {name: i for i, name in enumerate(bare.vertices())}
+    tree = Analysis(bare)
+    rooted = tree.rooted()
     in_tree = set(tree_pairs)
     candidates = [
         (u, v)
@@ -171,7 +175,7 @@ def random_fuzzy_tree_reference(
     for u, v in candidates:
         if added == extra_edges:
             break
-        limit = tree.conn(tree.index[u], tree.index[v]) // GRID
+        limit = path_min(rooted, tree.mu, index[u], index[v]) // GRID
         if limit <= 1:
             continue
         edges.append((u, v, Membership(rng.randrange(1, limit) * GRID)))

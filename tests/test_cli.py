@@ -765,13 +765,13 @@ def test_falsify_leaves_the_size_defaults_to_the_library(
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_falsify_builds_each_witness_cycle_once(capsys, monkeypatch, fmt):
     built = []
-    original = FuzzyGraph.__init__
+    original = FuzzyGraph._fill
 
     def counting(self, sigma, mu):
         built.append(len(sigma))
-        original(self, sigma, mu)
+        return original(self, sigma, mu)
 
-    monkeypatch.setattr(FuzzyGraph, "__init__", counting)
+    monkeypatch.setattr(FuzzyGraph, "_fill", counting)
     code, _ = run_cli(capsys, "--format", fmt, "falsify", "theorem-star")
     assert code == 0
     # 5 even lengths 4..12, 45 gradings each, one cycle per spec
@@ -782,17 +782,17 @@ def test_falsify_corollary_star_builds_one_graph_per_trial(
     capsys, monkeypatch
 ):
     built, analysed = [], []
-    build, analyse = FuzzyGraph.__init__, analysis.Analysis.__init__
+    build, analyse = FuzzyGraph._fill, analysis.Analysis.__init__
 
     def counting_build(self, sigma, mu):
         built.append(len(sigma))
-        build(self, sigma, mu)
+        return build(self, sigma, mu)
 
     def counting_analyse(self, g):
         analysed.append(g)
         analyse(self, g)
 
-    monkeypatch.setattr(FuzzyGraph, "__init__", counting_build)
+    monkeypatch.setattr(FuzzyGraph, "_fill", counting_build)
     monkeypatch.setattr(analysis.Analysis, "__init__", counting_analyse)
     code, _ = run_cli(
         capsys, "falsify", "corollary-star",

@@ -90,16 +90,16 @@ def test_corollary_star_analyses_each_graph_once(monkeypatch):
 def test_corollary_star_builds_no_graph(monkeypatch):
     g = random_fuzzy_tree(5, 8, 2)
     built = []
-    original = FuzzyGraph.__init__
+    original = FuzzyGraph._fill
 
     def counting(self, sigma, mu):
         built.append(len(sigma))
-        original(self, sigma, mu)
+        return original(self, sigma, mu)
 
     def refuse(self, pairs):
         raise AssertionError("edge_subgraph called")
 
-    monkeypatch.setattr(FuzzyGraph, "__init__", counting)
+    monkeypatch.setattr(FuzzyGraph, "_fill", counting)
     monkeypatch.setattr(FuzzyGraph, "edge_subgraph", refuse)
     verdict = check_corollary_star(g)
     assert built == []

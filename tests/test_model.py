@@ -24,7 +24,8 @@ from fuzzygraph import (
     parse_graph,
     path_record,
 )
-from fuzzygraph.model import micro_text
+from fuzzygraph.analysis import Analysis
+from fuzzygraph.model import micro_text, pair
 from fuzzygraph.samples import five_vertex_tree
 
 from conftest import fuzzy_graphs
@@ -246,10 +247,46 @@ def test_constructor_rejects_a_name_with_a_trailing_newline():
         FuzzyGraph({"a\n": M("1")}, {})
 
 
-def test_equal_grade_literals_parse_to_equal_grades():
+def test_constructor_rejects_a_string_as_an_edge_key():
+    with pytest.raises(TypeError, match="'ab'"):
+        FuzzyGraph({"a": M("1"), "b": M("1")}, {"ab": M("0.5")})
+
+
+@pytest.mark.parametrize(
+    "key", [("a",), ("a", "b", "c"), ("a", 1), (b"a", "b")]
+)
+def test_constructor_rejects_an_edge_key_that_is_not_a_pair_of_names(key):
+    with pytest.raises(TypeError) as info:
+        FuzzyGraph({"a": M("1"), "b": M("1"), "c": M("1")}, {key: M("0.5")})
+    assert repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "sigma", [{"a": M("1"), 1: M("1")}, {2: M("1"), "a": M("1")}]
+)
+def test_constructor_rejects_names_of_mixed_types_as_bad_names(sigma):
+    with pytest.raises(ValueError, match="bad vertex name"):
+        FuzzyGraph(sigma, {})
+
+
+def test_equal_grade_literals_parse_to_equal_grades(monkeypatch):
     g = parse_graph("v a 0.5\nv b 0.50\nv c 0.5\ne a b 0.500000\n")
     assert g.sigma("a") == g.sigma("b") == g.mu("a", "b") == M("0.5")
-    assert g.sigma("a") is g.sigma("c")
+    # parsing builds no Membership, however many distinct grades it reads
+    built = []
+    original = Membership.__post_init__
+
+    def counting(self):
+        built.append(self.micro)
+        original(self)
+
+    monkeypatch.setattr(Membership, "__post_init__", counting)
+    text = "".join(f"v n{i:03d} 0.{500_000 + i:06d}\n" for i in range(500))
+    text += "".join(
+        f"e n{i:03d} n{i + 1:03d} 0.{i + 1:06d}\n" for i in range(499)
+    )
+    assert parse_graph(text).edge_count == 499
+    assert built == []
     assert g.serialize() == "v a 0.5\nv b 0.5\nv c 0.5\ne a b 0.5\n"
 
 
@@ -370,6 +407,59 @@ def test_key_order_and_orientation_do_not_matter(g, rng):
     assert rebuilt.edge_pairs() == g.edge_pairs()
 
 
+_LABELS = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=3
+)
+
+
+@given(
+    fuzzy_graphs(max_vertices=8),
+    st.lists(_LABELS, min_size=8, max_size=8, unique=True),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_route_stores_the_name_ordered_arrays_analysis_reads(
+    g, labels, rng
+):
+    rename = dict(zip(g.vertices(), labels))
+    vertices = [(rename[name], g.sigma(name)) for name in g.vertices()]
+    edges = [(rename[u], rename[v], grade) for u, v, grade in g.edges()]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    edges = [
+        (v, u, grade) if rng.random() < 0.5 else (u, v, grade)
+        for u, v, grade in edges
+    ]
+    built = build_graph(vertices, edges)
+    names = built.vertices()
+    assert list(names) == sorted(rename.values())
+    grades = dict(vertices)
+    assert built.sigma_micro == tuple(grades[name].micro for name in names)
+    assert all(i < j for i, j in built.ends)
+    assert all(e < f for e, f in zip(built.ends, built.ends[1:]))
+    by_pair = {pair(u, v): grade.micro for u, v, grade in edges}
+    assert built.edge_pairs() == tuple(sorted(by_pair))
+    assert built.mu_micro == tuple(by_pair[key] for key in built.edge_pairs())
+    text = "".join(f"v {name} {grade}\n" for name, grade in vertices)
+    text += "".join(f"e {u} {v} {grade}\n" for u, v, grade in edges)
+    routes = [
+        built,
+        FuzzyGraph(grades, {(u, v): grade for u, v, grade in edges}),
+        parse_graph(built.serialize()),
+        parse_graph(text),
+        built.edge_subgraph(built.edge_pairs()),
+    ]
+    arrays = (names, built.sigma_micro, built.ends, built.mu_micro)
+    for h in routes:
+        assert (h.vertices(), h.sigma_micro, h.ends, h.mu_micro) == arrays
+        assert h == built
+        analysis = Analysis(h)
+        assert analysis.names is h.vertices()
+        assert analysis.sigma is h.sigma_micro
+        assert analysis.ends is h.ends
+        assert analysis.mu is h.mu_micro
+
+
 def test_round_trip_on_a_large_graph():
     g = random_sparse_graph(11, 2000, 4000)
     text = g.serialize()
@@ -390,6 +480,11 @@ def test_constructor_reports_the_first_bad_edge_in_key_order():
     del mu[("b", "b")]
     with pytest.raises(ZeroMuError, match="'c' 'd'"):
         FuzzyGraph(sigma, mu)
+    # an unknown endpoint is one more fault, ranked by its edge's key
+    with pytest.raises(SelfLoopError):
+        FuzzyGraph(sigma, {("e", "b"): M("0.1"), ("b", "b"): M("0.1")})
+    with pytest.raises(UnknownEndpointError, match="'ghost'"):
+        FuzzyGraph(sigma, {("c", "c"): M("0.1"), ("ghost", "a"): M("0.1")})
 
 
 def test_constructor_rejects_an_edge_keyed_in_both_orders():
