@@ -8,7 +8,9 @@ counterexample witness found.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -18,7 +20,7 @@ from .errors import BadParamsError, FuzzyGraphError, StrongDisconnectedError
 from .falsifier import ClaimId, ClaimVerdict, search_counterexamples
 from .model import FuzzyGraph, format_fraction, micro_text, parse_graph
 from .replication import replication_checks
-from .structure import SaturatedCycleSpec, maximum_spanning_tree
+from .structure import SaturatedCycleSpec
 
 _COROLLARY_NOTE = (
     "claim tested exactly as published; no auxiliary hypotheses assumed"
@@ -293,11 +295,10 @@ def _cmd_classify(args) -> tuple[int, str]:
 
 
 def _cmd_mst(args) -> tuple[int, str]:
-    g = _load(args.file)
-    tree = maximum_spanning_tree(g)
-    text = _MicroTexts()
-    grade = dict(zip(g.edge_pairs(), g.mu_micro))
-    rows = [(u, v, text[grade[u, v]]) for u, v in tree.edges]
+    analysis = Analysis(_load(args.file))
+    tree, names, text = analysis.spanning_tree(), analysis.names, _MicroTexts()
+    edges = zip(analysis.ends, analysis.mu, analysis.in_forest)
+    rows = [(names[i], names[j], text[w]) for (i, j), w, kept in edges if kept]
     if args.format == "json":
         doc = _base_doc()
         doc["mst"] = {
@@ -457,14 +458,22 @@ def main(argv: list[str] | None = None) -> int:
     except FuzzyGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output is None:
-        sys.stdout.write(text)
-        return code
     try:
-        Path(args.output).write_text(text, encoding="utf-8")
+        if args.output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(args.output).write_text(text, encoding="utf-8")
     except OSError as exc:
+        target = "stdout" if args.output is None else args.output
+        if args.output is None:
+            # on the null device, the flush at exit cannot fail again
+            with contextlib.suppress(OSError, ValueError):
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
         reason = exc.strerror or exc
-        print(f"error: cannot write {args.output}: {reason}", file=sys.stderr)
+        print(f"error: cannot write {target}: {reason}", file=sys.stderr)
         return 2
     return code
 

@@ -19,7 +19,6 @@ from typing import Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 from .errors import (
     DuplicateEdgeError,
     DuplicateVertexError,
-    FuzzyGraphError,
     GraphConstructionError,
     MuExceedsSigmaError,
     NoSuchEdgeError,
@@ -228,21 +227,34 @@ class FuzzyGraph:
             edges[key] = grade.micro
         self._fill(grades, edges)
 
+    @classmethod
+    def from_micro(
+        cls,
+        sigma: Mapping[VertexId, int],
+        mu: Mapping[tuple[VertexId, VertexId], int],
+    ) -> "FuzzyGraph":
+        """The graph of int micro-unit grades keyed as the constructor's
+        arguments are, built with its checks and no ``Membership``."""
+        return cls.__new__(cls)._fill(sigma, mu)
+
     def _fill(
         self,
         sigma: Mapping[VertexId, int],
         mu: Mapping[tuple[VertexId, VertexId], int],
     ) -> "FuzzyGraph":
-        """Validate and store micro-unit grades keyed as the constructor's
-        arguments are; every construction route runs it.  Raises for the
-        first bad vertex name, else the first pair given in both orders,
-        else the first bad edge in key order."""
-        for name in sigma:
+        """Validate and store int grades, once per graph on every route.
+        Raises for the first bad name or grade, else the first pair given
+        in both orders, else the first bad edge in key order."""
+        for name, grade in sigma.items():
             if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise ValueError(f"bad vertex name: {name!r}")
+            if type(grade) is not int or not 0 <= grade <= MICRO:
+                raise ValueError(f"sigma for {name!r} is not a grade")
         self._names = names = tuple(sorted({*sigma, *chain.from_iterable(mu)}))
         rank = {name: i for i, name in enumerate(names)}
         n, grades = len(names), list(mu.values())
+        if not {*map(type, grades)} <= {int}:
+            raise TypeError("edge grades must be ints")
         keys = [
             rank[u] * n + rank[v] if u < v else rank[v] * n + rank[u]
             for u, v in mu
@@ -259,20 +271,8 @@ class FuzzyGraph:
                 f"edge {names[a]!r} {names[b]!r} given in both orders"
             )
         for (a, b), w in zip(ends, mu):
-            if a < b and 0 < w <= sigma[a] and w <= sigma[b]:
-                continue
-            u, v, cap = names[a], names[b], min(sigma[a], sigma[b])
-            if a == b:
-                raise SelfLoopError(f"self loop at {u!r}")
-            if cap < 0:
-                name = u if sigma[a] < 0 else v
-                raise UnknownEndpointError(f"unknown vertex {name!r}")
-            if w == 0:
-                raise ZeroMuError(f"edge {u!r} {v!r} has zero grade")
-            raise MuExceedsSigmaError(
-                f"mu({u!r},{v!r}) = {micro_text(w)} exceeds min sigma "
-                f"({micro_text(cap)})"
-            )
+            if a == b or not 0 < w <= sigma[a] or w > sigma[b]:
+                raise _edge_error(names[a], names[b], w, sigma[a], sigma[b])
         return self
 
     @property
@@ -330,7 +330,7 @@ class FuzzyGraph:
         """Keep all vertices but only the listed edges."""
         mu = {pair(u, v): self.mu_micro[self._edge(u, v)] for u, v in pairs}
         sigma = dict(zip(self._names, self.sigma_micro))
-        return FuzzyGraph.__new__(FuzzyGraph)._fill(sigma, mu)
+        return FuzzyGraph.from_micro(sigma, mu)
 
     def serialize(self) -> str:
         """Canonical .fzg text; parsing it back reproduces this graph."""
@@ -352,6 +352,24 @@ class FuzzyGraph:
 
     def __repr__(self) -> str:
         return f"FuzzyGraph({self.vertex_count} vertices, {self.edge_count} edges)"
+
+
+def _edge_error(
+    u: VertexId, v: VertexId, w: int, su: int, sv: int
+) -> GraphConstructionError:
+    """The error of edge uv, u <= v, of grade w that fails a check, its
+    ends graded su and sv (-1 for a name no vertex has)."""
+    if u == v:
+        return SelfLoopError(f"self loop at {u!r}")
+    if su < 0 or sv < 0:
+        name = u if su < 0 else v
+        return UnknownEndpointError(f"unknown vertex {name!r}")
+    if w == 0:
+        return ZeroMuError(f"edge {u!r} {v!r} has zero grade")
+    return MuExceedsSigmaError(
+        f"mu({u!r},{v!r}) = {micro_text(w)} exceeds min sigma "
+        f"({micro_text(min(su, sv))})"
+    )
 
 
 @dataclass(frozen=True)
@@ -421,38 +439,20 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
             parse_graph(raw[: raw.rfind(b"\n", 0, exc.start) + 1])
             line = raw[: exc.start].count(b"\n") + 1
             raise ParseError("invalid UTF-8", line) from exc
-    sigma: dict[VertexId, int] = {}
-    mu: dict[tuple[VertexId, VertexId], int] = {}
-    edge_lines: list[int] = []
-    try:
-        _read_records(text, sigma, mu, edge_lines)
-        return FuzzyGraph.__new__(FuzzyGraph)._fill(sigma, mu)
-    except FuzzyGraphError:
-        # The reader stops at the first bad line and the constructor at
-        # the first bad edge in key order; an edge read before either
-        # may fail the constructor's checks on an earlier line.
-        for lineno, ((u, v), grade) in zip(edge_lines, mu.items()):
-            one_edge = FuzzyGraph.__new__(FuzzyGraph)
-            try:
-                one_edge._fill({u: sigma[u], v: sigma[v]}, {(u, v): grade})
-            except GraphConstructionError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-        raise
+    return FuzzyGraph.from_micro(*_read_records(text))
 
 
 def _read_records(
     text: str,
-    sigma: dict[VertexId, int],
-    mu: dict[tuple[VertexId, VertexId], int],
-    edge_lines: list[int],
-) -> None:
-    """Fill sigma and mu from .fzg text, edges under canonical keys in
-    file order, and record each edge's line number in edge_lines.
-
-    Checks the syntax, the names, declaration before use and
-    duplicates; the per-edge grade checks are the constructor's.  Each
-    distinct grade literal is parsed once, to micro-units.
+) -> tuple[dict[VertexId, int], dict[tuple[VertexId, VertexId], int]]:
+    """The vertex and edge grades of .fzg text, edges under canonical
+    keys in file order.  Each record is checked on its line: syntax,
+    names, declaration before use, duplicates and the constructor's
+    per-edge checks, so the first error is the earliest.  Each distinct
+    grade literal is parsed once, to micro-units.
     """
+    sigma: dict[VertexId, int] = {}
+    mu: dict[tuple[VertexId, VertexId], int] = {}
     grades: dict[str, int] = {}
     # str.split() splits on every whitespace character.  When the text
     # holds no whitespace besides spaces, tabs, newlines and a CR before
@@ -489,12 +489,12 @@ def _read_records(
                     lineno,
                 )
             _, u, v, literal = tokens
-            for name in (u, v):
-                if name not in sigma:
-                    raise UnknownEndpointError(
-                        f"line {lineno}: edge references undeclared vertex "
-                        f"{ascii(name)}"
-                    )
+            su, sv = sigma.get(u), sigma.get(v)
+            if su is None or sv is None:
+                raise UnknownEndpointError(
+                    f"line {lineno}: edge references undeclared vertex "
+                    f"{ascii(u if su is None else v)}"
+                )
         elif kind.startswith("#"):
             continue
         else:
@@ -512,13 +512,17 @@ def _read_records(
                 )
             sigma[name] = grade
         else:
-            key = (u, v) if u <= v else (v, u)
-            if key in mu:
+            if u > v:
+                u, v, su, sv = v, u, sv, su
+            if (u, v) in mu:
                 raise DuplicateEdgeError(
-                    f"line {lineno}: edge {key[0]!r} {key[1]!r} declared twice"
+                    f"line {lineno}: edge {u!r} {v!r} declared twice"
                 )
-            mu[key] = grade
-            edge_lines.append(lineno)
+            if u == v or not 0 < grade <= su or grade > sv:
+                exc = _edge_error(u, v, grade, su, sv)
+                raise type(exc)(f"line {lineno}: {exc}")
+            mu[u, v] = grade
+    return sigma, mu
 
 
 def _checked_line(line: str, lineno: int) -> str:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations
 
 from .analysis import Analysis, GraphKind, SpanningTree, path_min, root_forest
 from .errors import BadParamsError, BadSpecError
-from .model import ONE, FuzzyGraph, Membership, VertexId, build_graph
+from .model import MICRO, FuzzyGraph, Membership, VertexId
 
 _GRID = 10_000  # micro-units per 0.01 step used by the random generator
 
@@ -84,21 +85,17 @@ def _vertex_names(n: int) -> list[VertexId]:
 def make_saturated_cycle(spec: SaturatedCycleSpec) -> FuzzyGraph:
     """Even cycle v0..v(n-1), sigma 1 everywhere, grades kappa/eta alternating."""
     names = _vertex_names(spec.n)
-    edges = []
-    for i in range(spec.n):
-        grade = spec.kappa if i % 2 == 0 else spec.eta
-        edges.append((names[i], names[(i + 1) % spec.n], grade))
-    return build_graph([(name, ONE) for name in names], edges)
+    grades = [spec.kappa.micro, spec.eta.micro] * (spec.n // 2)
+    mu = dict(zip(zip(names, names[1:] + names[:1]), grades))
+    return FuzzyGraph.from_micro(dict.fromkeys(names, MICRO), mu)
 
 
 def _decode_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves: list[int] = []
-    for i in range(n):
-        if degree[i] == 1:
-            heappush(leaves, i)
+    # ascending, so already a heap
+    leaves = [i for i in range(n) if degree[i] == 1]
     edges = []
     for x in seq:
         leaf = heappop(leaves)
@@ -145,26 +142,18 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         rng.randrange(1, min(sigma[i], sigma[j]) // _GRID + 1) * _GRID
         for i, j in tree_pairs
     ]
-    vertices = [(name, Membership(grade)) for name, grade in zip(names, sigma)]
-    edges = [
-        (names[i], names[j], Membership(grade))
-        for (i, j), grade in zip(tree_pairs, mu)
-    ]
+    vertices = dict(zip(names, sigma))
+    edges = {(names[i], names[j]): w for (i, j), w in zip(tree_pairs, mu)}
     if extra_edges == 0:
         # nothing below draws from rng then, so this is the same graph
-        return build_graph(vertices, edges)
+        return FuzzyGraph.from_micro(vertices, edges)
     adj: list[list[tuple[int, int]]] = [[] for _ in names]
     for e, (i, j) in enumerate(tree_pairs):
         adj[i].append((j, e))
         adj[j].append((i, e))
     rooted = root_forest(adj)
     in_tree = set(tree_pairs)
-    candidates = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in in_tree
-    ]
+    candidates = [ij for ij in combinations(range(n), 2) if ij not in in_tree]
     rng.shuffle(candidates)
     added = 0
     for i, j in candidates:
@@ -174,8 +163,6 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         limit = path_min(rooted, mu, i, j) // _GRID
         if limit <= 1:
             continue
-        edges.append(
-            (names[i], names[j], Membership(rng.randrange(1, limit) * _GRID))
-        )
+        edges[names[i], names[j]] = rng.randrange(1, limit) * _GRID
         added += 1
-    return build_graph(vertices, edges)
+    return FuzzyGraph.from_micro(vertices, edges)

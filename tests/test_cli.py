@@ -25,6 +25,7 @@ from fuzzygraph import (
     graph_kind,
     maximum_spanning_tree,
     parse_graph,
+    random_fuzzy_tree,
     strength_of_connectedness,
     wiener_index,
 )
@@ -469,6 +470,36 @@ def test_non_ascii_digit_grade_exits_2_with_one_ascii_line(
     assert captured.err.startswith("error: line 2: not a grade literal: ")
     assert captured.err.count("\n") == 1
     assert captured.err.isascii()
+
+
+@pytest.mark.parametrize(
+    "command, size, read", [("classify", 20000, 1), ("kind", 5, 0)]
+)
+def test_a_closed_stdout_pipe_exits_2_with_one_error_line(
+    tmp_path, command, size, read
+):
+    # classify writes a report far larger than a pipe buffer into the
+    # pipe closed after one byte; kind's short report waits in stdout's
+    # buffer for the flush, and the pipe is closed before it is written
+    path = tmp_path / "tree.fzg"
+    path.write_text(random_fuzzy_tree(0, size, 0).serialize())
+    # an unbuffered stdout drops what the closed pipe refuses without
+    # an error, so the child runs with the default buffering
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fuzzygraph", command, str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------- one parser for many calls

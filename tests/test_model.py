@@ -11,6 +11,7 @@ from fuzzygraph import (
     DuplicateEdgeError,
     DuplicateVertexError,
     FuzzyGraph,
+    GraphConstructionError,
     Membership,
     MuExceedsSigmaError,
     NoSuchEdgeError,
@@ -230,6 +231,84 @@ def test_the_first_error_in_file_order_is_reported():
     with pytest.raises(ParseError) as info:
         parse_graph(b"v a 1\nv b 1\ne a b 0.5\nv \xff 1\n")
     assert info.value.line == 4
+
+
+def _counting_fill(monkeypatch) -> list[int]:
+    """Wrap FuzzyGraph._fill; the list gets each call's edge count."""
+    calls: list[int] = []
+    original = FuzzyGraph._fill
+
+    def counting(self, sigma, mu):
+        calls.append(len(mu))
+        return original(self, sigma, mu)
+
+    monkeypatch.setattr(FuzzyGraph, "_fill", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ("e c c 0.1", SelfLoopError),
+        ("e c a 0", ZeroMuError),
+        ("e d a 0.6", MuExceedsSigmaError),
+        ("e b a 0.2", DuplicateEdgeError),
+        ("e a z 0.1", UnknownEndpointError),
+    ],
+)
+def test_a_bad_record_fails_on_its_line_without_the_core(
+    monkeypatch, record, error
+):
+    calls = _counting_fill(monkeypatch)
+    text = "v a 0.5\nv b 1\nv c 1\nv d 1\ne a b 0.1\n"
+    with pytest.raises(error, match="^line 6: "):
+        parse_graph(f"{text}{record}\ne c d 0.3\n")
+    assert calls == []
+    assert parse_graph(text).edge_count == 1
+    assert calls == [1]
+
+
+def _corrupt(line: str, previous: str, sigma: dict[str, int], how: int) -> str:
+    """An edge record made invalid on its own line, given the record
+    before it and the vertex grades."""
+    _, u, v, grade = line.split()
+    if how == 1 and previous.startswith("e "):
+        _, a, b, _ = previous.split()
+        return f"e {b} {a} {grade}"
+    if how == 2 and min(sigma[u], sigma[v]) < MICRO:
+        return f"e {u} {v} {micro_text(min(sigma[u], sigma[v]) + 1)}"
+    return [
+        f"e {u} {u} {grade}",
+        f"e {u} {v} 0",
+        f"e {u} ghost {grade}",
+        f"e {u} {v} 0.1234567",
+        f"e {u} {v}",
+    ][how % 5]
+
+
+@given(
+    fuzzy_graphs(min_vertices=2, max_vertices=7, connected=True),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_earliest_corrupted_edge_line_is_reported(g, data):
+    original = g.serialize().splitlines()
+    lines = list(original)
+    sigma = dict(zip(g.vertices(), g.sigma_micro))
+    first = g.vertex_count
+    chosen = data.draw(
+        st.sets(st.integers(first, len(lines) - 1), min_size=1, max_size=2)
+    )
+    # the lines before the earliest corrupted one are the original,
+    # valid ones, so that line holds the first error
+    for k in chosen:
+        how = data.draw(st.integers(0, 6))
+        lines[k] = _corrupt(original[k], original[k - 1], sigma, how)
+    text = "\n".join(lines) + "\n"
+    for source in (text, text.encode("ascii")):
+        with pytest.raises((ParseError, GraphConstructionError)) as info:
+            parse_graph(source)
+        assert str(info.value).startswith(f"line {min(chosen) + 1}: ")
 
 
 @pytest.mark.parametrize("name", ["\u00e9", "a\u00e9", "a\x01", "a\x7f"])
@@ -458,6 +537,34 @@ def test_every_route_stores_the_name_ordered_arrays_analysis_reads(
         assert analysis.sigma is h.sigma_micro
         assert analysis.ends is h.ends
         assert analysis.mu is h.mu_micro
+
+
+@given(fuzzy_graphs(max_vertices=8))
+@settings(max_examples=100, deadline=None)
+def test_from_micro_builds_the_constructors_graph(g):
+    sigma = dict(zip(g.vertices(), g.sigma_micro))
+    mu = {(v, u): grade for (u, v), grade in zip(g.edge_pairs(), g.mu_micro)}
+    assert FuzzyGraph.from_micro(sigma, mu) == g
+    assert FuzzyGraph.from_micro(sigma, mu).serialize() == g.serialize()
+
+
+@pytest.mark.parametrize(
+    "sigma, mu, error",
+    [
+        ({"a": MICRO + 1}, {}, ValueError),
+        ({"a": -1}, {}, ValueError),
+        ({"a": 0.5}, {}, ValueError),
+        ({"a": True}, {}, ValueError),
+        ({"a": MICRO, "b": MICRO}, {("a", "b"): 0.5}, TypeError),
+        ({"a": MICRO, "b": MICRO}, {("a", "b"): True}, TypeError),
+        ({"a": MICRO, "b": 10}, {("a", "b"): 11}, MuExceedsSigmaError),
+        ({"a": MICRO}, {("a", "b"): 1}, UnknownEndpointError),
+        ({"a b": MICRO}, {}, ValueError),
+    ],
+)
+def test_from_micro_rejects_bad_names_grades_and_edges(sigma, mu, error):
+    with pytest.raises(error):
+        FuzzyGraph.from_micro(sigma, mu)
 
 
 def test_round_trip_on_a_large_graph():

@@ -243,6 +243,21 @@ def test_random_fuzzy_tree_matches_the_reference_generator():
         ), (seed, n, extra)
 
 
+def test_generators_build_no_membership(monkeypatch):
+    spec = SaturatedCycleSpec(12, M("0.6"), M("0.2"))
+    built = []
+    original = Membership.__post_init__
+
+    def counting(self):
+        built.append(self.micro)
+        original(self)
+
+    monkeypatch.setattr(Membership, "__post_init__", counting)
+    assert random_fuzzy_tree(0, 200, 20).edge_count == 219
+    assert make_saturated_cycle(spec).edge_count == 12
+    assert built == []
+
+
 def test_random_fuzzy_tree_param_validation():
     with pytest.raises(BadParamsError):
         random_fuzzy_tree(1, 1, 0)
