@@ -434,6 +434,22 @@ _COMMANDS = {
 }
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it; OSError when some byte is not
+    taken.  An unbuffered stdout's text layer drops what a short write
+    leaves, so the bytes go to its binary layer until all are taken."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        out = sys.stdout
+        out.write(text)
+    else:
+        sys.stdout.flush()  # text already written goes first
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[out.write(data) :]
+    out.flush()
+
+
 # Built on the first call to main and reused by later calls in the same
 # process; parse_args keeps no state between calls.
 _parser: argparse.ArgumentParser | None = None
@@ -460,8 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.output is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write_stdout(text)
         else:
             Path(args.output).write_text(text, encoding="utf-8")
     except OSError as exc:

@@ -195,7 +195,11 @@ class FuzzyGraph:
     edge grade is strictly positive and does not exceed the minimum of
     its endpoint grades.  Vertices with sigma 0 are allowed; they can
     carry no edges.  Edge keys are pairs of names, in either order but
-    not both orders at once.
+    not both orders at once.  Each route checks these once: the
+    constructor, ``from_micro`` and the generators in ``_fill``,
+    ``parse_graph`` record by record; ``remove_edge`` and
+    ``edge_subgraph`` keep pairs of a checked graph.  All of them lay
+    the graph out with ``_layout``.
 
     The graph is stored once, in name order: vertex i is the i-th of the
     sorted ``vertices()``, with grade ``sigma_micro[i]``; edge e joins
@@ -219,9 +223,6 @@ class FuzzyGraph:
             grades[name] = grade.micro
         edges: dict[tuple[VertexId, VertexId], int] = {}
         for key, grade in mu.items():
-            u, v = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
-            if not isinstance(u, str) or not isinstance(v, str):
-                raise TypeError(f"edge key {key!r} is not a pair of names")
             if not isinstance(grade, Membership):
                 raise TypeError(f"mu for {key!r} must be a Membership")
             edges[key] = grade.micro
@@ -242,37 +243,55 @@ class FuzzyGraph:
         sigma: Mapping[VertexId, int],
         mu: Mapping[tuple[VertexId, VertexId], int],
     ) -> "FuzzyGraph":
-        """Validate and store int grades, once per graph on every route.
-        Raises for the first bad name or grade, else the first pair given
-        in both orders, else the first bad edge in key order."""
+        """Check int grades from a caller and lay them out, once per graph:
+        the route of the constructor, ``from_micro`` and the generators.
+        Raises for the first edge key that is not a pair of names, else
+        the first bad name or grade, else the first pair given in both
+        orders, else the first bad edge in key order."""
+        for key in mu:
+            u, v = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
+            if not isinstance(u, str) or not isinstance(v, str):
+                raise TypeError(f"edge key {key!r} is not a pair of names")
         for name, grade in sigma.items():
             if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise ValueError(f"bad vertex name: {name!r}")
             if type(grade) is not int or not 0 <= grade <= MICRO:
                 raise ValueError(f"sigma for {name!r} is not a grade")
-        self._names = names = tuple(sorted({*sigma, *chain.from_iterable(mu)}))
-        rank = {name: i for i, name in enumerate(names)}
-        n, grades = len(names), list(mu.values())
-        if not {*map(type, grades)} <= {int}:
+        if not {*map(type, mu.values())} <= {int}:
             raise TypeError("edge grades must be ints")
-        keys = [
-            rank[u] * n + rank[v] if u < v else rank[v] * n + rank[u]
-            for u, v in mu
-        ]
-        by_key = sorted(range(len(keys)), key=keys.__getitem__)
-        # -1 marks a name only an edge uses
-        self.sigma_micro = sigma = tuple(map(sigma.get, names, repeat(-1)))
-        ordered = map(keys.__getitem__, by_key)
-        self.ends = ends = tuple(map(divmod, ordered, repeat(n)))
-        self.mu_micro = mu = tuple(map(grades.__getitem__, by_key))
+        self._layout(sigma, mu, {*sigma, *chain.from_iterable(mu)})
+        names, sigma, ends = self._names, self.sigma_micro, self.ends
         if len(set(ends)) < len(ends):
             a, b = next(e for e, last in zip(ends[1:], ends) if e == last)
             raise DuplicateEdgeError(
                 f"edge {names[a]!r} {names[b]!r} given in both orders"
             )
-        for (a, b), w in zip(ends, mu):
+        for (a, b), w in zip(ends, self.mu_micro):
             if a == b or not 0 < w <= sigma[a] or w > sigma[b]:
                 raise _edge_error(names[a], names[b], w, sigma[a], sigma[b])
+        return self
+
+    def _layout(
+        self,
+        sigma: Mapping[VertexId, int],
+        mu: Mapping[tuple[VertexId, VertexId], int],
+        names: Iterable[VertexId] | None = None,
+    ) -> "FuzzyGraph":
+        """Store int grades keyed by name, checking nothing: the one core
+        of every route.  ``names`` holds every name, by default sigma's;
+        a name sigma lacks gets grade -1, which ``_fill`` reports."""
+        self._names = names = tuple(sorted(sigma if names is None else names))
+        rank = {name: i for i, name in enumerate(names)}
+        n, grades = len(names), list(mu.values())
+        keys = [
+            rank[u] * n + rank[v] if u < v else rank[v] * n + rank[u]
+            for u, v in mu
+        ]
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        self.sigma_micro = tuple(map(sigma.get, names, repeat(-1)))
+        ordered = map(keys.__getitem__, by_key)
+        self.ends = tuple(map(divmod, ordered, repeat(n)))
+        self.mu_micro = tuple(map(grades.__getitem__, by_key))
         return self
 
     @property
@@ -330,7 +349,8 @@ class FuzzyGraph:
         """Keep all vertices but only the listed edges."""
         mu = {pair(u, v): self.mu_micro[self._edge(u, v)] for u, v in pairs}
         sigma = dict(zip(self._names, self.sigma_micro))
-        return FuzzyGraph.from_micro(sigma, mu)
+        # every pair is an edge of this checked graph
+        return FuzzyGraph.__new__(FuzzyGraph)._layout(sigma, mu)
 
     def serialize(self) -> str:
         """Canonical .fzg text; parsing it back reproduces this graph."""
@@ -428,7 +448,8 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
     are printable ASCII without spaces.  Every error names its line:
     syntax problems raise ParseError, structural ones the build_graph
     errors with a ``line N:`` prefix.  When a file has several errors,
-    the one on the earliest line is raised.
+    the one on the earliest line is raised.  The records are checked
+    once, as they are read, and laid out with no second check.
     """
     if isinstance(text, (bytes, bytearray)):
         raw = bytes(text)
@@ -439,7 +460,8 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
             parse_graph(raw[: raw.rfind(b"\n", 0, exc.start) + 1])
             line = raw[: exc.start].count(b"\n") + 1
             raise ParseError("invalid UTF-8", line) from exc
-    return FuzzyGraph.from_micro(*_read_records(text))
+    # _read_records checks everything _fill would check
+    return FuzzyGraph.__new__(FuzzyGraph)._layout(*_read_records(text))
 
 
 def _read_records(

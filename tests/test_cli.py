@@ -473,19 +473,26 @@ def test_non_ascii_digit_grade_exits_2_with_one_ascii_line(
 
 
 @pytest.mark.parametrize(
-    "command, size, read", [("classify", 20000, 1), ("kind", 5, 0)]
+    "command, size, read, unbuffered",
+    [
+        pytest.param("classify", 20000, 1, False, id="classify-20000-1"),
+        pytest.param("kind", 5, 0, False, id="kind-5-0"),
+        pytest.param("classify", 20000, 1, True, id="classify-20000-1-unbuffered"),
+    ],
 )
 def test_a_closed_stdout_pipe_exits_2_with_one_error_line(
-    tmp_path, command, size, read
+    tmp_path, command, size, read, unbuffered
 ):
     # classify writes a report far larger than a pipe buffer into the
     # pipe closed after one byte; kind's short report waits in stdout's
-    # buffer for the flush, and the pipe is closed before it is written
+    # buffer for the flush, and the pipe is closed before it is written.
+    # Unbuffered, stdout's text layer hands each write straight to the
+    # pipe, which takes part of the report before the reader closes it.
     path = tmp_path / "tree.fzg"
     path.write_text(random_fuzzy_tree(0, size, 0).serialize())
-    # an unbuffered stdout drops what the closed pipe refuses without
-    # an error, so the child runs with the default buffering
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "fuzzygraph", command, str(path)],
         stdout=subprocess.PIPE,
@@ -796,13 +803,13 @@ def test_falsify_leaves_the_size_defaults_to_the_library(
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_falsify_builds_each_witness_cycle_once(capsys, monkeypatch, fmt):
     built = []
-    original = FuzzyGraph._fill
+    original = FuzzyGraph._layout
 
-    def counting(self, sigma, mu):
+    def counting(self, sigma, mu, *names):
         built.append(len(sigma))
-        return original(self, sigma, mu)
+        return original(self, sigma, mu, *names)
 
-    monkeypatch.setattr(FuzzyGraph, "_fill", counting)
+    monkeypatch.setattr(FuzzyGraph, "_layout", counting)
     code, _ = run_cli(capsys, "--format", fmt, "falsify", "theorem-star")
     assert code == 0
     # 5 even lengths 4..12, 45 gradings each, one cycle per spec
@@ -813,17 +820,17 @@ def test_falsify_corollary_star_builds_one_graph_per_trial(
     capsys, monkeypatch
 ):
     built, analysed = [], []
-    build, analyse = FuzzyGraph._fill, analysis.Analysis.__init__
+    build, analyse = FuzzyGraph._layout, analysis.Analysis.__init__
 
-    def counting_build(self, sigma, mu):
+    def counting_build(self, sigma, mu, *names):
         built.append(len(sigma))
-        return build(self, sigma, mu)
+        return build(self, sigma, mu, *names)
 
     def counting_analyse(self, g):
         analysed.append(g)
         analyse(self, g)
 
-    monkeypatch.setattr(FuzzyGraph, "_fill", counting_build)
+    monkeypatch.setattr(FuzzyGraph, "_layout", counting_build)
     monkeypatch.setattr(analysis.Analysis, "__init__", counting_analyse)
     code, _ = run_cli(
         capsys, "falsify", "corollary-star",

@@ -90,16 +90,16 @@ def test_corollary_star_analyses_each_graph_once(monkeypatch):
 def test_corollary_star_builds_no_graph(monkeypatch):
     g = random_fuzzy_tree(5, 8, 2)
     built = []
-    original = FuzzyGraph._fill
+    original = FuzzyGraph._layout
 
-    def counting(self, sigma, mu):
+    def counting(self, sigma, mu, *names):
         built.append(len(sigma))
-        return original(self, sigma, mu)
+        return original(self, sigma, mu, *names)
 
     def refuse(self, pairs):
         raise AssertionError("edge_subgraph called")
 
-    monkeypatch.setattr(FuzzyGraph, "_fill", counting)
+    monkeypatch.setattr(FuzzyGraph, "_layout", counting)
     monkeypatch.setattr(FuzzyGraph, "edge_subgraph", refuse)
     verdict = check_corollary_star(g)
     assert built == []

@@ -26,7 +26,7 @@ from fuzzygraph import (
     path_record,
 )
 from fuzzygraph.analysis import Analysis
-from fuzzygraph.model import micro_text, pair
+from fuzzygraph.model import _read_records, micro_text, pair
 from fuzzygraph.samples import five_vertex_tree
 
 from conftest import fuzzy_graphs
@@ -234,15 +234,16 @@ def test_the_first_error_in_file_order_is_reported():
 
 
 def _counting_fill(monkeypatch) -> list[int]:
-    """Wrap FuzzyGraph._fill; the list gets each call's edge count."""
+    """Wrap FuzzyGraph._layout, the core every route lays a graph out
+    with; the list gets each call's edge count."""
     calls: list[int] = []
-    original = FuzzyGraph._fill
+    original = FuzzyGraph._layout
 
-    def counting(self, sigma, mu):
+    def counting(self, sigma, mu, *names):
         calls.append(len(mu))
-        return original(self, sigma, mu)
+        return original(self, sigma, mu, *names)
 
-    monkeypatch.setattr(FuzzyGraph, "_fill", counting)
+    monkeypatch.setattr(FuzzyGraph, "_layout", counting)
     return calls
 
 
@@ -309,6 +310,44 @@ def test_the_earliest_corrupted_edge_line_is_reported(g, data):
         with pytest.raises((ParseError, GraphConstructionError)) as info:
             parse_graph(source)
         assert str(info.value).startswith(f"line {min(chosen) + 1}: ")
+
+
+@given(fuzzy_graphs(max_vertices=7), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_parser_admits_only_graphs_the_checks_admit(g, data):
+    # parse_graph lays the records out unchecked, trusting the reader
+    lines = g.serialize().splitlines()
+    sigma = dict(zip(g.vertices(), g.sigma_micro))
+    first = g.vertex_count
+    edges = data.draw(st.permutations(lines[first:]))
+    for k, line in enumerate(edges):
+        if data.draw(st.booleans()):
+            _, u, v, grade = line.split()
+            edges[k] = f"e {v} {u} {grade}"
+    if edges and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(edges) - 1))
+        previous = edges[k - 1] if k else lines[first - 1]
+        how = data.draw(st.integers(0, 6))
+        edges[k] = _corrupt(edges[k], previous, sigma, how)
+    text = "\n".join(lines[:first] + edges) + "\n"
+    try:
+        parsed = parse_graph(text)
+    except (ParseError, GraphConstructionError):
+        return
+    checked = FuzzyGraph.from_micro(*_read_records(text))
+    assert parsed == checked
+    assert parsed.serialize() == checked.serialize()
+
+
+def test_parse_graph_runs_no_check_of_fill(monkeypatch):
+    def refuse(self, sigma, mu):
+        raise AssertionError("_fill called")
+
+    g = random_sparse_graph(3, 40, 60)
+    text = g.serialize()
+    monkeypatch.setattr(FuzzyGraph, "_fill", refuse)
+    assert parse_graph(text) == g
+    assert parse_graph(text.encode("ascii")) == g
 
 
 @pytest.mark.parametrize("name", ["\u00e9", "a\u00e9", "a\x01", "a\x7f"])
@@ -565,6 +604,12 @@ def test_from_micro_builds_the_constructors_graph(g):
 def test_from_micro_rejects_bad_names_grades_and_edges(sigma, mu, error):
     with pytest.raises(error):
         FuzzyGraph.from_micro(sigma, mu)
+
+
+@pytest.mark.parametrize("key", ["ab", ("a",), ("a", "b", "c"), ("a", 1)])
+def test_from_micro_rejects_an_edge_key_that_is_not_a_pair_of_names(key):
+    with pytest.raises(TypeError, match="is not a pair of names$"):
+        FuzzyGraph.from_micro({"a": MICRO, "b": MICRO}, {key: 5})
 
 
 def test_round_trip_on_a_large_graph():
