@@ -243,10 +243,7 @@ def _cmd_indices(args) -> tuple[int, str]:
         doc = _base_doc()
         doc["wiener"] = None if wiener is None else format_fraction(wiener)
         doc["connectivity"] = connectivity
-        doc["pairs"] = [
-            {"u": u, "v": v, "conn": conn, "ds": ds}
-            for u, v, conn, ds in pairs
-        ]
+        doc["pairs"] = _Rows(("u", "v", "conn", "ds"), pairs)
         doc["kind"] = _kind_json(kind)
         doc["warnings"] = warnings
         return code, _json_text(doc)
@@ -285,10 +282,7 @@ def _cmd_classify(args) -> tuple[int, str]:
     ]
     if args.format == "json":
         doc = _base_doc()
-        doc["edges"] = [
-            {"u": u, "v": v, "mu": grade, "class": name, "residual": res}
-            for u, v, grade, name, res in rows
-        ]
+        doc["edges"] = _Rows(("u", "v", "mu", "class", "residual"), rows)
         return 0, _json_text(doc)
     lines = [" ".join(row) for row in rows]
     return 0, "\n".join(lines) + ("\n" if lines else "")
@@ -302,7 +296,7 @@ def _cmd_mst(args) -> tuple[int, str]:
     if args.format == "json":
         doc = _base_doc()
         doc["mst"] = {
-            "edges": [{"u": u, "v": v, "mu": grade} for u, v, grade in rows],
+            "edges": _Rows(("u", "v", "mu"), rows),
             "total_strength": format_fraction(tree.total_strength),
         }
         return 0, _json_text(doc)
@@ -380,12 +374,25 @@ def _cmd_falsify(args) -> tuple[int, str]:
     return code, "\n".join(lines) + "\n"
 
 
+class _Rows:
+    """A JSON list of objects that share their keys (one or more, all
+    distinct), held as one tuple of values per object: strings, or None
+    for null."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: tuple[str, ...], rows: list[tuple]):
+        self.keys, self.rows = keys, rows
+
+
 def _json_text(doc: dict) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for documents
-    of dicts with string keys, lists, strings and other JSON scalars.
+    of dicts with string keys, lists, strings and other JSON scalars,
+    where a ``_Rows`` stands for its list of objects.
 
     With an indent the json module drops its C encoder for a pure-Python
-    one; here only the layout is Python and strings are escaped in C.
+    one; here strings are escaped in C, and each ``_Rows`` list is laid
+    out from one template, so Python walks only the rest of the document.
     """
     out: list[str] = []
     _render(doc, "\n", out)
@@ -420,6 +427,24 @@ def _render(value, newline: str, out: list[str]) -> None:
             _render(item, inner, out)
             lead = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, _Rows):
+        if not value.rows:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        # one object's layout; a "%" in a key is doubled for the % operator
+        members = [
+            f"{inner}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+            for key in value.keys
+        ]
+        item = "{" + ",".join(members) + inner + "}"
+        template = f",{inner}".join([item] * len(value.rows))
+        fields = [
+            "null" if field is None else encode_basestring_ascii(field)
+            for row in value.rows
+            for field in row
+        ]
+        out.append(f"[{inner}{template % tuple(fields)}{newline}]")
     else:
         out.append(json.dumps(value))
 

@@ -32,8 +32,6 @@ MICRO = 10**6
 
 VertexId = str
 
-# ASCII digits only: \d would also match other scripts' decimal digits.
-_GRADE_RE = re.compile(r"([0-9]+)(?:\.([0-9]{1,6}))?")
 # Vertex names: printable ASCII without spaces, so every report stays ASCII.
 _NAME_RE = re.compile(r"[!-~]+")
 # Whitespace that str.split() splits on besides space, tab and newline:
@@ -58,10 +56,13 @@ class Membership:
 
     @classmethod
     def parse(cls, text: str) -> "Membership":
-        """Parse a decimal literal with at most six fractional digits.
+        """Parse a decimal literal: ASCII digits, optionally followed by
+        ``.`` and one to six digits.  The whole part may have any length
+        and leading zeros (``parse("000.5")`` is 0.5).
 
         Parsing is exact: ``parse("0.1")`` yields precisely 100000
-        micro-units.  Raises ValueError for anything else.
+        micro-units.  Raises ValueError for anything else, and for a
+        value above 1.
         """
         return cls(_literal_micro(text))
 
@@ -81,23 +82,27 @@ ONE = Membership(MICRO)
 
 def _literal_micro(text: str) -> int:
     """The micro-unit count of a grade literal; see ``Membership.parse``."""
-    match = _GRADE_RE.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not a grade literal: {ascii(text)}")
-    whole, frac = match.group(1), match.group(2) or ""
-    micro = int(whole) * MICRO + int(frac.ljust(6, "0") or "0")
-    if micro > MICRO:
+    whole, dot, frac = text.partition(".")
+    # ASCII only: str.isdigit also holds for other scripts' digits and
+    # for superscripts
+    if text.isascii() and whole.isdigit() and (
+        not dot or frac.isdigit() and len(frac) <= 6
+    ):
+        # two significant whole digits are above 1; checked before int(),
+        # which refuses strings of more than 4,300 digits
+        whole = whole.lstrip("0")
+        if len(whole) < 2:
+            micro = int(whole + frac.ljust(6, "0"))
+            if micro <= MICRO:
+                return micro
         raise ValueError(f"grade above 1: {ascii(text)}")
-    return micro
+    raise ValueError(f"not a grade literal: {ascii(text)}")
 
 
 def micro_text(micro: int) -> str:
     """A non-negative micro-unit count as the shortest exact decimal;
     equals ``format_fraction(Fraction(micro, MICRO))``."""
-    whole, frac = divmod(micro, MICRO)
-    if frac == 0:
-        return str(whole)
-    return f"{whole}.{f'{frac:06d}'.rstrip('0')}"
+    return ("%d.%06d" % divmod(micro, MICRO)).rstrip("0").rstrip(".")
 
 
 def format_fraction(value: Fraction) -> str:

@@ -573,34 +573,75 @@ def test_json_text_is_json_dumps_with_indent_2(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+@st.composite
+def row_lists(draw) -> tuple[tuple[str, ...], list[tuple]]:
+    key = _STRINGS | st.just("%s")
+    keys = draw(st.lists(key, min_size=1, max_size=4, unique=True))
+    field = st.none() | _STRINGS | st.sampled_from(["%s", "%%", "%(u)s"])
+    rows = draw(st.lists(st.tuples(*[field] * len(keys)), max_size=4))
+    return tuple(keys), rows
+
+
+@given(row_lists(), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_row_lists_render_as_json_dumps_with_indent_2(row_list, depth):
+    keys, rows = row_list
+    doc = cli._Rows(keys, rows)
+    expected = [dict(zip(keys, row)) for row in rows]
+    for _ in range(depth):  # nest the list to move its indent
+        doc, expected = {"rows": [doc]}, {"rows": [expected]}
+    want = json.dumps({"x": expected}, indent=2) + "\n"
+    assert cli._json_text({"x": doc}) == want
+
+
 _QUOTED_NAMES = (
     'v "a 1\nv b\\ 0.7\nv c\\" 0.25\nv d 0.5\n'
     'e "a b\\ 0.7\ne b\\ c\\" 0.25\ne "a c\\" 0.2\ne "a d 0.5\n'
 )
 
 
+_GRAPHS = {
+    "QUOTED": _QUOTED_NAMES,
+    # c has no strong path to a or b: indices has no WI and two null d_s
+    "DISCONNECTED": "v a 1\nv b 1\nv c 0.5\ne a b 0.5\n",
+    "EDGELESS": "v a 0.5\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["indices", "GRAPH"],
-        ["classify", "GRAPH"],
-        ["mst", "GRAPH"],
-        ["kind", "GRAPH"],
+        ["indices", "QUOTED"],
+        ["classify", "QUOTED"],
+        ["mst", "QUOTED"],
+        ["kind", "QUOTED"],
         ["repro"],
         ["falsify", "corollary-star", "--trials", "5", "--seed", "1"],
         ["falsify", "theorem-star", "--n", "4..6", "--trials", "2"],
+        ["indices", "DISCONNECTED"],
+        ["classify", "DISCONNECTED"],
+        ["indices", "EDGELESS"],
+        ["classify", "EDGELESS"],
+        ["mst", "EDGELESS"],
     ],
 )
 def test_every_json_report_is_json_dumps_with_indent_2(tmp_path, capsys, argv):
-    graph = tmp_path / "quoted.fzg"
-    graph.write_text(_QUOTED_NAMES)
-    names_shown = "GRAPH" in argv and argv[0] != "kind"
-    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    command, graph = argv[0], argv[-1]
+    if graph in _GRAPHS:
+        path = tmp_path / "graph.fzg"
+        path.write_text(_GRAPHS[graph])
+        argv = [command, str(path)]
     code, out = run_cli(capsys, "--format", "json", *argv)
-    assert code == 0
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    if names_shown:
+    assert code == (3 if (command, graph) == ("indices", "DISCONNECTED") else 0)
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    if graph == "QUOTED" and command != "kind":
         assert '"b\\\\"' in out and '"c\\\\\\""' in out
+    if (command, graph) == ("indices", "DISCONNECTED"):
+        assert [row["ds"] for row in doc["pairs"]] == ["0.5", None, None]
+    if graph == "EDGELESS":
+        rows = doc["mst"]["edges"] if command == "mst" else doc.get("edges", [])
+        assert (rows, doc["pairs"]) == ([], [])
 
 
 # ------------------------------------------- CLI tables and the public API

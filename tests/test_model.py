@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzygraph import (
@@ -26,7 +27,13 @@ from fuzzygraph import (
     path_record,
 )
 from fuzzygraph.analysis import Analysis
-from fuzzygraph.model import _read_records, micro_text, pair
+from fuzzygraph.model import (
+    ONE,
+    _literal_micro,
+    _read_records,
+    micro_text,
+    pair,
+)
 from fuzzygraph.samples import five_vertex_tree
 
 from conftest import fuzzy_graphs
@@ -79,6 +86,73 @@ def test_parse_graph_rejects_non_ascii_digit_grades(text, line):
     with pytest.raises(ParseError) as info:
         parse_graph(text)
     assert info.value.line == line
+
+
+# longer than the 4,300 digits Python converts between int and str
+_ZEROS_THEN_ONE = "0" * 5000 + "1"
+_FIVE_THOUSAND_ONES = "1" * 5000
+
+
+def test_a_grade_literal_of_any_length_parses():
+    assert M(_ZEROS_THEN_ONE) == ONE
+    assert M(_ZEROS_THEN_ONE + ".000") == ONE
+    assert parse_graph(f"v a {_ZEROS_THEN_ONE}\n").sigma_micro == (MICRO,)
+
+
+def test_a_long_grade_above_1_is_reported_as_such():
+    with pytest.raises(ValueError, match="^grade above 1: '1111"):
+        M(_FIVE_THOUSAND_ONES)
+    with pytest.raises(ParseError, match="^line 2: grade above 1: '1111"):
+        parse_graph(f"v a 1\nv b {_FIVE_THOUSAND_ONES}\n")
+
+
+_REFERENCE_GRADE_RE = re.compile(r"([0-9]+)(?:\.([0-9]{1,6}))?")
+
+
+def _reference_literal_micro(text: str) -> int:
+    """The regex route the reader used before, for literals of at most a
+    few hundred digits."""
+    match = _REFERENCE_GRADE_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a grade literal: {ascii(text)}")
+    whole, frac = match.group(1), match.group(2) or ""
+    micro = int(whole) * MICRO + int(frac.ljust(6, "0") or "0")
+    if micro > MICRO:
+        raise ValueError(f"grade above 1: {ascii(text)}")
+    return micro
+
+
+_LITERAL_CHARS = st.sampled_from([*"0123456789.+-_ ", "\u0661", "\xb2"])
+_LITERALS = st.text(_LITERAL_CHARS, max_size=10) | st.builds(
+    "{}{}{}{}".format,
+    st.text("0", max_size=8),  # leading zeros
+    st.text("0123456789", max_size=2),  # an empty whole part too
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=7),  # up to 7 fractional digits
+)
+
+
+@given(_LITERALS)
+@example("007.5")
+@example("0.1234567")
+@example(".5")
+@example("5.")
+@example("+1")
+@example("-0")
+@example("1_0")
+@example("0. 5")
+@example("\u0661")
+@example("0.\xb2")
+@settings(max_examples=1000, deadline=None)
+def test_literal_micro_agrees_with_the_regex_route(text):
+    try:
+        expected = _reference_literal_micro(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _literal_micro(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert _literal_micro(text) == expected
 
 
 @given(st.integers(0, 10**12))
