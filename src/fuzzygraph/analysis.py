@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul
 from typing import Sequence
 
@@ -488,18 +488,22 @@ class Analysis:
             name for name, grade in zip(self.names, self.sigma) if grade == 0
         )
 
-    def spanning_tree(self) -> SpanningTree:
-        """The maximum spanning forest as a tree; DisconnectedError when
-        the graph is empty or not crisp-connected."""
+    def require_spanning_tree(self) -> None:
+        """Raise DisconnectedError when the graph is empty or not
+        crisp-connected: then the forest is no spanning tree."""
         if not self.names:
             raise DisconnectedError("empty graph has no spanning tree")
         if self.components > 1:
             raise DisconnectedError("graph is not crisp-connected")
-        chosen = [e for e, kept in enumerate(self.in_forest) if kept]
-        names, ends = self.names, self.ends
+
+    def spanning_tree(self) -> SpanningTree:
+        """The maximum spanning forest as a tree; DisconnectedError when
+        the graph is empty or not crisp-connected."""
+        self.require_spanning_tree()
+        names, kept = self.names, self.in_forest
         return SpanningTree(
-            tuple((names[ends[e][0]], names[ends[e][1]]) for e in chosen),
-            Fraction(sum(self.mu[e] for e in chosen), MICRO),
+            tuple((names[i], names[j]) for i, j in compress(self.ends, kept)),
+            Fraction(sum(compress(self.mu, kept)), MICRO),
         )
 
     def is_fuzzy_forest(self) -> bool:

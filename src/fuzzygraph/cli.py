@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -175,7 +176,7 @@ def _verdict_json(verdict: ClaimVerdict) -> dict:
     if isinstance(verdict.instance, SaturatedCycleSpec):
         spec = verdict.instance
         instance.update(n=spec.n, kappa=str(spec.kappa), eta=str(spec.eta))
-    instance["fzg"] = verdict.graph.serialize()
+    instance["fzg"] = verdict.fzg
     return doc
 
 
@@ -190,7 +191,7 @@ def _verdict_lines(index: int, verdict: ClaimVerdict) -> list[str]:
         for name, value in verdict.detail.items()
     )
     lines.append(f"  {detail}")
-    lines += [f"  {line}" for line in verdict.graph.serialize().splitlines()]
+    lines += [f"  {line}" for line in verdict.fzg.splitlines()]
     return lines
 
 
@@ -290,18 +291,20 @@ def _cmd_classify(args) -> tuple[int, str]:
 
 def _cmd_mst(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
-    tree, names, text = analysis.spanning_tree(), analysis.names, _MicroTexts()
-    edges = zip(analysis.ends, analysis.mu, analysis.in_forest)
-    rows = [(names[i], names[j], text[w]) for (i, j), w, kept in edges if kept]
+    analysis.require_spanning_tree()
+    names, mu, kept = analysis.names, analysis.mu, analysis.in_forest
+    text, total = _MicroTexts(), micro_text(sum(compress(mu, kept)))
+    edges = compress(zip(analysis.ends, mu), kept)
+    rows = [(names[i], names[j], text[w]) for (i, j), w in edges]
     if args.format == "json":
         doc = _base_doc()
         doc["mst"] = {
             "edges": _Rows(("u", "v", "mu"), rows),
-            "total_strength": format_fraction(tree.total_strength),
+            "total_strength": total,
         }
         return 0, _json_text(doc)
     lines = [" ".join(row) for row in rows]
-    lines.append(f"total = {format_fraction(tree.total_strength)}")
+    lines.append(f"total = {total}")
     return 0, "\n".join(lines) + "\n"
 
 

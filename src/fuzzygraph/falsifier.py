@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -56,6 +57,11 @@ class ClaimVerdict:
     def size(self) -> int:
         return self.graph.vertex_count
 
+    @cached_property
+    def fzg(self) -> str:
+        """The .fzg text of ``graph``, serialized once, on first use."""
+        return self.graph.serialize()
+
 
 def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
     """Evaluate WI(G) = WI(F) = CI(F) on a fuzzy tree.
@@ -68,7 +74,8 @@ def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
     Raises NotAFuzzyTreeError or DisconnectedError.
     """
     analysis = Analysis(g)
-    if analysis.fuzzy_tree_mst() is None:
+    analysis.require_spanning_tree()
+    if not analysis.is_fuzzy_forest():
         raise NotAFuzzyTreeError("corollary-star applies to fuzzy trees only")
     wi_g = analysis.wiener()
     wi_f = analysis.forest_wiener()
@@ -108,7 +115,7 @@ def _canonical_key(verdict: ClaimVerdict) -> tuple[int, str]:
     if isinstance(verdict.instance, SaturatedCycleSpec):
         spec = verdict.instance
         return (spec.n, f"cycle n={spec.n} kappa={spec.kappa} eta={spec.eta}")
-    return (verdict.instance.vertex_count, verdict.instance.serialize())
+    return (verdict.size, verdict.fzg)
 
 
 def _sweep_specs(size_range: tuple[int, int]) -> Iterator[SaturatedCycleSpec]:

@@ -114,22 +114,14 @@ def format_fraction(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    d = den
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
+    # den divides a power of ten only if it is 2^a 5^b, with a and b
+    # below its bit length; den > 1, so the fraction part is not zero
+    places = den.bit_length()
+    if 10**places % den:
         return f"{num}/{den}"
-    places = max(twos, fives)
     sign = "-" if num < 0 else ""
-    scaled = abs(num) * 10**places // den
-    whole, frac = divmod(scaled, 10**places)
-    digits = f"{frac:0{places}d}".rstrip("0")
-    return f"{sign}{whole}.{digits}" if digits else f"{sign}{whole}"
+    whole, frac = divmod(abs(num) * 10**places // den, 10**places)
+    return f"{sign}{whole}.{frac:0{places}d}".rstrip("0")
 
 
 def pair(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
@@ -203,8 +195,10 @@ class FuzzyGraph:
     not both orders at once.  Each route checks these once: the
     constructor, ``from_micro`` and the generators in ``_fill``,
     ``parse_graph`` record by record; ``remove_edge`` and
-    ``edge_subgraph`` keep pairs of a checked graph.  All of them lay
-    the graph out with ``_layout``.
+    ``edge_subgraph`` keep edges of a checked graph.  All of them lay
+    the graph out with ``_layout``, one core over ints: vertices by
+    declaration index, edges keyed ``du << 32 | dv``, so a graph holds
+    fewer than 2**32 vertices.
 
     The graph is stored once, in name order: vertex i is the i-th of the
     sorted ``vertices()``, with grade ``sigma_micro[i]``; edge e joins
@@ -264,39 +258,46 @@ class FuzzyGraph:
                 raise ValueError(f"sigma for {name!r} is not a grade")
         if not {*map(type, mu.values())} <= {int}:
             raise TypeError("edge grades must be ints")
-        self._layout(sigma, mu, {*sigma, *chain.from_iterable(mu)})
-        names, sigma, ends = self._names, self.sigma_micro, self.ends
-        if len(set(ends)) < len(ends):
-            a, b = next(e for e, last in zip(ends[1:], ends) if e == last)
-            raise DuplicateEdgeError(
-                f"edge {names[a]!r} {names[b]!r} given in both orders"
-            )
-        for (a, b), w in zip(ends, self.mu_micro):
+        # sigma's names, then those only an edge names, graded -1 below
+        names = [*dict.fromkeys(chain(sigma, chain.from_iterable(mu)))]
+        index = dict(zip(names, range(len(names))))
+        keys = [
+            index[u] << 32 | index[v] if u < v else index[v] << 32 | index[u]
+            for u, v in mu
+        ]
+        keyed = dict(zip(keys, mu.values()))
+        if len(keyed) < len(keys):
+            a, b = min(pair(u, v) for u, v in mu if u != v and (v, u) in mu)
+            raise DuplicateEdgeError(f"edge {a!r} {b!r} given in both orders")
+        self._layout(names, [*map(sigma.get, names, repeat(-1))], keyed)
+        names, sigma = self._names, self.sigma_micro
+        for (a, b), w in zip(self.ends, self.mu_micro):
             if a == b or not 0 < w <= sigma[a] or w > sigma[b]:
                 raise _edge_error(names[a], names[b], w, sigma[a], sigma[b])
         return self
 
     def _layout(
-        self,
-        sigma: Mapping[VertexId, int],
-        mu: Mapping[tuple[VertexId, VertexId], int],
-        names: Iterable[VertexId] | None = None,
+        self, names: list[VertexId], sigma: list[int], mu: dict[int, int]
     ) -> "FuzzyGraph":
-        """Store int grades keyed by name, checking nothing: the one core
-        of every route.  ``names`` holds every name, by default sigma's;
-        a name sigma lacks gets grade -1, which ``_fill`` reports."""
-        self._names = names = tuple(sorted(sigma if names is None else names))
-        rank = {name: i for i, name in enumerate(names)}
-        n, grades = len(names), list(mu.values())
-        keys = [
-            rank[u] * n + rank[v] if u < v else rank[v] * n + rank[u]
-            for u, v in mu
-        ]
-        by_key = sorted(range(len(keys)), key=keys.__getitem__)
-        self.sigma_micro = tuple(map(sigma.get, names, repeat(-1)))
-        ordered = map(keys.__getitem__, by_key)
-        self.ends = tuple(map(divmod, ordered, repeat(n)))
-        self.mu_micro = tuple(map(grades.__getitem__, by_key))
+        """Store a graph given by declaration index, checking nothing: the
+        one core of every route.  Vertex k is ``names[k]``, graded
+        ``sigma[k]``; ``mu`` maps ``du << 32 | dv``, ``names[du] <
+        names[dv]``, to the grade of edge du dv.  Names already in
+        order (every serialized file) skip the remap to name order."""
+        order = sorted(names)
+        if order != names:
+            by_name = sorted(range(len(names)), key=names.__getitem__)
+            rank = dict(zip(by_name, range(len(names))))
+            sigma = [*map(sigma.__getitem__, by_name)]
+            mu = {
+                rank[k >> 32] << 32 | rank[k & 0xFFFFFFFF]: w
+                for k, w in mu.items()
+            }
+        keys = sorted(mu)
+        self._names = tuple(order)
+        self.sigma_micro = tuple(sigma)
+        self.ends = tuple(map(divmod, keys, repeat(1 << 32)))
+        self.mu_micro = tuple(map(mu.__getitem__, keys))
         return self
 
     @property
@@ -345,17 +346,21 @@ class FuzzyGraph:
 
     def remove_edge(self, u: VertexId, v: VertexId) -> "FuzzyGraph":
         """Return a copy without edge uv; this graph is unchanged."""
-        e, pairs = self._edge(u, v), self.edge_pairs()
-        return self.edge_subgraph(pairs[:e] + pairs[e + 1 :])
+        e = self._edge(u, v)
+        return self._keep(chain(range(e), range(e + 1, self.edge_count)))
 
     def edge_subgraph(
         self, pairs: Iterable[tuple[VertexId, VertexId]]
     ) -> "FuzzyGraph":
         """Keep all vertices but only the listed edges."""
-        mu = {pair(u, v): self.mu_micro[self._edge(u, v)] for u, v in pairs}
-        sigma = dict(zip(self._names, self.sigma_micro))
-        # every pair is an edge of this checked graph
-        return FuzzyGraph.__new__(FuzzyGraph)._layout(sigma, mu)
+        return self._keep(self._edge(u, v) for u, v in pairs)
+
+    def _keep(self, kept: Iterable[int]) -> "FuzzyGraph":
+        """All vertices and the edges of these indices, unchecked."""
+        ends, mu = self.ends, self.mu_micro
+        keyed = {ends[e][0] << 32 | ends[e][1]: mu[e] for e in kept}
+        graph = FuzzyGraph.__new__(FuzzyGraph)
+        return graph._layout([*self._names], [*self.sigma_micro], keyed)
 
     def serialize(self) -> str:
         """Canonical .fzg text; parsing it back reproduces this graph."""
@@ -469,17 +474,17 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
     return FuzzyGraph.__new__(FuzzyGraph)._layout(*_read_records(text))
 
 
-def _read_records(
-    text: str,
-) -> tuple[dict[VertexId, int], dict[tuple[VertexId, VertexId], int]]:
-    """The vertex and edge grades of .fzg text, edges under canonical
-    keys in file order.  Each record is checked on its line: syntax,
-    names, declaration before use, duplicates and the constructor's
-    per-edge checks, so the first error is the earliest.  Each distinct
-    grade literal is parsed once, to micro-units.
+def _read_records(text: str) -> tuple[list[VertexId], list[int], dict[int, int]]:
+    """The vertex names and grades of .fzg text in declaration order and
+    its edge grades keyed by declaration index, as ``_layout`` takes
+    them.  Each record is checked on its line: syntax, names,
+    declaration before use, duplicates and the constructor's per-edge
+    checks, so the first error is the earliest.  Each distinct grade
+    literal is parsed once, to micro-units.
     """
-    sigma: dict[VertexId, int] = {}
-    mu: dict[tuple[VertexId, VertexId], int] = {}
+    index: dict[VertexId, int] = {}
+    sigma: list[int] = []
+    mu: dict[int, int] = {}
     grades: dict[str, int] = {}
     # str.split() splits on every whitespace character.  When the text
     # holds no whitespace besides spaces, tabs, newlines and a CR before
@@ -502,7 +507,8 @@ def _read_records(
                     lineno,
                 )
             _, name, literal = tokens
-            if _NAME_RE.fullmatch(name) is None:
+            # a token holds no whitespace, so this is _NAME_RE
+            if not (name.isascii() and name.isprintable()):
                 raise ParseError(
                     f"bad vertex name {ascii(name)}: names are printable "
                     "ASCII without spaces",
@@ -516,11 +522,11 @@ def _read_records(
                     lineno,
                 )
             _, u, v, literal = tokens
-            su, sv = sigma.get(u), sigma.get(v)
-            if su is None or sv is None:
+            du, dv = index.get(u), index.get(v)
+            if du is None or dv is None:
                 raise UnknownEndpointError(
                     f"line {lineno}: edge references undeclared vertex "
-                    f"{ascii(u if su is None else v)}"
+                    f"{ascii(u if du is None else v)}"
                 )
         elif kind.startswith("#"):
             continue
@@ -533,23 +539,25 @@ def _read_records(
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
         if kind == "v":
-            if name in sigma:
+            if name in index:
                 raise DuplicateVertexError(
                     f"line {lineno}: vertex {name!r} declared twice"
                 )
-            sigma[name] = grade
+            index[name] = len(sigma)
+            sigma.append(grade)
         else:
             if u > v:
-                u, v, su, sv = v, u, sv, su
-            if (u, v) in mu:
+                u, v, du, dv = v, u, dv, du
+            key = du << 32 | dv
+            if key in mu:
                 raise DuplicateEdgeError(
                     f"line {lineno}: edge {u!r} {v!r} declared twice"
                 )
-            if u == v or not 0 < grade <= su or grade > sv:
-                exc = _edge_error(u, v, grade, su, sv)
+            if du == dv or not 0 < grade <= sigma[du] or grade > sigma[dv]:
+                exc = _edge_error(u, v, grade, sigma[du], sigma[dv])
                 raise type(exc)(f"line {lineno}: {exc}")
-            mu[u, v] = grade
-    return sigma, mu
+            mu[key] = grade
+    return [*index], sigma, mu
 
 
 def _checked_line(line: str, lineno: int) -> str:

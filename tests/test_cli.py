@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzygraph import (
+    DisconnectedError,
     FuzzyGraph,
     Membership,
     StrongDisconnectedError,
+    check_corollary_star,
     classify_edges,
     connectivity_index,
     ds_bruteforce,
@@ -201,6 +203,35 @@ def test_mst_errors_on_disconnected_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+def test_mst_and_corollary_star_build_no_tree_of_names(
+    tmp_path, capsys, monkeypatch
+):
+    g = random_fuzzy_tree(2, 30, 5)
+    tree = maximum_spanning_tree(g)
+    expected = [f"{u} {v} {g.mu(u, v)}" for u, v in tree.edges]
+    expected.append(f"total = {format_fraction(tree.total_strength)}")
+
+    def refuse(self):
+        raise AssertionError("spanning_tree called")
+
+    monkeypatch.setattr(analysis.Analysis, "spanning_tree", refuse)
+    path = tmp_path / "tree.fzg"
+    path.write_text(g.serialize())
+    code, out = run_cli(capsys, "mst", str(path))
+    assert code == 0
+    assert out.splitlines() == expected
+    assert check_corollary_star(g).detail["wi_g"] == wiener_index(g)
+    for text, error in [
+        ("", "empty graph has no spanning tree"),
+        ("v a 1\nv b 1\n", "graph is not crisp-connected"),
+    ]:
+        path.write_text(text)
+        assert main(["mst", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        with pytest.raises(DisconnectedError, match=f"^{error}$"):
+            check_corollary_star(parse_graph(text))
 
 
 # ---------------------------------------------------------------------- kind
@@ -846,9 +877,9 @@ def test_falsify_builds_each_witness_cycle_once(capsys, monkeypatch, fmt):
     built = []
     original = FuzzyGraph._layout
 
-    def counting(self, sigma, mu, *names):
-        built.append(len(sigma))
-        return original(self, sigma, mu, *names)
+    def counting(self, names, sigma, mu):
+        built.append(len(names))
+        return original(self, names, sigma, mu)
 
     monkeypatch.setattr(FuzzyGraph, "_layout", counting)
     code, _ = run_cli(capsys, "--format", fmt, "falsify", "theorem-star")
@@ -863,9 +894,9 @@ def test_falsify_corollary_star_builds_one_graph_per_trial(
     built, analysed = [], []
     build, analyse = FuzzyGraph._layout, analysis.Analysis.__init__
 
-    def counting_build(self, sigma, mu, *names):
-        built.append(len(sigma))
-        return build(self, sigma, mu, *names)
+    def counting_build(self, names, sigma, mu):
+        built.append(len(names))
+        return build(self, names, sigma, mu)
 
     def counting_analyse(self, g):
         analysed.append(g)
@@ -881,3 +912,26 @@ def test_falsify_corollary_star_builds_one_graph_per_trial(
     # one generated tree per trial, analysed once
     assert len(built) == 20
     assert len(analysed) == 20
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_falsify_serializes_each_witness_once(capsys, monkeypatch, fmt):
+    texts = []
+    original = FuzzyGraph.serialize
+
+    def counting(self):
+        texts.append(original(self))
+        return texts[-1]
+
+    monkeypatch.setattr(FuzzyGraph, "serialize", counting)
+    code, out = run_cli(
+        capsys, "--format", fmt, "falsify", "corollary-star",
+        "--trials", "20", "--sizes", "3..10", "--seed", "5",
+    )
+    assert code == 0
+    if fmt == "json":
+        witnesses = len(json.loads(out)["verdicts"])
+    else:
+        witnesses = out.count(", holds=false, ")
+    # sorting the witnesses and rendering them share one text each
+    assert len(texts) == witnesses > 1

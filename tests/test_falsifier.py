@@ -92,9 +92,9 @@ def test_corollary_star_builds_no_graph(monkeypatch):
     built = []
     original = FuzzyGraph._layout
 
-    def counting(self, sigma, mu, *names):
-        built.append(len(sigma))
-        return original(self, sigma, mu, *names)
+    def counting(self, names, sigma, mu):
+        built.append(len(names))
+        return original(self, names, sigma, mu)
 
     def refuse(self, pairs):
         raise AssertionError("edge_subgraph called")

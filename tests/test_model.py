@@ -35,6 +35,11 @@ from fuzzygraph.model import (
     pair,
 )
 from fuzzygraph.samples import five_vertex_tree
+from fuzzygraph.structure import (
+    SaturatedCycleSpec,
+    make_saturated_cycle,
+    random_fuzzy_tree,
+)
 
 from conftest import fuzzy_graphs
 from support import random_sparse_graph
@@ -186,6 +191,38 @@ def test_format_fraction_exact_decimal():
     assert format_fraction(Fraction(-37, 5)) == "-7.4"
 
 
+def _format_fraction_by_factoring(value: Fraction) -> str:
+    """format_fraction as it counted the factors 2 and 5 of the
+    denominator, kept to pin the bit-length route to it."""
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
+    d, twos, fives = den, 0, 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    while d % 5 == 0:
+        d, fives = d // 5, fives + 1
+    if d != 1:
+        return f"{num}/{den}"
+    places = max(twos, fives)
+    whole, frac = divmod(abs(num) * 10**places // den, 10**places)
+    digits = f"{frac:0{places}d}".rstrip("0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{whole}.{digits}" if digits else f"{sign}{whole}"
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(0, 70),
+    st.integers(0, 70),
+    st.sampled_from([1, 1, 1, 3, 7, 9, 11, 1023]),
+)
+@settings(max_examples=500, deadline=None)
+def test_format_fraction_matches_factoring_the_denominator(num, a, b, odd):
+    value = Fraction(num, 2**a * 5**b * odd)
+    assert format_fraction(value) == _format_fraction_by_factoring(value)
+
+
 def test_build_five_vertex_tree():
     g = five_vertex_tree()
     assert g.vertex_count == 5
@@ -313,9 +350,9 @@ def _counting_fill(monkeypatch) -> list[int]:
     calls: list[int] = []
     original = FuzzyGraph._layout
 
-    def counting(self, sigma, mu, *names):
+    def counting(self, names, sigma, mu):
         calls.append(len(mu))
-        return original(self, sigma, mu, *names)
+        return original(self, names, sigma, mu)
 
     monkeypatch.setattr(FuzzyGraph, "_layout", counting)
     return calls
@@ -408,9 +445,18 @@ def test_the_parser_admits_only_graphs_the_checks_admit(g, data):
         parsed = parse_graph(text)
     except (ParseError, GraphConstructionError):
         return
-    checked = FuzzyGraph.from_micro(*_read_records(text))
+    checked = FuzzyGraph.from_micro(*_name_keyed(*_read_records(text)))
     assert parsed == checked
     assert parsed.serialize() == checked.serialize()
+
+
+def _name_keyed(names, sigma, mu):
+    """The maps ``from_micro`` takes, from the index-keyed records that
+    ``_read_records`` returns."""
+    return (
+        dict(zip(names, sigma)),
+        {(names[k >> 32], names[k & 0xFFFFFFFF]): w for k, w in mu.items()},
+    )
 
 
 def test_parse_graph_runs_no_check_of_fill(monkeypatch):
@@ -637,6 +683,10 @@ def test_every_route_stores_the_name_ordered_arrays_analysis_reads(
     routes = [
         built,
         FuzzyGraph(grades, {(u, v): grade for u, v, grade in edges}),
+        FuzzyGraph.from_micro(
+            {name: grade.micro for name, grade in vertices},
+            {(u, v): grade.micro for u, v, grade in edges},
+        ),
         parse_graph(built.serialize()),
         parse_graph(text),
         built.edge_subgraph(built.edge_pairs()),
@@ -650,6 +700,79 @@ def test_every_route_stores_the_name_ordered_arrays_analysis_reads(
         assert analysis.sigma is h.sigma_micro
         assert analysis.ends is h.ends
         assert analysis.mu is h.mu_micro
+
+
+def _arrays(g: FuzzyGraph) -> tuple:
+    return g.vertices(), g.sigma_micro, g.ends, g.mu_micro
+
+
+@given(
+    fuzzy_graphs(max_vertices=8),
+    st.lists(_LABELS, min_size=8, max_size=8, unique=True),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_records_in_any_order_parse_to_the_from_micro_graph(g, labels, rng):
+    rename = dict(zip(g.vertices(), labels))
+    sigma = dict(zip(map(rename.get, g.vertices()), g.sigma_micro))
+    order = list(sigma)
+    rng.shuffle(order)
+    position = {name: k for k, name in enumerate(order)}
+    # each edge line goes somewhere after both of its endpoints' lines
+    after: list[list[str]] = [[] for _ in order]
+    mu = {}
+    for (u, v), grade in zip(g.edge_pairs(), g.mu_micro):
+        u, v = rename[u], rename[v]
+        if rng.random() < 0.5:
+            u, v = v, u
+        mu[u, v] = grade
+        slot = rng.randint(max(position[u], position[v]), len(order) - 1)
+        after[slot].append(f"e {u} {v} {micro_text(grade)}")
+    lines = []
+    for name, edges in zip(order, after):
+        rng.shuffle(edges)
+        lines += [f"v {name} {micro_text(sigma[name])}", *edges]
+    parsed = parse_graph("\n".join(lines) + "\n")
+    assert _arrays(parsed) == _arrays(FuzzyGraph.from_micro(sigma, mu))
+    assert list(parsed.vertices()) == sorted(sigma)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_fuzzy_tree(3, 40, 0),
+        random_fuzzy_tree(4, 30, 25),
+        make_saturated_cycle(SaturatedCycleSpec(12, M("0.7"), M("0.3"))),
+    ],
+    ids=["tree", "tree-with-extra-edges", "saturated-cycle"],
+)
+def test_every_route_lays_out_a_generated_graph_alike(g):
+    sigma = dict(zip(g.vertices(), g.sigma_micro))
+    mu = dict(zip(g.edge_pairs(), g.mu_micro))
+    lines = g.serialize().splitlines()
+    declared = lines[: g.vertex_count]
+    reversed_text = "\n".join(declared[::-1] + lines[g.vertex_count :]) + "\n"
+    routes = [
+        FuzzyGraph(
+            {name: Membership(w) for name, w in sigma.items()},
+            {key: Membership(w) for key, w in mu.items()},
+        ),
+        FuzzyGraph.from_micro(sigma, mu),
+        FuzzyGraph.from_micro(
+            dict(reversed(sigma.items())),
+            {(v, u): w for (u, v), w in mu.items()},
+        ),
+        parse_graph(g.serialize()),
+        parse_graph(reversed_text),
+        g.edge_subgraph(g.edge_pairs()),
+    ]
+    for h in routes:
+        assert _arrays(h) == _arrays(g)
+    u, v = g.edge_pairs()[len(mu) // 2]
+    rest = {key: w for key, w in mu.items() if key != (u, v)}
+    expected = FuzzyGraph.from_micro(sigma, rest)
+    assert _arrays(g.remove_edge(v, u)) == _arrays(expected)
+    assert _arrays(g.edge_subgraph(rest)) == _arrays(expected)
 
 
 @given(fuzzy_graphs(max_vertices=8))
