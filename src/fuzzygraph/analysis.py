@@ -22,21 +22,20 @@ Kruskal on integer micro-units:
   (Tarjan 1982).
 
 Classifying every edge costs O(m log m) plus one forest path walk per
-edge outside F.  The index sums build no pair table.  The Kruskal pass
-itself sums the connectivity index CI, one multiply-add per merge.  The
-Wiener index WI costs O(n) on a fuzzy tree, whose strong subgraph is F,
-and otherwise one block decomposition of the strong subgraph: O(1) per
-bridge, O(k) per cycle block of k edges, and one Dijkstra per vertex
-only inside the other blocks.  The same two sums over F alone give
-WI(F) and CI(F) of the forest as a graph on its own, with no second
-graph or pass.  The all-pairs CONN and d_s rows cost O(n^2) and more
-and are built only for callers that print them; ``pair_sum`` over them
-is what such a caller prints and the reference the index sums are
-tested against, and no other answer reads them.  The per-edge
-remove-and-recompute route lives on in the oracle module as a
-reference.  The connectivity, indices and structure modules are views
-over ``Analysis``; ``root_forest`` and ``path_min`` are the forest walks
-it shares with ``structure.random_fuzzy_tree``.
+edge outside F.  The Kruskal pass itself sums the connectivity index CI,
+one multiply-add per merge.  The Wiener index WI costs O(n) on a fuzzy
+tree, whose strong subgraph is F, and otherwise one block decomposition
+of the strong subgraph: O(1) per bridge, O(k) per cycle block of k
+edges, and one Dijkstra per vertex only inside the other blocks.  The
+same two sums over F alone give WI(F) and CI(F) of the forest as a graph
+on its own, with no second graph or pass.  The all-pairs CONN and d_s
+rows, built only for callers that print them, come from the same two
+decompositions: each Kruskal merge sets CONN and each strong block d_s
+across the parts it joins, O(n^2) stores in all plus the Dijkstra runs
+inside blocks.  The per-edge remove-and-recompute route lives on in the
+oracle module as a reference.  The connectivity, indices and structure
+modules are views over ``Analysis``; ``root_forest`` and ``path_min``
+are the forest walks it shares with ``structure.random_fuzzy_tree``.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DisconnectedError, StrongDisconnectedError
 from .model import MICRO, FuzzyGraph, VertexId
@@ -57,6 +56,9 @@ _SUM_SCALE = MICRO**3
 
 # (parent, parent edge, depth, preorder) of the rooted forest
 Rooted = tuple[list[int], list[int], list[int], list[int]]
+# the edges (from, to, grade) of a strong block, in the order the DFS
+# pushed them: first the tree edge from the top of the block
+Block = list[tuple[int, int, int]]
 
 
 class EdgeClass(Enum):
@@ -92,9 +94,7 @@ def _edge_class(grade: int, residual: int) -> EdgeClass:
     return EdgeClass.DELTA
 
 
-def _dijkstra(
-    adj: list[list[tuple[int, int]]], source: int
-) -> list[int | None]:
+def _dijkstra(adj: list[list[tuple[int, int]]], source: int) -> list[int]:
     dist: list[int | None] = [None] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
@@ -110,27 +110,40 @@ def _dijkstra(
     return dist
 
 
-def _block_sum(
-    block: list[tuple[int, int, int]],
-    up: list[int],
-    sub: list[int],
-    whole: int,
-) -> int:
+def _block_vertices(block: Block) -> list[int]:
+    """The vertices of a block of two or more edges, top first: the tails
+    of its tree and back edges, in order around it for a cycle."""
+    return [*dict.fromkeys([a for a, _, _ in block])]
+
+
+def _block_distances(vertices: list[int], block: Block) -> Iterator[list]:
+    """d_B between the ``vertices`` of block B, by position: one Dijkstra
+    over the edges of B per source, run as its row is read."""
+    index = {x: i for i, x in enumerate(vertices)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
+    for a, b, grade in block:
+        adj[index[a]].append((index[b], grade))
+        adj[index[b]].append((index[a], grade))
+    return map(_dijkstra, repeat(adj), range(len(adj)))
+
+
+def _block_sum(block: Block, weight: list[int], whole: int) -> int:
     """Sum of d_B(x, y) W_B(x) W_B(y) over the pairs of one block B with
-    two or more edges, given its edges (from, to, grade) in the order the
-    DFS pushed them; the first is the tree edge from the top of B."""
+    two or more edges, given W_B(x) as ``weight[x]`` for each vertex x
+    of B but its top t; W_B(t) is ``whole`` less their sum.  Merges
+    their weights into ``weight[t]``."""
+    vertices = _block_vertices(block)
+    part = [weight[x] for x in vertices]
+    rest = sum(part) - part[0]
+    weight[vertices[0]] += rest
+    part[0] = whole - rest
     k = len(block)
-    if sum(up[b] == a for a, b, _ in block) == k - 1:
-        # |E_B| = |V_B|: a cycle.  The DFS walks it from the top, so its
-        # tree edges are pushed as a path and the one back edge closes it.
-        order = [a for a, _, _ in block]
-        weight = [whole - sub[order[1]]]
-        weight += [sub[a] - sub[b] for a, b in zip(order[1:], order[2:])]
-        weight.append(sub[order[-1]])
+    if len(vertices) == k:
+        # |E_B| = |V_B|: a cycle, its vertices in order around it
         position = list(accumulate((g for _, _, g in block[:-1]), initial=0))
         length = position[-1] + block[-1][2]
-        cw = list(accumulate(weight, initial=0))
-        cpw = list(accumulate(map(mul, position, weight), initial=0))
+        cw = list(accumulate(part, initial=0))
+        cpw = list(accumulate(map(mul, position, part), initial=0))
         # pairs (i, j <= r) take the arc forward, pairs (i, j > r) the
         # arc back through the top; r only grows with i
         total = r = 0
@@ -139,29 +152,26 @@ def _block_sum(
                 r += 1
             near = cpw[r + 1] - cpw[i + 1] - here * (cw[r + 1] - cw[i + 1])
             far = (length + here) * (cw[k] - cw[r + 1]) - (cpw[k] - cpw[r + 1])
-            total += weight[i] * (near + far)
+            total += part[i] * (near + far)
         return total
-    index: dict[int, int] = {}
-    for a, b, _ in block:
-        index.setdefault(a, len(index))
-        index.setdefault(b, len(index))
-    weight = [0] * len(index)
-    weight[0] = whole  # the top
-    adj: list[list[tuple[int, int]]] = [[] for _ in index]
-    for a, b, grade in block:
-        ia, ib = index[a], index[b]
-        adj[ia].append((ib, grade))
-        adj[ib].append((ia, grade))
-        if up[b] == a:
-            weight[ib] += sub[b]
-            weight[ia] -= sub[b]
     total = 0
-    for source in range(len(adj) - 1):
-        dist = _dijkstra(adj, source)
-        total += weight[source] * sum(
-            map(mul, weight[source + 1 :], dist[source + 1 :])
-        )
+    # the last source adds no pair, so zip never runs its Dijkstra
+    for s, row in zip(range(len(part) - 1), _block_distances(vertices, block)):
+        total += part[s] * sum(map(mul, part[s + 1 :], row[s + 1 :]))
     return total
+
+
+def _join(rows: list[list], near: list, far: list, d: int) -> None:
+    """Set the rows across parts ``near`` and ``far``: (vertex, distance
+    to the part's block vertex) lists whose block vertices lie d apart."""
+    for p, dp in near:
+        row, dp = rows[p], dp + d
+        for q, dq in far:
+            row[q] = dp + dq
+    for q, dq in far:
+        row, dq = rows[q], dq + d
+        for p, dp in near:
+            row[p] = dq + dp
 
 
 def root_forest(adj: list[list[tuple[int, int]]]) -> Rooted:
@@ -251,18 +261,15 @@ class Analysis:
         self._conn: list[list[int]] | None = None
         self._ds: list[list[int | None]] | None = None
 
-    def _forest_adjacency(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.names]
-        for e, (i, j) in enumerate(self.ends):
-            if self.in_forest[e]:
-                adj[i].append((j, e))
-                adj[j].append((i, e))
-        return adj
-
     def rooted(self) -> Rooted:
         """The forest rooted by ``root_forest``."""
         if self._rooted is None:
-            self._rooted = root_forest(self._forest_adjacency())
+            adj: list[list[tuple[int, int]]] = [[] for _ in self.names]
+            for e in compress(range(len(self.mu)), self.in_forest):
+                i, j = self.ends[e]
+                adj[i].append((j, e))
+                adj[j].append((i, e))
+            self._rooted = root_forest(adj)
         return self._rooted
 
     def residual(self) -> list[int]:
@@ -314,46 +321,61 @@ class Analysis:
             if grade >= res
         ]
 
-    def _strong_adjacency(self) -> list[list[tuple[int, int]]]:
-        """(neighbour, grade) lists of the strong subgraph, in edge order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.names]
-        for (i, j), grade, res in zip(self.ends, self.mu, self.residual()):
-            if grade >= res:
-                adj[i].append((j, grade))
-                adj[j].append((i, grade))
-        return adj
-
     def conn_rows(self) -> list[list[int]]:
-        """All-pairs CONN by one forest walk per source; O(n^2)."""
+        """All-pairs CONN, 0 across trees, by replaying the Kruskal
+        merges of the forest: merging parts A and B by an edge of grade
+        w sets w for every pair across them, the identity that adds
+        w sigma(A) sigma(B) to CI.  O(n^2) plain stores."""
         if self._conn is None:
-            adj = self._forest_adjacency()
-            mu = self.mu
-            rows = []
-            for source in range(len(self.names)):
-                row = [0] * len(self.names)
-                # grades are positive, so 0 marks an unreached vertex;
-                # the source holds MICRO, the identity of min, meanwhile
-                row[source] = MICRO
-                stack = [source]
-                while stack:
-                    x = stack.pop()
-                    reach = row[x]
-                    for y, e in adj[x]:
-                        if row[y] == 0:
-                            grade = mu[e]
-                            row[y] = grade if grade < reach else reach
-                            stack.append(y)
-                row[source] = 0
-                rows.append(row)
+            n, in_forest, order = len(self.names), self.in_forest, self.order
+            rows = [[0] * n for _ in range(n)]
+            # per part, its members, kept at the label of its vertices
+            members, label = [[x] for x in range(n)], list(range(n))
+            for e in compress(order, map(in_forest.__getitem__, order)):
+                i, j = self.ends[e]
+                big, small = members[label[i]], members[label[j]]
+                if len(big) < len(small):
+                    big, small = small, big
+                grade, mark = self.mu[e], label[big[0]]
+                for x in big:
+                    row = rows[x]
+                    for y in small:
+                        row[y] = grade
+                for y in small:
+                    row, label[y] = rows[y], mark
+                    for x in big:
+                        row[x] = grade
+                big += small
             self._conn = rows
         return self._conn
 
     def ds_rows(self) -> list[list[int | None]]:
-        """All-pairs d_s by one Dijkstra per source over the strong
-        edges; None when a pair has no strong path."""
+        """All-pairs d_s, None when a pair has no strong path, merged
+        over the blocks of the strong subgraph.  Each vertex x keeps a
+        part: x and the parts merged into it.  A block B, once every
+        block below its other vertices is done, joins every two parts of
+        its vertices through d_B and merges them into its top's part; a
+        shortest path between two vertices of B stays inside B.  O(n^2)
+        stores plus one Dijkstra per vertex of each block but bridges."""
         if self._ds is None:
-            adj = self._strong_adjacency()
-            self._ds = [_dijkstra(adj, source) for source in range(len(adj))]
+            n = len(self.names)
+            rows = [[None] * x + [0] + [None] * (n - 1 - x) for x in range(n)]
+            part = [[(x, 0)] for x in range(n)]
+            for block in self._strong_blocks():
+                if len(block) == 1:
+                    top, x, grade = block[0]
+                    vertices, dist = [top, x], [[0, grade], [grade, 0]]
+                else:
+                    vertices = _block_vertices(block)
+                    dist = _block_distances(vertices, block)
+                parts = [part[x] for x in vertices]
+                for i, reach in enumerate(dist):
+                    for j in range(i + 1, len(parts)):
+                        _join(rows, parts[i], parts[j], reach[j])
+                    if i:
+                        parts[0] += [(q, dq + reach[0]) for q, dq in parts[i]]
+                        parts[i].clear()
+            self._ds = rows
         return self._ds
 
     def require_strong_paths(self) -> None:
@@ -419,60 +441,70 @@ class Analysis:
                 below[parent] += weight
         return Fraction(total, _SUM_SCALE)
 
-    def _block_wiener(self) -> int:
-        """WI of a graph whose strong subgraph S is connected, in
-        _SUM_SCALE units, by one iterative Hopcroft-Tarjan pass (1973)
-        over S from vertex 0 with an edge stack.
-
-        A shortest strong path splits at cut vertices into shortest
-        paths inside blocks, so WI is the sum over blocks B of
-        d_B(x, y) W_B(x) W_B(y) over pairs x < y of B.  W_B(x) is the
-        sigma weight of the vertices whose paths into B enter at x: from
-        DFS subtree sums, sub(x) less sub(c) for each DFS child c of x
-        in B, and for the top of B the whole weight less sub of its
-        child in B.
-        """
+    def _strong_blocks(self) -> Iterator[Block]:
+        """The blocks of the strong subgraph S, by one iterative
+        Hopcroft-Tarjan pass (1973) with an edge stack, tree by tree
+        from the lowest vertex not yet reached.  A block comes after
+        every block below its vertices other than its top."""
         n = len(self.names)
-        adj = self._strong_adjacency()
-        whole = sum(self.sigma)
-        sub = list(self.sigma)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (i, j), grade, res in zip(self.ends, self.mu, self.residual()):
+            if grade >= res:
+                adj[i].append((j, grade))
+                adj[j].append((i, grade))
         disc, low, up = [0] * n, [0] * n, [-1] * n
         # the edge stack height at which the tree edge into x was pushed
         mark = [0] * n
-        edges: list[tuple[int, int, int]] = []  # (from, to, grade)
-        disc[0] = low[0] = count = 1
-        path, total = [(0, iter(adj[0]))], 0
-        while path:
-            x, scan = path[-1]
-            for y, grade in scan:
-                if not disc[y]:
-                    count += 1
-                    disc[y] = low[y] = count
-                    up[y], mark[y] = x, len(edges)
-                    edges.append((x, y, grade))
-                    path.append((y, iter(adj[y])))
-                    break
-                if disc[y] < disc[x] and y != up[x]:
-                    edges.append((x, y, grade))
-                    if disc[y] < low[x]:
-                        low[x] = disc[y]
-            else:
-                path.pop()
-                parent = up[x]
-                if parent < 0:
-                    break
-                sub[parent] += sub[x]
-                if low[x] < disc[parent]:
-                    if low[x] < low[parent]:
-                        low[parent] = low[x]
-                elif low[x] > disc[parent]:
-                    # a bridge: the tree edge into x tops the stack
-                    weight = sub[x]
-                    total += edges.pop()[2] * weight * (whole - weight)
+        edges: Block = []
+        count = 0
+        for root in range(n):
+            if disc[root]:
+                continue
+            disc[root] = low[root] = count = count + 1
+            path = [(root, iter(adj[root]))]
+            while path:
+                x, scan = path[-1]
+                for y, grade in scan:
+                    if not disc[y]:
+                        disc[y] = low[y] = count = count + 1
+                        up[y], mark[y] = x, len(edges)
+                        edges.append((x, y, grade))
+                        path.append((y, iter(adj[y])))
+                        break
+                    if disc[y] < disc[x] and y != up[x]:
+                        edges.append((x, y, grade))
+                        if disc[y] < low[x]:
+                            low[x] = disc[y]
                 else:
-                    block = edges[mark[x] :]
-                    del edges[mark[x] :]
-                    total += _block_sum(block, up, sub, whole)
+                    path.pop()
+                    parent = up[x]
+                    if parent < 0:
+                        break
+                    if low[x] < disc[parent]:
+                        if low[x] < low[parent]:
+                            low[parent] = low[x]
+                    elif low[x] > disc[parent]:
+                        # a bridge: the tree edge into x tops the stack
+                        yield [edges.pop()]
+                    else:
+                        yield edges[mark[x] :]
+                        del edges[mark[x] :]
+
+    def _block_wiener(self) -> int:
+        """WI of a graph whose strong subgraph S is connected, in
+        _SUM_SCALE units.  A shortest strong path splits at cut vertices
+        into shortest paths inside blocks, so WI is the sum over blocks B
+        of d_B(x, y) W_B(x) W_B(y) over pairs x < y of B.  W_B(x) is the
+        sigma weight of the vertices whose paths into B enter at x: for x
+        other than the top of B, x and the parts merged into it before."""
+        whole, weight, total = sum(self.sigma), list(self.sigma), 0
+        for block in self._strong_blocks():
+            if len(block) == 1:
+                top, x, grade = block[0]
+                total += grade * weight[x] * (whole - weight[x])
+                weight[top] += weight[x]
+            else:
+                total += _block_sum(block, weight, whole)
         return total
 
     def connectivity(self) -> Fraction:

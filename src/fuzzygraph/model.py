@@ -352,8 +352,16 @@ class FuzzyGraph:
     def edge_subgraph(
         self, pairs: Iterable[tuple[VertexId, VertexId]]
     ) -> "FuzzyGraph":
-        """Keep all vertices but only the listed edges."""
-        return self._keep(self._edge(u, v) for u, v in pairs)
+        """Keep all vertices but only the listed edges, each found by its
+        key from one name -> index map; ``_edge`` raises for a non-edge."""
+        index = dict(zip(self._names, range(self.vertex_count)))
+        edge = {i << 32 | j: e for e, (i, j) in enumerate(self.ends)}
+        kept = []
+        for u, v in pairs:
+            i, j = index.get(u, -1), index.get(v, -1)
+            e = edge.get(i << 32 | j if i < j else j << 32 | i)
+            kept.append(self._edge(u, v) if e is None else e)
+        return self._keep(kept)
 
     def _keep(self, kept: Iterable[int]) -> "FuzzyGraph":
         """All vertices and the edges of these indices, unchecked."""

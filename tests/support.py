@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
 from itertools import combinations
 
 from fuzzygraph import FuzzyGraph, Membership, build_graph
 from fuzzygraph.analysis import Analysis, path_min
-from fuzzygraph.model import pair
+from fuzzygraph.model import MICRO, pair
 from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
 GRID = 10_000  # micro-units per 0.01 step
@@ -181,3 +182,59 @@ def random_fuzzy_tree_reference(
         edges.append((u, v, Membership(rng.randrange(1, limit) * GRID)))
         added += 1
     return build_graph(sigma.items(), edges)
+
+
+def conn_rows_reference(analysis: Analysis) -> list[list[int]]:
+    """All-pairs CONN in micro-units by one walk of the maximum spanning
+    forest per source, keeping the weakest grade met on the way: the
+    route ``Analysis.conn_rows`` replaced, kept as its reference.  The
+    diagonal and pairs in different trees read 0."""
+    n, mu = len(analysis.names), analysis.mu
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(analysis.ends):
+        if analysis.in_forest[e]:
+            adj[i].append((j, e))
+            adj[j].append((i, e))
+    rows = []
+    for source in range(n):
+        row = [0] * n
+        # grades are positive, so 0 marks an unreached vertex; the
+        # source holds MICRO, the identity of min, meanwhile
+        row[source] = MICRO
+        stack = [source]
+        while stack:
+            x = stack.pop()
+            for y, e in adj[x]:
+                if row[y] == 0:
+                    row[y] = min(mu[e], row[x])
+                    stack.append(y)
+        row[source] = 0
+        rows.append(row)
+    return rows
+
+
+def ds_rows_reference(analysis: Analysis) -> list[list[int | None]]:
+    """All-pairs d_s in micro-units by one Dijkstra per source over every
+    strong edge: the route ``Analysis.ds_rows`` replaced, kept as its
+    reference.  None marks a pair with no strong path."""
+    n = len(analysis.names)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in analysis.strong_edges():
+        (i, j), grade = analysis.ends[e], analysis.mu[e]
+        adj[i].append((j, grade))
+        adj[j].append((i, grade))
+    rows = []
+    for source in range(n):
+        dist: list[int | None] = [None] * n
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, x = heappop(heap)
+            if d > dist[x]:
+                continue
+            for y, grade in adj[x]:
+                if dist[y] is None or d + grade < dist[y]:
+                    dist[y] = d + grade
+                    heappush(heap, (d + grade, y))
+        rows.append(dist)
+    return rows

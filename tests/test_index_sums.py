@@ -1,11 +1,13 @@
-"""The pair-table-free index sums of ``analysis.Analysis``.
+"""The index sums and the pair rows of ``analysis.Analysis``.
 
 ``wiener()`` and ``connectivity()`` never build the all-pairs rows: CI
 is summed by the Kruskal pass, WI over the blocks of the strong
-subgraph.  Every test here pins them to an independent route: the
-per-pair rows summed by ``pair_sum``, brute force on at most twelve
-vertices, networkx shortest paths, the corrected theorem-star closed
-form, or an edge-decomposition sum written out below.
+subgraph.  ``conn_rows()`` and ``ds_rows()`` are merged over the same
+two decompositions.  Every test here pins them to an independent route:
+the per-source rows of ``support`` (one forest walk or one Dijkstra per
+source, summed by ``pair_sum``), brute force on at most twelve
+vertices, networkx, the corrected theorem-star closed form, or an
+edge-decomposition sum written out below.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ from fuzzygraph import (
     check_corollary_star,
     check_theorem_star,
     ci_bruteforce,
+    conn_bruteforce,
     connectivity_index,
+    ds_bruteforce,
     format_fraction,
     make_saturated_cycle,
     random_fuzzy_tree,
+    strong_edges_bruteforce,
     strong_subgraph,
     wi_bruteforce,
     wiener_index,
@@ -39,15 +44,16 @@ from fuzzygraph.analysis import Analysis
 from fuzzygraph.cli import main
 from fuzzygraph.model import MICRO
 
-from support import random_graph
+from support import conn_rows_reference, ds_rows_reference, random_graph
 
 QUARTER = MICRO // 4
 
 
 def pair_route(g) -> tuple[Fraction | str, Fraction]:
-    """(WI or the StrongDisconnectedError message, CI) from the rows."""
+    """(WI or the StrongDisconnectedError message, CI) from the per-source
+    reference rows."""
     analysis = Analysis(g)
-    ds, names = analysis.ds_rows(), analysis.names
+    ds, names = ds_rows_reference(analysis), analysis.names
     missing = next(
         (
             (u, names[j])
@@ -61,7 +67,7 @@ def pair_route(g) -> tuple[Fraction | str, Fraction]:
         wiener = analysis.pair_sum(ds)
     else:
         wiener = f"no strong path between {missing[0]!r} and {missing[1]!r}"
-    return wiener, analysis.pair_sum(analysis.conn_rows())
+    return wiener, analysis.pair_sum(conn_rows_reference(analysis))
 
 
 def fast_route(
@@ -238,20 +244,36 @@ def test_saturated_cycles_match_the_pair_rows(n):
 def test_wiener_matches_networkx_on_the_strong_subgraph(seed, n):
     nx = pytest.importorskip("networkx")
     g = tree_with_chords(random.Random(seed), n, n // 3, QUARTER, gaps=0)
-    strong = nx.Graph()
+    whole, strong = nx.Graph(), nx.Graph()
+    whole.add_nodes_from(g.vertices())
     strong.add_nodes_from(g.vertices())
+    for u, v, grade in g.edges():
+        whole.add_edge(u, v, weight=grade.micro)
     for u, v, grade in strong_subgraph(g).edges():
         strong.add_edge(u, v, weight=grade.micro)
     assert nx.is_connected(strong)
     assert not nx.is_tree(strong)
+    distance = dict(nx.all_pairs_dijkstra_path_length(strong))
     sigma = {name: g.sigma(name).micro for name in g.vertices()}
     expected = sum(
         sigma[u] * sigma[v] * d
-        for u, row in nx.all_pairs_dijkstra_path_length(strong)
+        for u, row in distance.items()
         for v, d in row.items()
         if u < v
     )
     assert wiener_index(g) == Fraction(expected, MICRO**3)
+    # CONN(u, v) is the weakest edge on the u-v path of a maximum
+    # spanning tree
+    tree = nx.maximum_spanning_tree(whole)
+    analysis, names = Analysis(g), g.vertices()
+    conn, ds = analysis.conn_rows(), analysis.ds_rows()
+    for i, u in enumerate(names):
+        weakest = {u: MICRO}
+        for a, b in nx.bfs_edges(tree, u):
+            weakest[b] = min(weakest[a], tree[a][b]["weight"])
+        for j in range(i + 1, n):
+            assert conn[i][j] == weakest[names[j]]
+            assert ds[i][j] == distance[u][names[j]]
 
 
 def test_wiener_matches_the_pair_rows_on_mid_sized_blocky_graphs():
@@ -347,6 +369,111 @@ def test_strongly_disconnected_wiener_builds_no_pair_rows(monkeypatch):
     monkeypatch.setattr(Analysis, "ds_rows", refuse)
     with pytest.raises(StrongDisconnectedError, match="'a' and 'b'"):
         wiener_index(g)
+
+
+def above_diagonal(rows: list[list]) -> list[list]:
+    return [row[i + 1 :] for i, row in enumerate(rows)]
+
+
+def assert_rows_match_the_references(g) -> None:
+    analysis = Analysis(g)
+    assert above_diagonal(analysis.conn_rows()) == above_diagonal(
+        conn_rows_reference(analysis)
+    )
+    assert above_diagonal(analysis.ds_rows()) == above_diagonal(
+        ds_rows_reference(analysis)
+    )
+
+
+def assert_rows_match_bruteforce(g) -> None:
+    analysis = Analysis(g)
+    conn, ds, names = analysis.conn_rows(), analysis.ds_rows(), g.vertices()
+    strong = strong_edges_bruteforce(g)
+    for i, j in combinations(range(len(names)), 2):
+        u, v = names[i], names[j]
+        assert conn[i][j] == conn_bruteforce(g, u, v).micro
+        try:
+            expected = ds_bruteforce(g, u, v, strong) * MICRO
+        except StrongDisconnectedError:
+            expected = None
+        assert ds[i][j] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocky_graphs(max_vertices=30))
+def test_pair_rows_match_the_per_source_references(g):
+    assert_rows_match_the_references(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 13))
+def test_pair_rows_match_the_references_on_random_graphs(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(
+        seed,
+        n,
+        rng.random(),
+        rng.choice([MICRO // 100, QUARTER]),
+        rng.choice([0.0, 0.2]),
+    )
+    assert_rows_match_the_references(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.integers(0, 5),
+    st.sampled_from([QUARTER, MICRO // 100]),
+)
+def test_pair_rows_match_bruteforce(seed, n, chords, step):
+    assert_rows_match_bruteforce(
+        tree_with_chords(random.Random(seed), n, chords, step)
+    )
+
+
+def two_blocks_apart():
+    """A triangle and a square with no edge between them, one of its
+    vertices graded 0, so some pairs have no strong path."""
+    one, half = Membership.parse("1"), Membership.parse("0.5")
+    return build_graph(
+        [(name, one) for name in "abcdefg"] + [("h", Membership(0))],
+        [
+            ("a", "b", half), ("b", "c", half), ("a", "c", one),
+            ("d", "e", half), ("e", "f", one),
+            ("f", "g", half), ("d", "g", half),
+        ],
+    )
+
+
+SHAPES = GUARDED + [
+    ("empty", lambda: build_graph([], [])),
+    ("one vertex", lambda: build_graph([("a", Membership.parse("0.7"))], [])),
+    (
+        "edgeless",
+        lambda: build_graph(
+            [(name, Membership.parse("0.5")) for name in "abc"], []
+        ),
+    ),
+    ("apart", two_blocks_apart),
+    (
+        "cycle of 12",
+        lambda: make_saturated_cycle(
+            SaturatedCycleSpec(12, Membership(2 * QUARTER), Membership(QUARTER))
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("label,build", SHAPES, ids=[s[0] for s in SHAPES])
+def test_pair_rows_on_every_shape(label, build):
+    g = build()
+    assert_rows_match_the_references(g)
+    if g.vertex_count <= 12:
+        assert_rows_match_bruteforce(g)
+    ds = Analysis(g).ds_rows()
+    apart = label in ("edgeless", "apart")
+    assert apart == any(None in row for row in ds)
 
 
 @pytest.mark.parametrize(

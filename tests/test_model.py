@@ -570,6 +570,44 @@ def test_edge_subgraph_keeps_all_vertices():
         g.edge_subgraph([("a", "d")])
 
 
+@given(fuzzy_graphs(max_vertices=7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_edge_subgraph_finds_each_pair_in_either_order(g, data):
+    pairs = g.edge_pairs()
+    kept = []
+    if pairs:
+        kept = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    given_pairs = [
+        (v, u) if data.draw(st.booleans()) else (u, v) for u, v in kept
+    ]
+    expected = FuzzyGraph.from_micro(
+        dict(zip(g.vertices(), g.sigma_micro)),
+        {key: g.mu_micro[pairs.index(key)] for key in kept},
+    )
+    assert g.edge_subgraph(given_pairs) == expected
+    names = g.vertices()
+    absent = [
+        (u, v) for i, u in enumerate(names) for v in names[i:]
+        if (u, v) not in pairs
+    ]
+    for u, v in absent + [(names[0], "zz"), ("zy", "zz")]:
+        for a, b in ((u, v), (v, u)):
+            message = re.escape(f"no edge between {a!r} and {b!r}")
+            with pytest.raises(NoSuchEdgeError, match=f"^{message}$"):
+                g.edge_subgraph(given_pairs + [(a, b)])
+
+
+def test_edge_subgraph_bisects_for_no_edge_it_keeps(monkeypatch):
+    g = random_fuzzy_tree(3, 60, 40)
+    pairs = g.edge_pairs()
+
+    def refuse(self, u, v):
+        raise AssertionError(f"bisected for {u!r} {v!r}")
+
+    monkeypatch.setattr(FuzzyGraph, "_edge", refuse)
+    flipped = [(v, u) for u, v in pairs[::2]] + [*pairs[1::2]]
+    assert g.edge_subgraph(flipped) == g
+
 def test_path_record():
     g = five_vertex_tree()
     record = path_record(g, ["a", "b", "c", "d"])
