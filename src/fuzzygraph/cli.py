@@ -160,17 +160,33 @@ def _warnings_for(zero_sigma_vertices: tuple[str, ...]) -> list[str]:
     return []
 
 
+def _verdict_texts(verdict: ClaimVerdict) -> tuple[str, str, dict[str, str]]:
+    """The texts of a verdict's lhs, rhs and detail entries, formatting
+    each value object once.  lhs and rhs are two of the detail's values,
+    the same objects, so they are known by ``id`` while the verdict
+    holds them; a ``Fraction`` key would cost a hash about as dear as
+    the formatting."""
+    texts: dict[int, str] = {}
+    detail = {}
+    for name, value in verdict.detail.items():
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = format_fraction(value)
+        detail[name] = text
+    lhs = texts.get(id(verdict.lhs)) or format_fraction(verdict.lhs)
+    rhs = texts.get(id(verdict.rhs)) or format_fraction(verdict.rhs)
+    return lhs, rhs, detail
+
+
 def _verdict_json(verdict: ClaimVerdict) -> dict:
+    lhs, rhs, detail = _verdict_texts(verdict)
     doc = {
         "claim": verdict.claim_id.value,
         "size": verdict.size,
         "holds": verdict.holds,
-        "lhs": format_fraction(verdict.lhs),
-        "rhs": format_fraction(verdict.rhs),
-        "detail": {
-            name: format_fraction(value)
-            for name, value in verdict.detail.items()
-        },
+        "lhs": lhs,
+        "rhs": rhs,
+        "detail": detail,
     }
     instance = doc["instance"] = {}
     if isinstance(verdict.instance, SaturatedCycleSpec):
@@ -181,18 +197,15 @@ def _verdict_json(verdict: ClaimVerdict) -> dict:
 
 
 def _verdict_lines(index: int, verdict: ClaimVerdict) -> list[str]:
-    lines = [
+    lhs, rhs, detail = _verdict_texts(verdict)
+    items = ", ".join(f"{name} = {text}" for name, text in detail.items())
+    return [
         f"witness {index}: size {verdict.size}, holds=false, "
-        f"lhs = {format_fraction(verdict.lhs)}, "
-        f"rhs = {format_fraction(verdict.rhs)}"
+        f"lhs = {lhs}, rhs = {rhs}",
+        f"  {items}",
+        # the .fzg text, each line indented; it ends in one newline
+        "  " + verdict.fzg[:-1].replace("\n", "\n  "),
     ]
-    detail = ", ".join(
-        f"{name} = {format_fraction(value)}"
-        for name, value in verdict.detail.items()
-    )
-    lines.append(f"  {detail}")
-    lines += [f"  {line}" for line in verdict.fzg.splitlines()]
-    return lines
 
 
 def _load(path: str) -> FuzzyGraph:

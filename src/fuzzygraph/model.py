@@ -193,12 +193,13 @@ class FuzzyGraph:
     its endpoint grades.  Vertices with sigma 0 are allowed; they can
     carry no edges.  Edge keys are pairs of names, in either order but
     not both orders at once.  Each route checks these once: the
-    constructor, ``from_micro`` and the generators in ``_fill``,
-    ``parse_graph`` record by record; ``remove_edge`` and
-    ``edge_subgraph`` keep edges of a checked graph.  All of them lay
-    the graph out with ``_layout``, one core over ints: vertices by
-    declaration index, edges keyed ``du << 32 | dv``, so a graph holds
-    fewer than 2**32 vertices.
+    constructor and ``from_micro`` in ``_fill``, ``parse_graph`` record
+    by record.  The rest prove them instead: the generators
+    ``random_fuzzy_tree`` and ``make_saturated_cycle`` by construction,
+    ``remove_edge`` and ``edge_subgraph`` by keeping edges of a checked
+    graph.  All of them lay the graph out with ``_layout``, one core
+    over ints: vertices by declaration index, edges keyed ``du << 32 |
+    dv``, so a graph holds fewer than 2**32 vertices.
 
     The graph is stored once, in name order: vertex i is the i-th of the
     sorted ``vertices()``, with grade ``sigma_micro[i]``; edge e joins
@@ -243,7 +244,7 @@ class FuzzyGraph:
         mu: Mapping[tuple[VertexId, VertexId], int],
     ) -> "FuzzyGraph":
         """Check int grades from a caller and lay them out, once per graph:
-        the route of the constructor, ``from_micro`` and the generators.
+        the route of the constructor and ``from_micro``.
         Raises for the first edge key that is not a pair of names, else
         the first bad name or grade, else the first pair given in both
         orders, else the first bad edge in key order."""
@@ -371,13 +372,16 @@ class FuzzyGraph:
         return graph._layout([*self._names], [*self.sigma_micro], keyed)
 
     def serialize(self) -> str:
-        """Canonical .fzg text; parsing it back reproduces this graph."""
-        lines = [
-            f"v {name} {micro_text(grade)}"
-            for name, grade in zip(self._names, self.sigma_micro)
+        """Canonical .fzg text; parsing it back reproduces this graph.
+        Each distinct grade is rendered once, and edge lines take their
+        names straight from ``ends``."""
+        names, sigma, mu = self._names, self.sigma_micro, self.mu_micro
+        text = {grade: micro_text(grade) for grade in {*sigma, *mu}}
+        lines = [f"v {name} {text[grade]}" for name, grade in zip(names, sigma)]
+        lines += [
+            f"e {names[i]} {names[j]} {text[w]}"
+            for (i, j), w in zip(self.ends, mu)
         ]
-        edges = zip(self.edge_pairs(), self.mu_micro)
-        lines += [f"e {u} {v} {micro_text(w)}" for (u, v), w in edges]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other: object) -> bool:

@@ -33,6 +33,13 @@ class SaturatedCycleSpec:
     eta: Membership
 
     def __post_init__(self) -> None:
+        # make_saturated_cycle lays the cycle out on this check alone
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise BadSpecError(f"cycle length must be an int, got {self.n!r}")
+        for name in ("kappa", "eta"):
+            grade = getattr(self, name)
+            if not isinstance(grade, Membership):
+                raise BadSpecError(f"{name} must be a Membership, got {grade!r}")
         if self.n < 4:
             raise BadSpecError(f"cycle length must be at least 4, got {self.n}")
         if self.n % 2 != 0:
@@ -83,11 +90,17 @@ def _vertex_names(n: int) -> list[VertexId]:
 
 
 def make_saturated_cycle(spec: SaturatedCycleSpec) -> FuzzyGraph:
-    """Even cycle v0..v(n-1), sigma 1 everywhere, grades kappa/eta alternating."""
-    names = _vertex_names(spec.n)
-    grades = [spec.kappa.micro, spec.eta.micro] * (spec.n // 2)
-    mu = dict(zip(zip(names, names[1:] + names[:1]), grades))
-    return FuzzyGraph.from_micro(dict.fromkeys(names, MICRO), mu)
+    """Even cycle v0..v(n-1), sigma 1 everywhere, grades kappa/eta
+    alternating.  The checked spec makes the graph valid by
+    construction (n >= 4 distinct names, 0 < eta < kappa <= 1 = sigma),
+    so it goes straight to ``FuzzyGraph._layout`` with no ``_fill``:
+    the names sort in index order and edge i j is keyed ``i << 32 | j``."""
+    n = spec.n
+    grades = [spec.kappa.micro, spec.eta.micro] * (n // 2)
+    mu = {i << 32 | i + 1: w for i, w in zip(range(n - 1), grades)}
+    mu[n - 1] = spec.eta.micro  # the closing edge v0 v(n-1)
+    graph = FuzzyGraph.__new__(FuzzyGraph)
+    return graph._layout(_vertex_names(n), [MICRO] * n, mu)
 
 
 def _decode_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -117,6 +130,12 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     never enter the maximum spanning tree, so the result is always a
     fuzzy tree.
 
+    Like the parser's records, the graph is valid by construction: the
+    names are distinct, every sigma is on the grid in (0, 1], every tree
+    edge is graded at most the smaller sigma of its ends, and every
+    extra edge is graded below the weakest tree edge on its path.  So it goes
+    straight to ``FuzzyGraph._layout``, with no check of ``_fill``.
+
     Cost: O(n log n) and one ``FuzzyGraph``.  With ``extra_edges > 0``
     it also lists and shuffles all (n-1)(n-2)/2 pairs outside the tree,
     O(n^2) time and memory: ``shuffle`` draws once per candidate, so a
@@ -131,7 +150,7 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         raise BadParamsError(f"extra_edges must be >= 0, got {extra_edges}")
     rng = random.Random(seed)
     # the names sort in index order, so pair (i, j) with i < j is in
-    # name order too
+    # name order too and is keyed i << 32 | j for the layout
     names = _vertex_names(n)
     sigma = [rng.randrange(1, 101) * _GRID for _ in names]
     seq = [rng.randrange(n) for _ in range(n - 2)]
@@ -142,11 +161,11 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         rng.randrange(1, min(sigma[i], sigma[j]) // _GRID + 1) * _GRID
         for i, j in tree_pairs
     ]
-    vertices = dict(zip(names, sigma))
-    edges = {(names[i], names[j]): w for (i, j), w in zip(tree_pairs, mu)}
+    edges = {i << 32 | j: w for (i, j), w in zip(tree_pairs, mu)}
+    graph = FuzzyGraph.__new__(FuzzyGraph)
     if extra_edges == 0:
         # nothing below draws from rng then, so this is the same graph
-        return FuzzyGraph.from_micro(vertices, edges)
+        return graph._layout(names, sigma, edges)
     adj: list[list[tuple[int, int]]] = [[] for _ in names]
     for e, (i, j) in enumerate(tree_pairs):
         adj[i].append((j, e))
@@ -163,6 +182,6 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         limit = path_min(rooted, mu, i, j) // _GRID
         if limit <= 1:
             continue
-        edges[names[i], names[j]] = rng.randrange(1, limit) * _GRID
+        edges[i << 32 | j] = rng.randrange(1, limit) * _GRID
         added += 1
-    return FuzzyGraph.from_micro(vertices, edges)
+    return graph._layout(names, sigma, edges)

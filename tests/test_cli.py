@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -935,3 +936,46 @@ def test_falsify_serializes_each_witness_once(capsys, monkeypatch, fmt):
         witnesses = out.count(", holds=false, ")
     # sorting the witnesses and rendering them share one text each
     assert len(texts) == witnesses > 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("claim", ["corollary-star", "theorem-star"])
+def test_falsify_formats_each_value_of_a_witness_once(
+    capsys, monkeypatch, fmt, claim
+):
+    formatted = []
+
+    def counting(value):
+        formatted.append(value)
+        return format_fraction(value)
+
+    monkeypatch.setattr(cli, "format_fraction", counting)
+    code, out = run_cli(capsys, "--format", fmt, "falsify", claim)
+    assert code == 0
+    if fmt == "json":
+        witnesses = len(json.loads(out)["verdicts"])
+    else:
+        witnesses = out.count(", holds=false, ")
+    # lhs and rhs are two of the detail's values, and corollary-star's
+    # wi_g and wi_f are one forest sum, so each witness has two values
+    assert len(formatted) == 2 * witnesses > 2
+
+
+def test_a_verdict_renders_sides_that_are_not_its_detail_objects():
+    g = five_vertex_tree()
+    verdict = check_corollary_star(g)
+    apart = cli.ClaimVerdict(
+        claim_id=verdict.claim_id,
+        instance=g,
+        graph=g,
+        lhs=Fraction(verdict.lhs.numerator, verdict.lhs.denominator),
+        rhs=Fraction(1, 3),
+        holds=False,
+        detail=dict(verdict.detail),
+    )
+    lines = cli._verdict_lines(1, apart)
+    assert lines[0] == "witness 1: size 5, holds=false, lhs = 7.4, rhs = 1/3"
+    assert lines[1] == "  wi_g = 7.4, wi_f = 7.4, ci_f = 3.5"
+    doc = cli._verdict_json(apart)
+    assert (doc["lhs"], doc["rhs"]) == ("7.4", "1/3")
+    assert doc["detail"] == {"wi_g": "7.4", "wi_f": "7.4", "ci_f": "3.5"}

@@ -106,6 +106,24 @@ def test_corollary_star_builds_no_graph(monkeypatch):
     assert not verdict.holds
 
 
+def test_corollary_star_sums_the_forest_once(monkeypatch):
+    g = random_fuzzy_tree(5, 8, 2)
+    expected = wiener_index(g)
+    sums = []
+    original = analysis.Analysis.forest_wiener
+
+    def counting(self):
+        sums.append(original(self))
+        return sums[-1]
+
+    monkeypatch.setattr(analysis.Analysis, "forest_wiener", counting)
+    verdict = check_corollary_star(g)
+    # on a fuzzy tree WI(G) is WI(F): one sum, reported as both
+    assert sums == [expected]
+    assert verdict.detail["wi_g"] == verdict.detail["wi_f"] == expected
+    assert verdict.lhs == expected
+
+
 def assert_matches_two_graph_route(g) -> None:
     """The verdict's figures equal those of F built as a graph of its
     own and analysed apart from G, and brute force on small graphs."""

@@ -551,6 +551,60 @@ def test_serialize_round_trip_random(g):
     assert parse_graph(g.serialize()) == g
 
 
+def serialize_reference(g: FuzzyGraph) -> str:
+    """The .fzg text one line at a time, each grade formatted on its own
+    through ``format_fraction``, names read through ``edges()``."""
+    lines = [
+        f"v {name} {format_fraction(g.sigma(name).as_fraction())}"
+        for name in g.vertices()
+    ]
+    lines += [
+        f"e {u} {v} {format_fraction(w.as_fraction())}"
+        for u, v, w in g.edges()
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def graphs_with_repeated_grades(draw) -> FuzzyGraph:
+    """Graphs of printable-ASCII names in any order whose grades come
+    from a pool of a few values, so grades repeat, with sigma 0 vertices
+    and grades off the 0.01 grid."""
+    printable = st.characters(min_codepoint=33, max_codepoint=126)
+    names = draw(
+        st.lists(st.text(printable, min_size=1, max_size=3), max_size=9, unique=True)
+    )
+    pool = draw(st.lists(st.integers(0, MICRO), max_size=4)) + [0, MICRO]
+    sigma = {name: draw(st.sampled_from(pool)) for name in names}
+    mu = {}
+    for i, u in enumerate(names):
+        for v in names[i + 1 :]:
+            cap = min(sigma[u], sigma[v])
+            grades = [w for w in pool if 0 < w <= cap]
+            if grades and draw(st.booleans()):
+                mu[u, v] = draw(st.sampled_from(grades))
+    return FuzzyGraph.from_micro(sigma, mu)
+
+
+@given(graphs_with_repeated_grades())
+@settings(max_examples=200, deadline=None)
+@example(FuzzyGraph.from_micro({}, {}))
+@example(FuzzyGraph.from_micro({"z": 0, "a": 0, "m": 1}, {}))
+def test_serialize_matches_the_per_line_reference(g):
+    assert g.serialize() == serialize_reference(g)
+    assert parse_graph(g.serialize()) == g
+
+
+def test_serialize_matches_the_reference_on_generated_graphs():
+    graphs = [
+        random_fuzzy_tree(3, 60, 4),
+        random_sparse_graph(5, 120, 80),
+        make_saturated_cycle(SaturatedCycleSpec(12, M("0.7"), M("0.3"))),
+    ]
+    for g in graphs:
+        assert g.serialize() == serialize_reference(g)
+
+
 def test_remove_edge_is_persistent():
     g = five_vertex_tree()
     trimmed = g.remove_edge("a", "b")

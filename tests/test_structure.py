@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from fuzzygraph import (
     BadParamsError,
     BadSpecError,
+    MICRO,
     DisconnectedError,
     EdgeClass,
+    FuzzyGraph,
     Membership,
     SaturatedCycleSpec,
     build_graph,
@@ -207,6 +209,63 @@ def test_make_saturated_cycle_alpha_beta_counts():
 def test_saturated_cycle_spec_validation(n, kappa, eta):
     with pytest.raises(BadSpecError):
         SaturatedCycleSpec(n, M(kappa), M(eta))
+
+
+@pytest.mark.parametrize(
+    "n,kappa,eta",
+    [
+        (4.0, M("0.5"), M("0.3")),
+        (True, M("0.5"), M("0.3")),
+        ("4", M("0.5"), M("0.3")),
+        (4, 0.5, M("0.3")),
+        (4, M("0.5"), 300_000),
+        (4, M("0.5"), None),
+    ],
+)
+def test_saturated_cycle_spec_rejects_a_length_or_grade_of_another_type(
+    n, kappa, eta
+):
+    with pytest.raises(BadSpecError):
+        SaturatedCycleSpec(n, kappa, eta)
+
+
+def test_make_saturated_cycle_is_the_checked_graph():
+    for n in range(4, 65, 2):
+        names = [f"v{i:02d}" for i in range(n)]
+        for kappa in range(2, 11):
+            for eta in range(1, kappa):
+                spec = SaturatedCycleSpec(
+                    n, Membership(kappa * 100_000), Membership(eta * 100_000)
+                )
+                grades = [kappa * 100_000, eta * 100_000] * (n // 2)
+                mu = dict(zip(zip(names, names[1:] + names[:1]), grades))
+                expected = FuzzyGraph.from_micro(dict.fromkeys(names, MICRO), mu)
+                assert make_saturated_cycle(spec) == expected, (n, kappa, eta)
+
+
+def test_random_fuzzy_tree_on_two_vertices_matches_the_reference():
+    for seed in range(25):
+        for extra in range(4):
+            assert random_fuzzy_tree(seed, 2, extra) == (
+                random_fuzzy_tree_reference(seed, 2, extra)
+            ), (seed, extra)
+
+
+def test_generators_run_no_check_of_fill(monkeypatch):
+    def refuse(self, sigma, mu):
+        raise AssertionError("_fill called")
+
+    triples = [(0, 2, 0), (1, 2, 3), (2, 40, 0), (3, 40, 4)]
+    trees = [random_fuzzy_tree_reference(*triple) for triple in triples]
+    names = [f"v{i:02d}" for i in range(4)]
+    cycle = FuzzyGraph.from_micro(
+        dict.fromkeys(names, MICRO),
+        dict(zip(zip(names, names[1:] + names[:1]), [600_000, 200_000] * 2)),
+    )
+    monkeypatch.setattr(FuzzyGraph, "_fill", refuse)
+    assert [random_fuzzy_tree(*triple) for triple in triples] == trees
+    spec = SaturatedCycleSpec(4, M("0.6"), M("0.2"))
+    assert make_saturated_cycle(spec) == cycle
 
 
 def test_random_fuzzy_tree_is_deterministic():
