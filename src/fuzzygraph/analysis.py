@@ -15,27 +15,32 @@ Kruskal on integer micro-units:
   v lie in different trees (the maximum capacity route property, Hu
   1961).
 - The residual of an edge outside F is CONN_F between its endpoints,
-  because F is also a maximum spanning forest of the graph without it.
+  because F is also a maximum spanning forest of the graph without it:
+  the grade of the Kruskal merge that joined them, read off a merge
+  tree of depth at most log2(n).
 - The residual of an edge of F is the largest grade among the edges
   outside F whose fundamental cycle passes through it, or 0 when there
   is none: the best replacement edge of MST sensitivity analysis
-  (Tarjan 1982).
+  (Tarjan 1982).  By the cycle property it is at most the edge's own
+  grade, so every edge of F is strong.
 
-Classifying every edge costs O(m log m) plus one forest path walk per
-edge outside F.  The Kruskal pass itself sums the connectivity index CI,
-one multiply-add per merge.  The Wiener index WI costs O(n) on a fuzzy
-tree, whose strong subgraph is F, and otherwise one block decomposition
-of the strong subgraph: O(1) per bridge, O(k) per cycle block of k
-edges, and one Dijkstra per vertex only inside the other blocks.  The
-same two sums over F alone give WI(F) and CI(F) of the forest as a graph
-on its own, with no second graph or pass.  The all-pairs CONN and d_s
-rows, built only for callers that print them, come from the same two
-decompositions: each Kruskal merge sets CONN and each strong block d_s
-across the parts it joins, O(n^2) stores in all plus the Dijkstra runs
-inside blocks.  The per-edge remove-and-recompute route lives on in the
-oracle module as a reference.  The connectivity, indices and structure
-modules are views over ``Analysis``; ``root_forest`` and ``path_min``
-are the forest walks it shares with ``structure.random_fuzzy_tree``.
+The strong edges cost O(m log m) plus O(log n) per edge outside F, on
+any forest shape; classifying every edge adds one descending sweep over
+the rooted forest for the residuals of F.  The Kruskal pass itself sums
+the connectivity index CI, one multiply-add per merge.  The Wiener index
+WI costs O(n) on a fuzzy tree, whose strong subgraph is F, and otherwise
+one block decomposition of the strong subgraph: O(1) per bridge, O(k)
+per cycle block of k edges, and one Dijkstra per vertex only inside the
+other blocks.  The same two sums over F alone give WI(F) and CI(F) of the
+forest as a graph on its own, with no second graph or pass.  The
+all-pairs CONN and d_s rows, built only for callers that print them,
+come from the same two decompositions: each Kruskal merge sets CONN and
+each strong block d_s across the parts it joins, O(n^2) stores in all
+plus the Dijkstra runs inside blocks.  The per-edge remove-and-recompute
+route lives on in the oracle module as a reference.  The connectivity,
+indices and structure modules are views over ``Analysis``;
+``root_forest`` and ``path_min`` are the forest walks it shares with
+``structure.random_fuzzy_tree``.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate, compress, repeat
-from operator import mul
-from typing import Iterator, Sequence
+from operator import mul, not_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedError, StrongDisconnectedError
 from .model import MICRO, FuzzyGraph, VertexId
@@ -199,6 +204,33 @@ def root_forest(adj: list[list[tuple[int, int]]]) -> Rooted:
     return up, up_edge, depth, preorder
 
 
+def _merge_tree(
+    n: int,
+    ends: Sequence[tuple[int, int]],
+    mu: Sequence[int],
+    merges: Iterable[int],
+) -> tuple[list[int], list[int], list[int]]:
+    """(up, label, size) of the Kruskal merge tree over n vertices: the
+    forest edges ``merges``, in Kruskal order, replayed by union by size
+    with no path compression.  Each absorbed root x records its parent
+    ``up[x]``, the grade ``label[x]`` of the merge and its size then; a
+    root is its own parent and keeps its part's size.  A parent is
+    strictly larger than each child, so the tree is at most log2(n)
+    deep, and a vertex no larger than another is never its ancestor."""
+    up, label, size = list(range(n)), [0] * n, [1] * n
+    for e in merges:
+        i, j = ends[e]
+        while up[i] != i:
+            i = up[i]
+        while up[j] != j:
+            j = up[j]
+        if size[i] < size[j]:
+            i, j = j, i
+        up[j], label[j] = i, mu[e]
+        size[i] += size[j]
+    return up, label, size
+
+
 def path_min(rooted: Rooted, mu: Sequence[int], i: int, j: int) -> int:
     """The weakest edge grade ``mu`` on the path between distinct
     vertices i and j of a rooted forest, 0 when they lie in different
@@ -223,9 +255,9 @@ class Analysis:
 
     ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
     tuples, indexed as ``FuzzyGraph`` describes.  The forest and CI are
-    built eagerly; the rooted forest, the residuals and the all-pairs
-    CONN and d_s rows are each built on first use, so a caller that
-    needs only the forest pays O(m log m).
+    built eagerly; the residuals outside F, the rooted forest, the full
+    residuals and the all-pairs CONN and d_s rows are each built on
+    first use, so a caller that needs only the forest pays O(m log m).
     """
 
     def __init__(self, g: FuzzyGraph):
@@ -257,6 +289,7 @@ class Analysis:
         self.components = len(names) - forest_size
         self._ci = ci
         self._rooted: Rooted | None = None
+        self._outside: list[int] | None = None
         self._residual: list[int] | None = None
         self._conn: list[list[int]] | None = None
         self._ds: list[list[int | None]] | None = None
@@ -272,13 +305,43 @@ class Analysis:
             self._rooted = root_forest(adj)
         return self._rooted
 
+    def outside_residual(self) -> list[int]:
+        """Per edge outside F, CONN_F between its endpoints, which is its
+        residual; 0 for each edge of F.  Read off the Kruskal merge tree
+        of ``_merge_tree``: climbing from both ends to their lowest
+        common ancestor, the weakest label met is the grade of the merge
+        that joined them.  O(log n) per edge; no replay at all when
+        every edge is in F."""
+        if self._outside is None:
+            mu, n = self.mu, len(self.names)
+            outside = [0] * len(mu)
+            if len(mu) > n - self.components:
+                order, in_forest = self.order, self.in_forest
+                merges = compress(order, map(in_forest.__getitem__, order))
+                up, label, size = _merge_tree(n, self.ends, mu, merges)
+                for e in compress(range(len(mu)), map(not_, in_forest)):
+                    i, j = self.ends[e]
+                    weakest = MICRO
+                    while i != j:
+                        # the smaller end is below their common ancestor
+                        if size[i] > size[j]:
+                            i, j = j, i
+                        if label[i] < weakest:
+                            weakest = label[i]
+                        i = up[i]
+                    outside[e] = weakest
+            self._outside = outside
+        return self._outside
+
     def residual(self) -> list[int]:
-        """Per edge, CONN between its endpoints without the edge."""
+        """Per edge, CONN between its endpoints without the edge: the
+        entries outside F from ``outside_residual``, those of F by one
+        descending sweep over the rooted forest.  Only the edge classes
+        need the entries of F."""
         if self._residual is None:
-            rooted = self.rooted()
-            up, up_edge, depth, _ = rooted
+            up, up_edge, depth, _ = self.rooted()
             mu, ends = self.mu, self.ends
-            residual = [0] * len(mu)
+            residual = self.outside_residual()[:]
             # jump[x] leads towards the nearest ancestor-or-self of x whose
             # parent edge has no residual yet; the descending sweep gives
             # each forest edge the grade of the first cycle that covers it.
@@ -296,7 +359,6 @@ class Analysis:
                 if self.in_forest[e]:
                     continue
                 i, j = ends[e]
-                residual[e] = path_min(rooted, mu, i, j)
                 a, b = find(i), find(j)
                 while a != b:
                     if depth[a] < depth[b]:
@@ -314,10 +376,16 @@ class Analysis:
         ]
 
     def strong_edges(self) -> list[int]:
-        """The alpha and beta edges, in edge order."""
+        """The alpha and beta edges, in edge order.  Every edge of F is
+        strong: by the cycle property of a maximum spanning forest, no
+        edge outside F whose cycle covers it is graded above it.  So
+        only the residuals outside F are read; ``outside_residual`` is 0
+        on F, which passes the test."""
         return [
             e
-            for e, (grade, res) in enumerate(zip(self.mu, self.residual()))
+            for e, (grade, res) in enumerate(
+                zip(self.mu, self.outside_residual())
+            )
             if grade >= res
         ]
 
@@ -448,7 +516,9 @@ class Analysis:
         every block below its vertices other than its top."""
         n = len(self.names)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (i, j), grade, res in zip(self.ends, self.mu, self.residual()):
+        # as in strong_edges: every edge of F is strong
+        outside = self.outside_residual()
+        for (i, j), grade, res in zip(self.ends, self.mu, outside):
             if grade >= res:
                 adj[i].append((j, grade))
                 adj[j].append((i, grade))
@@ -540,11 +610,14 @@ class Analysis:
 
     def is_fuzzy_forest(self) -> bool:
         """Every edge outside the forest is delta, i.e. strictly weaker
-        than the forest's strength between its endpoints."""
-        residual = self.residual()
+        than the forest's strength between its endpoints.  The edges of
+        F are strong in any graph (see ``strong_edges``), so the strong
+        subgraph is F exactly when this holds, and the forest is never
+        rooted to tell."""
+        outside = self.outside_residual()
         return all(
-            self.mu[e] < residual[e]
-            for e, kept in enumerate(self.in_forest)
+            grade < res
+            for grade, res, kept in zip(self.mu, outside, self.in_forest)
             if not kept
         )
 

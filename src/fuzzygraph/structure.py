@@ -143,7 +143,13 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     in-tree strength of each candidate tried is the weakest grade on
     its tree path, read in O(depth) by ``analysis.path_min`` over one
     ``analysis.root_forest`` of the tree.
+
+    Raises BadParamsError when n or ``extra_edges`` is no int (a bool
+    is none either), n < 2 or ``extra_edges`` < 0.
     """
+    for name, count in (("vertex count", n), ("extra_edges", extra_edges)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise BadParamsError(f"{name} must be an int, got {count!r}")
     if n < 2:
         raise BadParamsError(f"need at least 2 vertices, got {n}")
     if extra_edges < 0:

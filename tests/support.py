@@ -7,7 +7,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from fuzzygraph import FuzzyGraph, Membership, build_graph
-from fuzzygraph.analysis import Analysis, path_min
+from fuzzygraph.analysis import Analysis, path_min, root_forest
 from fuzzygraph.model import MICRO, pair
 from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
@@ -238,3 +238,111 @@ def ds_rows_reference(analysis: Analysis) -> list[list[int | None]]:
                     heappush(heap, (d + grade, y))
         rows.append(dist)
     return rows
+
+
+def random_deep_graph(
+    seed: int,
+    n: int,
+    shape: str,
+    chords: int,
+    step: int = GRID,
+    zero_sigma_share: float = 0.0,
+    parts: int = 1,
+    weak_chords: bool = False,
+) -> FuzzyGraph:
+    """Random graph on n vertices whose spanning trees are deep.
+
+    The vertices of positive sigma (about ``zero_sigma_share`` get sigma
+    0 and no edges) are split into ``parts`` runs, each laid out as a
+    ``shape``: "path", "caterpillar" (a path of half the run, each other
+    vertex hung on a random one of it) or "broom" (a path of two thirds
+    of the run, the rest hung on its end).  Then up to ``chords`` further
+    pairs inside a run become edges.  Grades lie on a grid of ``step``
+    micro-units; with ``weak_chords`` every sigma is 1, tree edges are
+    graded two steps or more and chords one step, so the graph is a
+    fuzzy forest.  Names are drawn in random order, so vertex indices
+    do not follow the shape.
+    """
+    rng = random.Random(seed)
+    levels = MICRO // step
+    names = [f"n{i:03d}" for i in range(n)]
+    rng.shuffle(names)
+    sigma = {}
+    for name in names:
+        if rng.random() < zero_sigma_share:
+            sigma[name] = 0
+        elif weak_chords:
+            sigma[name] = MICRO
+        else:
+            sigma[name] = rng.randrange(1, levels + 1) * step
+    live = [name for name in names if sigma[name]]
+    parts = max(1, min(parts, len(live)))
+    cuts = sorted(rng.sample(range(1, len(live)), parts - 1))
+    runs = [live[a:b] for a, b in zip([0, *cuts], [*cuts, len(live)])]
+    tree = []
+    for run in runs:
+        k = len(run)
+        # the first ``spine`` vertices of the run form its path
+        spine = {
+            "path": k, "caterpillar": (k + 1) // 2, "broom": (2 * k + 2) // 3
+        }[shape]
+        for i in range(1, k):
+            if i < spine:
+                other = i - 1
+            elif shape == "broom":
+                other = spine - 1
+            else:
+                other = rng.randrange(spine)
+            tree.append(pair(run[i], run[other]))
+    mu = {}
+    for u, v in tree:
+        cap = min(sigma[u], sigma[v]) // step
+        mu[(u, v)] = rng.randrange(2 if weak_chords else 1, cap + 1) * step
+    runs = [run for run in runs if len(run) > 2]
+    for _ in range(chords if runs else 0):
+        key = pair(*rng.sample(rng.choice(runs), 2))
+        if key not in mu:
+            cap = min(sigma[key[0]], sigma[key[1]]) // step
+            mu[key] = step if weak_chords else rng.randrange(1, cap + 1) * step
+    return FuzzyGraph.from_micro(sigma, mu)
+
+
+def residual_reference(analysis: Analysis) -> list[int]:
+    """Per edge, CONN between its endpoints without the edge, by the
+    route ``Analysis.residual`` took before the Kruskal merge tree, kept
+    as its reference: root the forest, read each edge outside it with
+    ``path_min``, and sweep the edges outside it in descending order,
+    each giving its grade to the forest edges of its path that have no
+    residual yet, found by jump pointers."""
+    n, mu, ends = len(analysis.names), analysis.mu, analysis.ends
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(ends):
+        if analysis.in_forest[e]:
+            adj[i].append((j, e))
+            adj[j].append((i, e))
+    rooted = root_forest(adj)
+    up, up_edge, depth, _ = rooted
+    residual = [0] * len(mu)
+    jump = list(range(n))
+
+    def find(x: int) -> int:
+        top = x
+        while jump[top] != top:
+            top = jump[top]
+        while jump[x] != top:
+            jump[x], x = top, jump[x]
+        return top
+
+    for e in analysis.order:
+        if analysis.in_forest[e]:
+            continue
+        i, j = ends[e]
+        residual[e] = path_min(rooted, mu, i, j)
+        a, b = find(i), find(j)
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            residual[up_edge[a]] = mu[e]
+            jump[a] = up[a]
+            a = find(a)
+    return residual

@@ -26,13 +26,22 @@ from fuzzygraph import (
     strong_subgraph,
     random_fuzzy_tree,
 )
+from fuzzygraph import analysis
 from fuzzygraph.analysis import Analysis, path_min
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
+from fuzzygraph.structure import SaturatedCycleSpec, make_saturated_cycle
 
 from conftest import fuzzy_graphs
-from support import GRID, random_graph
+from support import (
+    GRID,
+    random_deep_graph,
+    random_graph,
+    random_sparse_graph,
+    residual_reference,
+)
 
 QUARTER = MICRO // 4  # a coarse grade grid that forces heavy ties
+HALF = MICRO // 2
 
 
 def M(text: str) -> Membership:
@@ -312,6 +321,141 @@ def test_path_min_over_the_rooted_forest_on_disconnected_graphs(
         assert walked == rows[i][j] == conn_bruteforce(g, u, v).micro
         if not _joined(g, u, v, lambda *_: True):
             assert walked == 0
+
+
+# ---------------------------------- residual routes vs the kept reference
+
+
+def deep_graphs(max_vertices: int):
+    return st.builds(
+        random_deep_graph,
+        seed=st.integers(0, 2**32),
+        n=st.integers(2, max_vertices),
+        shape=st.sampled_from(["path", "caterpillar", "broom"]),
+        chords=st.integers(0, max_vertices),
+        step=st.sampled_from([GRID, QUARTER, HALF]),
+        zero_sigma_share=st.sampled_from([0.0, 0.2]),
+        parts=st.integers(1, 3),
+        weak_chords=st.booleans(),
+    )
+
+
+def _check_residual_routes(g: FuzzyGraph) -> None:
+    """Every residual route of a fresh ``Analysis`` of g against the
+    reference walk: each route is asked first on its own analysis, so
+    none reads what another built."""
+    reference = residual_reference(Analysis(g))
+    a = Analysis(g)
+    mu, in_forest = a.mu, a.in_forest
+    assert a.outside_residual() == [
+        0 if kept else res for kept, res in zip(in_forest, reference)
+    ]
+    assert a.residual() == reference
+    # the cycle property: every edge of F is strong
+    for grade, res, kept in zip(mu, reference, in_forest):
+        assert not kept or res <= grade
+    strong = [e for e, (w, res) in enumerate(zip(mu, reference)) if w >= res]
+    assert Analysis(g).strong_edges() == strong
+    delta_outside = all(
+        w < res for w, res, kept in zip(mu, reference, in_forest) if not kept
+    )
+    assert Analysis(g).is_fuzzy_forest() == delta_outside
+
+
+@given(deep_graphs(max_vertices=60))
+@settings(max_examples=300, deadline=None)
+def test_residual_routes_match_the_reference_on_deep_shapes(g):
+    _check_residual_routes(g)
+
+
+def test_residual_routes_match_the_reference_on_a_long_path():
+    # a 2000-vertex path is 2000 deep, while its merge tree is at most
+    # 11 deep
+    cases = [(0, GRID, True), (1, GRID, False), (2, HALF, False)]
+    for seed, step, weak in cases:
+        g = random_deep_graph(seed, 2000, "path", 2000, step, weak_chords=weak)
+        assert g.edge_count > 3900
+        _check_residual_routes(g)
+
+
+def test_deep_shapes_reach_every_case():
+    seen = defaultdict(int)
+    for seed in range(60):
+        step = [GRID, QUARTER, HALF][seed % 3]
+        g = random_deep_graph(
+            seed, 20, ["path", "caterpillar", "broom"][seed // 3 % 3], 15,
+            step, 0.2 if seed % 2 else 0.0, 1 + seed % 3, seed % 5 == 0,
+        )
+        kind = graph_kind(g)
+        seen["disconnected"] += not kind.is_connected
+        seen["fuzzy forest"] += Analysis(g).is_fuzzy_forest()
+        seen["zero sigma"] += any(g.sigma(x).is_zero for x in g.vertices())
+        for record in classify_edges(g).values():
+            seen[record.edge_class] += 1
+    for case in ("disconnected", "fuzzy forest", "zero sigma", *EdgeClass):
+        assert seen[case] > 0, case
+
+
+@given(deep_graphs(max_vertices=12))
+@settings(max_examples=150, deadline=None)
+def test_residuals_match_the_oracle_on_small_deep_shapes(g):
+    a = Analysis(g)
+    oracle = classify_edges_reference(g)
+    assert [oracle[(u, v)].residual.micro for u, v, _ in g.edges()] == (
+        a.residual()
+    )
+    assert [
+        e for e, (u, v, _) in enumerate(g.edges())
+        if oracle[(u, v)].edge_class is not EdgeClass.DELTA
+    ] == Analysis(g).strong_edges()
+
+
+def test_connected_graphs_never_root_the_forest(monkeypatch):
+    # kind() of a fuzzy cycle still roots it: saturation needs the
+    # classes of the forest edges, which only the sweep gives
+    cycle = make_saturated_cycle(SaturatedCycleSpec(12, M("0.6"), M("0.2")))
+    sparse = random_sparse_graph(0, 200, 100)
+    tree5, path = five_vertex_tree(), random_deep_graph(3, 300, "path", 300)
+    sums = [
+        (Analysis(g).wiener(), Analysis(g).ds_rows()) for g in (cycle, sparse)
+    ]
+    kinds = [Analysis(g).kind() for g in (sparse, tree5, path)]
+    assert not any(kind.is_fuzzy_cycle for kind in kinds)
+
+    def refuse(adj):
+        raise AssertionError("the forest was rooted")
+
+    monkeypatch.setattr(analysis, "root_forest", refuse)
+    for g, (wiener, ds) in zip((cycle, sparse), sums):
+        assert not Analysis(g).is_fuzzy_forest()
+        assert Analysis(g).wiener() == wiener
+        assert Analysis(g).ds_rows() == ds
+    assert [Analysis(g).kind() for g in (sparse, tree5, path)] == kinds
+    assert len(Analysis(path).strong_edges()) >= 299
+
+
+def test_a_graph_with_no_edge_outside_the_forest_replays_no_merge(
+    monkeypatch,
+):
+    def refuse(*args):
+        raise AssertionError("the merges were replayed")
+
+    trees = [
+        random_fuzzy_tree(0, 50, 0),
+        random_deep_graph(1, 40, "broom", 0, zero_sigma_share=0.2, parts=3),
+        build_graph([("a", M("1"))], []),
+        build_graph([], []),
+    ]
+    monkeypatch.setattr(analysis, "_merge_tree", refuse)
+    for g in trees:
+        a = Analysis(g)
+        assert a.outside_residual() == [0] * g.edge_count
+        assert a.residual() == [0] * g.edge_count
+        assert a.is_fuzzy_forest()
+        assert a.strong_edges() == list(range(g.edge_count))
+    assert graph_kind(trees[0]).is_fuzzy_tree
+    with pytest.raises(AssertionError, match="replayed"):
+        Analysis(five_vertex_tree()).outside_residual()
 
 
 @pytest.mark.parametrize("seed,n", [(0, 200), (1, 350), (2, 500)])

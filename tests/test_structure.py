@@ -324,6 +324,25 @@ def test_random_fuzzy_tree_param_validation():
         random_fuzzy_tree(1, 5, -1)
 
 
+@pytest.mark.parametrize(
+    "n, extra_edges",
+    [
+        (4.0, 0),
+        (True, 0),
+        ("4", 0),
+        (None, 0),
+        (4, 1.0),
+        (4, True),
+        (4, False),
+        (4, "1"),
+        (4, None),
+    ],
+)
+def test_random_fuzzy_tree_rejects_a_count_of_another_type(n, extra_edges):
+    with pytest.raises(BadParamsError, match="must be an int"):
+        random_fuzzy_tree(0, n, extra_edges)
+
+
 def test_fuzzy_tree_strong_edges_are_exactly_the_mst():
     for seed in range(40):
         g = random_fuzzy_tree(seed, 8, 3)
