@@ -16,8 +16,9 @@ Kruskal on integer micro-units:
   1961).
 - The residual of an edge outside F is CONN_F between its endpoints,
   because F is also a maximum spanning forest of the graph without it:
-  the grade of the Kruskal merge that joined them, read off a merge
-  tree of depth at most log2(n).
+  the grade of the Kruskal merge that joined them.  The Kruskal pass
+  joins parts by union by size, so its own union-find is a merge tree
+  of depth at most log2(n) to climb.
 - The residual of an edge of F is the largest grade among the edges
   outside F whose fundamental cycle passes through it, or 0 when there
   is none: the best replacement edge of MST sensitivity analysis
@@ -26,12 +27,13 @@ Kruskal on integer micro-units:
 
 The strong edges cost O(m log m) plus O(log n) per edge outside F, on
 any forest shape; classifying every edge adds one descending sweep over
-the rooted forest for the residuals of F.  The Kruskal pass itself sums
-the connectivity index CI, one multiply-add per merge.  The Wiener index
-WI costs O(n) on a fuzzy tree, whose strong subgraph is F, and otherwise
-one block decomposition of the strong subgraph: O(1) per bridge, O(k)
-per cycle block of k edges, and one Dijkstra per vertex only inside the
-other blocks.  The same two sums over F alone give WI(F) and CI(F) of the
+the rooted forest for the residuals of F; that sweep and WI(F) are all
+that root the forest.  The Kruskal pass itself sums the connectivity
+index CI, one multiply-add per merge.  The Wiener index WI costs O(n)
+on a fuzzy tree, whose strong subgraph is F, and otherwise one block
+decomposition of the strong subgraph: O(1) per bridge, O(k) per cycle
+block of k edges, and one Dijkstra per vertex only inside the other
+blocks.  The same two sums over F alone give WI(F) and CI(F) of the
 forest as a graph on its own, with no second graph or pass.  The
 all-pairs CONN and d_s rows, built only for callers that print them,
 come from the same two decompositions: each Kruskal merge sets CONN and
@@ -51,7 +53,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate, compress, repeat
 from operator import mul, not_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DisconnectedError, StrongDisconnectedError
 from .model import MICRO, FuzzyGraph, VertexId
@@ -204,33 +206,6 @@ def root_forest(adj: list[list[tuple[int, int]]]) -> Rooted:
     return up, up_edge, depth, preorder
 
 
-def _merge_tree(
-    n: int,
-    ends: Sequence[tuple[int, int]],
-    mu: Sequence[int],
-    merges: Iterable[int],
-) -> tuple[list[int], list[int], list[int]]:
-    """(up, label, size) of the Kruskal merge tree over n vertices: the
-    forest edges ``merges``, in Kruskal order, replayed by union by size
-    with no path compression.  Each absorbed root x records its parent
-    ``up[x]``, the grade ``label[x]`` of the merge and its size then; a
-    root is its own parent and keeps its part's size.  A parent is
-    strictly larger than each child, so the tree is at most log2(n)
-    deep, and a vertex no larger than another is never its ancestor."""
-    up, label, size = list(range(n)), [0] * n, [1] * n
-    for e in merges:
-        i, j = ends[e]
-        while up[i] != i:
-            i = up[i]
-        while up[j] != j:
-            j = up[j]
-        if size[i] < size[j]:
-            i, j = j, i
-        up[j], label[j] = i, mu[e]
-        size[i] += size[j]
-    return up, label, size
-
-
 def path_min(rooted: Rooted, mu: Sequence[int], i: int, j: int) -> int:
     """The weakest edge grade ``mu`` on the path between distinct
     vertices i and j of a rooted forest, 0 when they lie in different
@@ -254,10 +229,11 @@ class Analysis:
     """One maximum-spanning-forest pass over a graph, in micro-units.
 
     ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
-    tuples, indexed as ``FuzzyGraph`` describes.  The forest and CI are
-    built eagerly; the residuals outside F, the rooted forest, the full
+    tuples, indexed as ``FuzzyGraph`` describes.  The forest, its merge
+    tree and CI are built eagerly; the residuals outside F, the full
     residuals and the all-pairs CONN and d_s rows are each built on
     first use, so a caller that needs only the forest pays O(m log m).
+    The rooted forest is built only for the full residuals and WI(F).
     """
 
     def __init__(self, g: FuzzyGraph):
@@ -268,25 +244,40 @@ class Analysis:
         # Kruskal by descending grade; the sort is stable, so ties keep
         # the lexicographic (u, v) order of the edges.
         self.order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
-        boss = list(range(len(names)))
+        # The merge tree: union by size with no path compression.  Each
+        # absorbed root x records its parent up[x], the grade label[x] of
+        # the merge and its size then; a root is its own parent and keeps
+        # its part's size.  A parent is strictly larger than each child,
+        # so the tree is at most log2(n) deep and a find costs O(log n).
+        n = len(names)
+        self._up = up = list(range(n))
+        self._label = label = [0] * n
+        self._size = size = [1] * n
+        # the absorbed roots, in merge order
+        self._merged: list[int] = []
+        merged = self._merged
         # per root, the sigma weight of its part
         weight = list(sigma)
         self.in_forest = in_forest = [False] * len(mu)
-        forest_size = ci = 0
+        ci = 0
         for e in self.order:
             i, j = ends[e]
-            while boss[i] != i:
-                boss[i] = i = boss[boss[i]]
-            while boss[j] != j:
-                boss[j] = j = boss[boss[j]]
+            while up[i] != i:
+                i = up[i]
+            while up[j] != j:
+                j = up[j]
             if i != j:
-                # mu(e) is now the CONN of every pair across the parts
-                ci += mu[e] * weight[i] * weight[j]
+                if size[i] < size[j]:
+                    i, j = j, i
+                grade = mu[e]
+                # grade is now the CONN of every pair across the parts
+                ci += grade * weight[i] * weight[j]
                 weight[i] += weight[j]
-                boss[j] = i
+                size[i] += size[j]
+                up[j], label[j] = i, grade
+                merged.append(j)
                 in_forest[e] = True
-                forest_size += 1
-        self.components = len(names) - forest_size
+        self.components = n - len(merged)
         self._ci = ci
         self._rooted: Rooted | None = None
         self._outside: list[int] | None = None
@@ -307,29 +298,24 @@ class Analysis:
 
     def outside_residual(self) -> list[int]:
         """Per edge outside F, CONN_F between its endpoints, which is its
-        residual; 0 for each edge of F.  Read off the Kruskal merge tree
-        of ``_merge_tree``: climbing from both ends to their lowest
-        common ancestor, the weakest label met is the grade of the merge
-        that joined them.  O(log n) per edge; no replay at all when
-        every edge is in F."""
+        residual; 0 for each edge of F.  Read off the merge tree of the
+        Kruskal pass: climbing from both ends to their lowest common
+        ancestor, the weakest label met is the grade of the merge that
+        joined them.  O(log n) per edge."""
         if self._outside is None:
-            mu, n = self.mu, len(self.names)
-            outside = [0] * len(mu)
-            if len(mu) > n - self.components:
-                order, in_forest = self.order, self.in_forest
-                merges = compress(order, map(in_forest.__getitem__, order))
-                up, label, size = _merge_tree(n, self.ends, mu, merges)
-                for e in compress(range(len(mu)), map(not_, in_forest)):
-                    i, j = self.ends[e]
-                    weakest = MICRO
-                    while i != j:
-                        # the smaller end is below their common ancestor
-                        if size[i] > size[j]:
-                            i, j = j, i
-                        if label[i] < weakest:
-                            weakest = label[i]
-                        i = up[i]
-                    outside[e] = weakest
+            up, label, size = self._up, self._label, self._size
+            outside = [0] * len(self.mu)
+            for e in compress(range(len(outside)), map(not_, self.in_forest)):
+                i, j = self.ends[e]
+                weakest = MICRO
+                while i != j:
+                    # the smaller end is below their common ancestor
+                    if size[i] > size[j]:
+                        i, j = j, i
+                    if label[i] < weakest:
+                        weakest = label[i]
+                    i = up[i]
+                outside[e] = weakest
             self._outside = outside
         return self._outside
 
@@ -390,27 +376,23 @@ class Analysis:
         ]
 
     def conn_rows(self) -> list[list[int]]:
-        """All-pairs CONN, 0 across trees, by replaying the Kruskal
-        merges of the forest: merging parts A and B by an edge of grade
-        w sets w for every pair across them, the identity that adds
-        w sigma(A) sigma(B) to CI.  O(n^2) plain stores."""
+        """All-pairs CONN, 0 across trees, by walking the merges of the
+        Kruskal pass: merging parts A and B by an edge of grade w sets w
+        for every pair across them, the identity that adds w sigma(A)
+        sigma(B) to CI.  O(n^2) plain stores."""
         if self._conn is None:
-            n, in_forest, order = len(self.names), self.in_forest, self.order
+            n, up, label = len(self.names), self._up, self._label
             rows = [[0] * n for _ in range(n)]
-            # per part, its members, kept at the label of its vertices
-            members, label = [[x] for x in range(n)], list(range(n))
-            for e in compress(order, map(in_forest.__getitem__, order)):
-                i, j = self.ends[e]
-                big, small = members[label[i]], members[label[j]]
-                if len(big) < len(small):
-                    big, small = small, big
-                grade, mark = self.mu[e], label[big[0]]
+            # per root, the members of its part
+            members = [[x] for x in range(n)]
+            for j in self._merged:
+                big, small, grade = members[up[j]], members[j], label[j]
                 for x in big:
                     row = rows[x]
                     for y in small:
                         row[y] = grade
                 for y in small:
-                    row, label[y] = rows[y], mark
+                    row = rows[y]
                     for x in big:
                         row[x] = grade
                 big += small
@@ -453,18 +435,20 @@ class Analysis:
         first vertex has none to some vertex, and the first such pair is
         (vertex 0, the lowest vertex it cannot reach).  The strong edges
         contain the forest and lie in the graph, so their components are
-        the forest's trees; the tree of vertex 0 opens the preorder."""
+        the forest's trees: the parts of the Kruskal pass, each named by
+        the root of its merge tree.  O(n), with no rooting."""
         if self.components <= 1:
             return
-        up, _, _, preorder = self.rooted()
-        reached = [False] * len(up)
-        for x in preorder:
-            if up[x] < 0 and x:
-                break
-            reached[x] = True
+        up = self._up
+        # every vertex's merge-tree root, a parent's found before its
+        # children's: each absorbed root is absorbed before its parent
+        top = up[:]
+        for x in reversed(self._merged):
+            top[x] = top[up[x]]
+        other = next(x for x, t in enumerate(top) if t != top[0])
         raise StrongDisconnectedError(
             f"no strong path between {self.names[0]!r} and "
-            f"{self.names[reached.index(False)]!r}"
+            f"{self.names[other]!r}"
         )
 
     def pair_sum(self, rows: list[list[int]]) -> Fraction:
@@ -637,16 +621,17 @@ class Analysis:
         return all(d == 2 for d in degree) and mu.count(min(mu)) >= 2
 
     def _saturated(self) -> bool:
-        """Every vertex meets at least one alpha and one beta edge."""
-        incident: list[set[EdgeClass]] = [set() for _ in self.names]
-        for (i, j), edge_class in zip(self.ends, self.edge_classes()):
-            incident[i].add(edge_class)
-            incident[j].add(edge_class)
-        return all(
-            EdgeClass.ALPHA_STRONG in classes
-            and EdgeClass.BETA_STRONG in classes
-            for classes in incident
-        )
+        """Of a fuzzy cycle: every vertex meets at least one alpha and one
+        beta edge.  The weakest grade low ties, so without any one edge
+        the rest still reach low: every residual is low, the edges graded
+        low are beta and the others alpha.  Each vertex meets two edges,
+        so it meets both classes when exactly one of them is graded low."""
+        low, meets = min(self.mu), [0] * len(self.names)
+        for (i, j), grade in zip(self.ends, self.mu):
+            if grade == low:
+                meets[i] += 1
+                meets[j] += 1
+        return all(count == 1 for count in meets)
 
     def kind(self) -> GraphKind:
         connected = self.components <= 1

@@ -7,7 +7,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from fuzzygraph import FuzzyGraph, Membership, build_graph
-from fuzzygraph.analysis import Analysis, path_min, root_forest
+from fuzzygraph.analysis import Analysis, EdgeClass, path_min, root_forest
 from fuzzygraph.model import MICRO, pair
 from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
@@ -346,3 +346,19 @@ def residual_reference(analysis: Analysis) -> list[int]:
             jump[a] = up[a]
             a = find(a)
     return residual
+
+
+def saturated_reference(analysis: Analysis) -> bool:
+    """Every vertex meets at least one alpha and one beta edge, read off
+    the classes of all edges: the test ``Analysis._saturated`` made
+    before it counted the edges at the weakest grade, kept as its
+    reference for fuzzy cycles."""
+    incident: list[set[EdgeClass]] = [set() for _ in analysis.names]
+    for (i, j), edge_class in zip(analysis.ends, analysis.edge_classes()):
+        incident[i].add(edge_class)
+        incident[j].add(edge_class)
+    return all(
+        EdgeClass.ALPHA_STRONG in classes
+        and EdgeClass.BETA_STRONG in classes
+        for classes in incident
+    )

@@ -13,6 +13,7 @@ from fuzzygraph import (
     FuzzyGraph,
     Membership,
     NoSuchEdgeError,
+    StrongDisconnectedError,
     build_graph,
     classify_edge,
     classify_edges,
@@ -411,16 +412,18 @@ def test_residuals_match_the_oracle_on_small_deep_shapes(g):
 
 
 def test_connected_graphs_never_root_the_forest(monkeypatch):
-    # kind() of a fuzzy cycle still roots it: saturation needs the
-    # classes of the forest edges, which only the sweep gives
     cycle = make_saturated_cycle(SaturatedCycleSpec(12, M("0.6"), M("0.2")))
     sparse = random_sparse_graph(0, 200, 100)
     tree5, path = five_vertex_tree(), random_deep_graph(3, 300, "path", 300)
+    apart = random_deep_graph(1, 40, "broom", 10, parts=3)
     sums = [
         (Analysis(g).wiener(), Analysis(g).ds_rows()) for g in (cycle, sparse)
     ]
-    kinds = [Analysis(g).kind() for g in (sparse, tree5, path)]
-    assert not any(kind.is_fuzzy_cycle for kind in kinds)
+    kinds = [Analysis(g).kind() for g in (cycle, sparse, tree5, path)]
+    assert kinds[0].is_saturated_fuzzy_cycle
+    assert not any(kind.is_fuzzy_cycle for kind in kinds[1:])
+    with pytest.raises(StrongDisconnectedError) as unpatched:
+        Analysis(apart).wiener()
 
     def refuse(adj):
         raise AssertionError("the forest was rooted")
@@ -430,23 +433,21 @@ def test_connected_graphs_never_root_the_forest(monkeypatch):
         assert not Analysis(g).is_fuzzy_forest()
         assert Analysis(g).wiener() == wiener
         assert Analysis(g).ds_rows() == ds
-    assert [Analysis(g).kind() for g in (sparse, tree5, path)] == kinds
+    assert [Analysis(g).kind() for g in (cycle, sparse, tree5, path)] == kinds
     assert len(Analysis(path).strong_edges()) >= 299
+    for ask in (Analysis.wiener, Analysis.require_strong_paths):
+        with pytest.raises(StrongDisconnectedError) as patched:
+            ask(Analysis(apart))
+        assert str(patched.value) == str(unpatched.value)
 
 
-def test_a_graph_with_no_edge_outside_the_forest_replays_no_merge(
-    monkeypatch,
-):
-    def refuse(*args):
-        raise AssertionError("the merges were replayed")
-
+def test_a_graph_with_no_edge_outside_the_forest_has_no_residual():
     trees = [
         random_fuzzy_tree(0, 50, 0),
         random_deep_graph(1, 40, "broom", 0, zero_sigma_share=0.2, parts=3),
         build_graph([("a", M("1"))], []),
         build_graph([], []),
     ]
-    monkeypatch.setattr(analysis, "_merge_tree", refuse)
     for g in trees:
         a = Analysis(g)
         assert a.outside_residual() == [0] * g.edge_count
@@ -454,8 +455,25 @@ def test_a_graph_with_no_edge_outside_the_forest_replays_no_merge(
         assert a.is_fuzzy_forest()
         assert a.strong_edges() == list(range(g.edge_count))
     assert graph_kind(trees[0]).is_fuzzy_tree
-    with pytest.raises(AssertionError, match="replayed"):
-        Analysis(five_vertex_tree()).outside_residual()
+
+
+@pytest.mark.parametrize("shape", ["path", "broom"])
+@pytest.mark.parametrize("n", [2, 3, 100, 2000])
+def test_the_kruskal_merge_tree_is_at_most_log2_n_deep(shape, n):
+    # outside_residual climbs the tree from both ends by size and
+    # require_strong_paths reads each vertex's root off it
+    for seed, parts in [(0, 1), (1, 3)]:
+        a = Analysis(random_deep_graph(seed, n, shape, n, parts=parts))
+        up, size, merged = a._up, a._size, a._merged
+        assert sorted(merged) == [x for x in range(n) if up[x] != x]
+        assert len(merged) == n - a.components == sum(a.in_forest)
+        for x in merged:
+            assert size[up[x]] > size[x]
+        for x in range(n):
+            depth = 0
+            while up[x] != x:
+                x, depth = up[x], depth + 1
+            assert 1 << depth <= n
 
 
 @pytest.mark.parametrize("seed,n", [(0, 200), (1, 350), (2, 500)])
