@@ -30,19 +30,22 @@ any forest shape; classifying every edge adds one descending sweep over
 the rooted forest for the residuals of F; that sweep and WI(F) are all
 that root the forest.  The Kruskal pass itself sums the connectivity
 index CI, one multiply-add per merge.  The Wiener index WI costs O(n)
-on a fuzzy tree, whose strong subgraph is F, and otherwise one block
-decomposition of the strong subgraph: O(1) per bridge, O(k) per cycle
-block of k edges, and one Dijkstra per vertex only inside the other
-blocks.  The same two sums over F alone give WI(F) and CI(F) of the
-forest as a graph on its own, with no second graph or pass.  The
-all-pairs CONN and d_s rows, built only for callers that print them,
-come from the same two decompositions: each Kruskal merge sets CONN and
-each strong block d_s across the parts it joins, O(n^2) stores in all
-plus the Dijkstra runs inside blocks.  The per-edge remove-and-recompute
-route lives on in the oracle module as a reference.  The connectivity,
-indices and structure modules are views over ``Analysis``;
-``root_forest`` and ``path_min`` are the forest walks it shares with
-``structure.random_fuzzy_tree``.
+on a fuzzy tree, whose strong subgraph is F, and on a fuzzy cycle,
+whose edges are all strong and so one block, walked once around with no
+block search; otherwise one block decomposition of the strong
+subgraph: O(1) per bridge, O(k) per cycle block of k edges, and one
+Dijkstra per vertex only inside the other blocks.  The same two sums
+over F alone give WI(F) and CI(F) of the forest as a graph on its own,
+with no second graph or pass.  The all-pairs CONN and d_s rows, built
+only for callers that print them, come from the same two
+decompositions: each Kruskal merge sets CONN and each strong block d_s
+across the parts it joins, O(n^2) stores in all plus the Dijkstra runs
+inside the blocks that are neither bridges nor cycles; a cycle block
+reads its distances off the positions around it.  The per-edge
+remove-and-recompute route lives on in the oracle module as a
+reference.  The connectivity, indices and structure modules are views
+over ``Analysis``; ``root_forest`` and ``path_min`` are the forest walks
+it shares with ``structure.random_fuzzy_tree``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ _SUM_SCALE = MICRO**3
 # (parent, parent edge, depth, preorder) of the rooted forest
 Rooted = tuple[list[int], list[int], list[int], list[int]]
 # the edges (from, to, grade) of a strong block, in the order the DFS
-# pushed them: first the tree edge from the top of the block
+# pushed them or around a fuzzy cycle: first an edge from the block's top
 Block = list[tuple[int, int, int]]
 
 
@@ -123,9 +126,23 @@ def _block_vertices(block: Block) -> list[int]:
     return [*dict.fromkeys([a for a, _, _ in block])]
 
 
+def _arcs(block: Block) -> tuple[list[int], int]:
+    """Of a cycle block, its vertices in order around it: each one's
+    distance from the top along the walk, and the cycle's length."""
+    position = list(accumulate((g for _, _, g in block[:-1]), initial=0))
+    return position, position[-1] + block[-1][2]
+
+
 def _block_distances(vertices: list[int], block: Block) -> Iterator[list]:
-    """d_B between the ``vertices`` of block B, by position: one Dijkstra
-    over the edges of B per source, run as its row is read."""
+    """d_B between the ``vertices`` of block B, by position, each row
+    built as it is read: the shorter arc around a cycle, else one
+    Dijkstra over the edges of B per source."""
+    if len(vertices) == len(block):
+        position, length = _arcs(block)
+        return (
+            [min(d, length - d) for d in (abs(p - q) for q in position)]
+            for p in position
+        )
     index = {x: i for i, x in enumerate(vertices)}
     adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
     for a, b, grade in block:
@@ -147,8 +164,7 @@ def _block_sum(block: Block, weight: list[int], whole: int) -> int:
     k = len(block)
     if len(vertices) == k:
         # |E_B| = |V_B|: a cycle, its vertices in order around it
-        position = list(accumulate((g for _, _, g in block[:-1]), initial=0))
-        length = position[-1] + block[-1][2]
+        position, length = _arcs(block)
         cw = list(accumulate(part, initial=0))
         cpw = list(accumulate(map(mul, position, part), initial=0))
         # pairs (i, j <= r) take the arc forward, pairs (i, j > r) the
@@ -406,7 +422,8 @@ class Analysis:
         block below its other vertices is done, joins every two parts of
         its vertices through d_B and merges them into its top's part; a
         shortest path between two vertices of B stays inside B.  O(n^2)
-        stores plus one Dijkstra per vertex of each block but bridges."""
+        stores plus one Dijkstra per vertex of each block that is
+        neither a bridge nor a cycle."""
         if self._ds is None:
             n = len(self.names)
             rows = [[None] * x + [0] + [None] * (n - 1 - x) for x in range(n)]
@@ -460,14 +477,20 @@ class Analysis:
 
     def wiener(self) -> Fraction:
         """WI; raises StrongDisconnectedError when some pair has no
-        strong path.  Builds no pair table: O(n) on a fuzzy tree, else
-        one block decomposition of the strong subgraph.  The block
+        strong path.  Builds no pair table: O(n) on a fuzzy tree and on
+        a fuzzy cycle, which is one strong block found with no search,
+        else one block decomposition of the strong subgraph.  The block
         search would also sum a fuzzy tree, whose blocks are all
         bridges, but the subtree sums cost less: on a fuzzy tree of
         10^5 vertices the analysis plus WI took 0.90 s this way and
         1.41 s by blocks.  The route depends on the graph alone, never
         on which rows were built before."""
         self.require_strong_paths()
+        if self.is_fuzzy_cycle():
+            # every edge is strong: S is the cycle, one block
+            sigma = self.sigma
+            total = _block_sum(self._cycle_block(), list(sigma), sum(sigma))
+            return Fraction(total, _SUM_SCALE)
         if self.is_fuzzy_forest():
             # the strong subgraph S is the forest F
             return self.forest_wiener()
@@ -493,11 +516,32 @@ class Analysis:
                 below[parent] += weight
         return Fraction(total, _SUM_SCALE)
 
+    def _cycle_block(self) -> Block:
+        """The edges of a crisp cycle through every vertex as one block,
+        walked in order from vertex 0: (x0, x1, g), ..., (x_{n-1}, x0, g)."""
+        around: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        for (i, j), grade in zip(self.ends, self.mu):
+            around[i].append((j, grade))
+            around[j].append((i, grade))
+        block: Block = []
+        back, x = -1, 0
+        for _ in around:
+            (y, grade), ahead = around[x]
+            if y == back:
+                y, grade = ahead
+            block.append((x, y, grade))
+            back, x = x, y
+        return block
+
     def _strong_blocks(self) -> Iterator[Block]:
-        """The blocks of the strong subgraph S, by one iterative
-        Hopcroft-Tarjan pass (1973) with an edge stack, tree by tree
-        from the lowest vertex not yet reached.  A block comes after
-        every block below its vertices other than its top."""
+        """The blocks of the strong subgraph S, each after every block
+        below its vertices other than its top: on a fuzzy cycle, whose
+        edges are all strong, the one ``_cycle_block``; else by one
+        iterative Hopcroft-Tarjan pass (1973) with an edge stack, tree
+        by tree from the lowest vertex not yet reached."""
+        if self.is_fuzzy_cycle():
+            yield self._cycle_block()
+            return
         n = len(self.names)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         # as in strong_edges: every edge of F is strong

@@ -6,6 +6,8 @@ import random
 from heapq import heappop, heappush
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from fuzzygraph import FuzzyGraph, Membership, build_graph
 from fuzzygraph.analysis import Analysis, EdgeClass, path_min, root_forest
 from fuzzygraph.model import MICRO, pair
@@ -362,3 +364,77 @@ def saturated_reference(analysis: Analysis) -> bool:
         and EdgeClass.BETA_STRONG in classes
         for classes in incident
     )
+
+
+def sigma_above(draw, mu: dict, step: int) -> dict:
+    """Per vertex of the edges ``mu``, a sigma on the grid of ``step``
+    micro-units at or above its strongest edge, so the graph is valid."""
+    floor: dict = {}
+    for key, grade in mu.items():
+        for x in key:
+            floor[x] = max(floor.get(x, 0), grade)
+    levels = MICRO // step
+    return {
+        x: step * draw(st.integers(least // step, levels))
+        for x, least in floor.items()
+    }
+
+
+@st.composite
+def crisp_cycles(draw, max_vertices: int = 40) -> FuzzyGraph:
+    """A crisp cycle on 3 to ``max_vertices`` vertices, laid out in
+    random name order so vertex 0 falls anywhere on it, its grades and
+    sigma on a grid of 2, 3, 5 or 100 steps, so the weakest grade often
+    ties.  Half the cycles put every other edge on the lowest step and
+    the rest above it, which saturates them when the length is even."""
+    levels = draw(st.sampled_from([2, 3, 5, 100]))
+    n = draw(st.integers(3, max_vertices))
+    alternate = draw(st.booleans())
+    names = [f"v{i:02d}" for i in draw(st.permutations(range(n)))]
+    step = MICRO // levels
+    lowest = [alternate and k % 2 == 0 for k in range(n)]
+    mu = {
+        pair(names[k], names[(k + 1) % n]): step * (
+            1 if low else draw(st.integers(1 + alternate, levels))
+        )
+        for k, low in enumerate(lowest)
+    }
+    return FuzzyGraph.from_micro(sigma_above(draw, mu, step), mu)
+
+
+@st.composite
+def cacti(draw, max_vertices: int = 40) -> FuzzyGraph:
+    """A cactus on up to about ``max_vertices`` vertices: grown from one
+    vertex by cycles of 3 to 6 vertices glued at a vertex built before,
+    cycles hung from one by a bridge, and pendant paths of 1 to 3
+    edges.  Grades and sigma lie on a grid of 2, 3, 5 or 100 steps, and
+    half the cycles tie their weakest grade, so some cycles are strong
+    blocks and the others split into bridges.  Names are laid out in
+    random order."""
+    levels = draw(st.sampled_from([2, 3, 5, 100]))
+    step = MICRO // levels
+    size = draw(st.integers(1, max_vertices))
+    edges: dict[tuple[int, int], int] = {}
+    n = 1
+    while n < size:
+        at = draw(st.integers(0, n - 1))
+        shape = draw(st.sampled_from(["glued", "bridged", "path"]))
+        if shape == "bridged":
+            edges[at, n] = step * draw(st.integers(1, levels))
+            at, n = n, n + 1
+        if shape == "path":
+            chain = [at, *range(n, n + draw(st.integers(1, 3)))]
+            links = list(zip(chain, chain[1:]))
+        else:
+            chain = [at, *range(n, n + draw(st.integers(2, 5)))]
+            links = list(zip(chain, chain[1:] + chain[:1]))
+        grades = [step * draw(st.integers(1, levels)) for _ in links]
+        if shape != "path" and draw(st.booleans()):
+            # the weakest grade ties: every edge of the cycle is strong
+            grades[-1] = min(grades[:-1])
+        edges.update(zip(links, grades))
+        n += len(chain) - 1
+    names = [f"c{i:02d}" for i in draw(st.permutations(range(n)))]
+    mu = {pair(names[i], names[j]): grade for (i, j), grade in edges.items()}
+    sigma = dict.fromkeys(names, MICRO) | sigma_above(draw, mu, step)
+    return FuzzyGraph.from_micro(sigma, mu)

@@ -6,7 +6,6 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fuzzygraph import (
     BadParamsError,
@@ -30,11 +29,11 @@ from fuzzygraph import (
     strength_of_connectedness,
 )
 from fuzzygraph.analysis import Analysis
-from fuzzygraph.model import pair
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
 from conftest import fuzzy_graphs
 from support import (
+    crisp_cycles,
     random_fuzzy_tree_reference,
     saturated_reference,
     spanning_tree_totals,
@@ -419,28 +418,6 @@ def test_graph_kind_invariants(g):
         assert not kind.is_fuzzy_tree
     if kind.is_fuzzy_tree or kind.is_fuzzy_cycle:
         assert kind.is_connected
-
-
-@st.composite
-def crisp_cycles(draw) -> FuzzyGraph:
-    """A crisp cycle on 3 to 24 vertices, laid out in random name order,
-    its grades on a grid of 2, 3, 5 or 100 steps, so the weakest grade
-    often ties.  Half the cycles put every other edge on the lowest step
-    and the rest above it, which saturates them when the length is
-    even."""
-    levels = draw(st.sampled_from([2, 3, 5, 100]))
-    n = draw(st.integers(3, 24))
-    alternate = draw(st.booleans())
-    names = [f"v{i:02d}" for i in draw(st.permutations(range(n)))]
-    step = MICRO // levels
-    lowest = [alternate and k % 2 == 0 for k in range(n)]
-    mu = {
-        pair(names[k], names[(k + 1) % n]): step * (
-            1 if low else draw(st.integers(1 + alternate, levels))
-        )
-        for k, low in enumerate(lowest)
-    }
-    return FuzzyGraph.from_micro(dict.fromkeys(names, MICRO), mu)
 
 
 @given(crisp_cycles())
