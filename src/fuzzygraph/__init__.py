@@ -3,141 +3,81 @@
 Connectivity and Wiener indices computed with exact arithmetic, edge
 classification, fuzzy tree and saturated fuzzy cycle recognition, plus a
 falsification harness for two published claims about these indices.
+
+Importing the package runs none of its modules.  Each library module is
+registered in ``sys.modules`` and bound here as a lazy module, which
+compiles and runs on its first attribute read; a public name is read
+from its module on first access.  A command therefore loads only the
+modules it calls: ``kind`` never compiles the falsifier, the generators
+or the oracle.  The modules are registered rather than left unimported
+so that code that walks ``sys.modules`` finds every one of them.
 """
 
-from .connectivity import (
-    EdgeClass,
-    EdgeClassification,
-    classify_edge,
-    classify_edges,
-    strength_of_connectedness,
-    strong_subgraph,
-)
-from .errors import (
-    BadParamsError,
-    BadSpecError,
-    DisconnectedError,
-    DuplicateEdgeError,
-    DuplicateVertexError,
-    FuzzyGraphError,
-    GraphConstructionError,
-    MuExceedsSigmaError,
-    NoSuchEdgeError,
-    NotAFuzzyTreeError,
-    ParseError,
-    SelfLoopError,
-    StrongDisconnectedError,
-    TooLargeError,
-    UnknownEndpointError,
-    ZeroMuError,
-)
-from .falsifier import (
-    ClaimId,
-    ClaimVerdict,
-    check_corollary_star,
-    check_theorem_star,
-    search_counterexamples,
-)
-from .indices import (
-    connectivity_index,
-    geodesic_distance,
-    theorem_star_formula,
-    wiener_index,
-)
-from .model import (
-    MICRO,
-    FuzzyGraph,
-    Membership,
-    PairTable,
-    PathRecord,
-    VertexId,
-    build_graph,
-    format_fraction,
-    parse_graph,
-    path_record,
-)
-from .oracle import (
-    ci_bruteforce,
-    classify_edges_reference,
-    conn_bruteforce,
-    conn_reference,
-    ds_bruteforce,
-    strong_edges_bruteforce,
-    wi_bruteforce,
-)
-from .structure import (
-    GraphKind,
-    SaturatedCycleSpec,
-    SpanningTree,
-    fuzzy_tree_mst,
-    graph_kind,
-    is_fuzzy_cycle,
-    is_fuzzy_tree,
-    is_saturated_fuzzy_cycle,
-    make_saturated_cycle,
-    maximum_spanning_tree,
-    random_fuzzy_tree,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadParamsError",
-    "BadSpecError",
-    "ClaimId",
-    "ClaimVerdict",
-    "DisconnectedError",
-    "DuplicateEdgeError",
-    "DuplicateVertexError",
-    "EdgeClass",
-    "EdgeClassification",
-    "FuzzyGraph",
-    "FuzzyGraphError",
-    "GraphConstructionError",
-    "GraphKind",
-    "MICRO",
-    "Membership",
-    "MuExceedsSigmaError",
-    "NoSuchEdgeError",
-    "NotAFuzzyTreeError",
-    "PairTable",
-    "ParseError",
-    "PathRecord",
-    "SaturatedCycleSpec",
-    "SelfLoopError",
-    "SpanningTree",
-    "StrongDisconnectedError",
-    "TooLargeError",
-    "UnknownEndpointError",
-    "VertexId",
-    "ZeroMuError",
-    "build_graph",
-    "check_corollary_star",
-    "check_theorem_star",
-    "ci_bruteforce",
-    "classify_edge",
-    "classify_edges",
-    "classify_edges_reference",
-    "conn_bruteforce",
-    "conn_reference",
-    "connectivity_index",
-    "ds_bruteforce",
-    "format_fraction",
-    "fuzzy_tree_mst",
-    "geodesic_distance",
-    "graph_kind",
-    "is_fuzzy_cycle",
-    "is_fuzzy_tree",
-    "is_saturated_fuzzy_cycle",
-    "make_saturated_cycle",
-    "maximum_spanning_tree",
-    "parse_graph",
-    "path_record",
-    "random_fuzzy_tree",
-    "search_counterexamples",
-    "strength_of_connectedness",
-    "strong_edges_bruteforce",
-    "strong_subgraph",
-    "theorem_star_formula",
+# the library modules; not cli or __main__, which run when called
+_MODULES = (
+    "analysis", "connectivity", "errors", "falsifier", "indices", "model",
+    "oracle", "replication", "samples", "structure",
+)
+# module -> the public names it defines
+_NAMES = {
+    "analysis": "EdgeClass GraphKind SpanningTree",
+    "connectivity": "EdgeClassification classify_edge classify_edges "
+    "strength_of_connectedness strong_subgraph",
+    "errors": "BadParamsError BadSpecError DisconnectedError "
+    "DuplicateEdgeError DuplicateVertexError FuzzyGraphError "
+    "GraphConstructionError MuExceedsSigmaError NoSuchEdgeError "
+    "NotAFuzzyTreeError ParseError SelfLoopError StrongDisconnectedError "
+    "TooLargeError UnknownEndpointError ZeroMuError",
+    "falsifier": "ClaimId ClaimVerdict check_corollary_star "
+    "check_theorem_star search_counterexamples",
+    "indices": "connectivity_index geodesic_distance theorem_star_formula "
     "wiener_index",
-]
+    "model": "MICRO FuzzyGraph Membership PairTable PathRecord VertexId "
+    "build_graph format_fraction parse_graph path_record",
+    "oracle": "ci_bruteforce classify_edges_reference conn_bruteforce "
+    "conn_reference ds_bruteforce strong_edges_bruteforce wi_bruteforce",
+    "structure": "SaturatedCycleSpec fuzzy_tree_mst graph_kind "
+    "is_fuzzy_cycle is_fuzzy_tree is_saturated_fuzzy_cycle "
+    "make_saturated_cycle maximum_spanning_tree random_fuzzy_tree",
+}
+_HOME = {
+    name: module for module, names in _NAMES.items() for name in names.split()
+}
+
+# wi_bruteforce is importable by name but has never been in the
+# star-import list, which stays as it was
+__all__ = sorted(_HOME.keys() - {"wi_bruteforce"})
+
+
+def _register(module: str) -> None:
+    """Bind the lazy module ``module``, reusing one already imported."""
+    fullname = f"{__name__}.{module}"
+    lazy = sys.modules.get(fullname)
+    if lazy is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        lazy = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lazy)
+    globals()[module] = lazy
+
+
+for _module in _MODULES:
+    _register(_module)
+del _module
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[module], name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,13 +15,16 @@ import sys
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .analysis import Analysis, GraphKind
 from .errors import BadParamsError, FuzzyGraphError, StrongDisconnectedError
-from .falsifier import ClaimId, ClaimVerdict, search_counterexamples
 from .model import FuzzyGraph, format_fraction, micro_text, parse_graph
-from .replication import replication_checks
-from .structure import SaturatedCycleSpec
+
+# falsifier, replication and structure are imported inside the functions
+# that call them, so the graph commands never load them
+if TYPE_CHECKING:
+    from .falsifier import ClaimVerdict
 
 _COROLLARY_NOTE = (
     "claim tested exactly as published; no auxiliary hypotheses assumed"
@@ -104,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "falsify", parents=[common], help="search for claim counterexamples"
     )
-    p.add_argument("claim", choices=[claim.value for claim in ClaimId])
+    # the ClaimId values, written out so that no parser loads the falsifier
+    p.add_argument("claim", choices=("corollary-star", "theorem-star"))
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -179,6 +183,8 @@ def _verdict_texts(verdict: ClaimVerdict) -> tuple[str, str, dict[str, str]]:
 
 
 def _verdict_json(verdict: ClaimVerdict) -> dict:
+    from .structure import SaturatedCycleSpec
+
     lhs, rhs, detail = _verdict_texts(verdict)
     doc = {
         "claim": verdict.claim_id.value,
@@ -333,6 +339,8 @@ def _cmd_kind(args) -> tuple[int, str]:
 
 
 def _cmd_repro(args) -> tuple[int, str]:
+    from .replication import replication_checks
+
     checks, verdicts = replication_checks()
     passed = sum(1 for check in checks if check.passed)
     code = 0 if passed == len(checks) else 1
@@ -357,6 +365,8 @@ def _cmd_repro(args) -> tuple[int, str]:
 
 
 def _cmd_falsify(args) -> tuple[int, str]:
+    from .falsifier import ClaimId, search_counterexamples
+
     claim = ClaimId(args.claim)
     if claim is ClaimId.COROLLARY_STAR:
         if args.cycle_lengths is not None:

@@ -32,7 +32,7 @@ from fuzzygraph import (
     strength_of_connectedness,
     wiener_index,
 )
-from fuzzygraph import analysis, cli
+from fuzzygraph import analysis, cli, falsifier
 from fuzzygraph.cli import main
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
@@ -859,7 +859,7 @@ def test_falsify_leaves_the_size_defaults_to_the_library(
         calls.append((claim.value, trials, size_range))
         return []
 
-    monkeypatch.setattr(cli, "search_counterexamples", recording)
+    monkeypatch.setattr(falsifier, "search_counterexamples", recording)
     assert main(["falsify", "corollary-star"]) == 4
     assert main(["falsify", "theorem-star"]) == 4
     assert main(
@@ -964,7 +964,7 @@ def test_falsify_formats_each_value_of_a_witness_once(
 def test_a_verdict_renders_sides_that_are_not_its_detail_objects():
     g = five_vertex_tree()
     verdict = check_corollary_star(g)
-    apart = cli.ClaimVerdict(
+    apart = falsifier.ClaimVerdict(
         claim_id=verdict.claim_id,
         instance=g,
         graph=g,
