@@ -49,9 +49,7 @@ _HOME = {
     name: module for module, names in _NAMES.items() for name in names.split()
 }
 
-# wi_bruteforce is importable by name but has never been in the
-# star-import list, which stays as it was
-__all__ = sorted(_HOME.keys() - {"wi_bruteforce"})
+__all__ = sorted(_HOME)
 
 
 def _register(module: str) -> None:

@@ -28,22 +28,22 @@ Kruskal on integer micro-units:
 The strong edges cost O(m log m) plus O(log n) per edge outside F, on
 any forest shape; classifying every edge adds one descending sweep over
 the rooted forest for the residuals of F; that sweep and WI(F) are all
-that root the forest.  The Kruskal pass itself sums the connectivity
-index CI, one multiply-add per merge.  The Wiener index WI costs O(n)
-on a fuzzy tree, whose strong subgraph is F, and on a fuzzy cycle,
-whose edges are all strong and so one block, walked once around with no
-block search; otherwise one block decomposition of the strong
-subgraph: O(1) per bridge, O(k) per cycle block of k edges, and one
-Dijkstra per vertex only inside the other blocks.  The same two sums
-over F alone give WI(F) and CI(F) of the forest as a graph on its own,
-with no second graph or pass.  The all-pairs CONN and d_s rows, built
-only for callers that print them, come from the same two
-decompositions: each Kruskal merge sets CONN and each strong block d_s
-across the parts it joins, O(n^2) stores in all plus the Dijkstra runs
-inside the blocks that are neither bridges nor cycles; a cycle block
-reads its distances off the positions around it.  The per-edge
-remove-and-recompute route lives on in the oracle module as a
-reference.  The connectivity, indices and structure modules are views
+that root the forest.  The connectivity index CI is summed only when
+asked, by replaying the recorded merges, one multiply-add per merge.
+The Wiener index WI costs O(n) on a fuzzy tree, whose strong subgraph is
+F, and on a fuzzy cycle, whose edges are all strong and so one block,
+walked once around with no block search; otherwise one block
+decomposition of the strong subgraph: O(1) per bridge, O(k) per cycle
+block of k edges, and one Dijkstra per vertex only inside the other
+blocks.  The same two sums over F alone give WI(F) and CI(F) of the
+forest as a graph on its own, with no second graph or pass.  The
+all-pairs CONN and d_s rows, built only for callers that print them,
+come from the same two decompositions: each Kruskal merge sets CONN and
+each strong block d_s across the parts it joins, O(n^2) stores in all
+plus the Dijkstra runs inside the blocks that are neither bridges nor
+cycles; a cycle block reads its distances off the positions around it.
+The per-edge remove-and-recompute route lives on in the oracle module as
+a reference.  The connectivity, indices and structure modules are views
 over ``Analysis``; ``root_forest`` and ``path_min`` are the forest walks
 it shares with ``structure.random_fuzzy_tree``.
 """
@@ -245,8 +245,8 @@ class Analysis:
     """One maximum-spanning-forest pass over a graph, in micro-units.
 
     ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
-    tuples, indexed as ``FuzzyGraph`` describes.  The forest, its merge
-    tree and CI are built eagerly; the residuals outside F, the full
+    tuples, indexed as ``FuzzyGraph`` describes.  The forest and its
+    merge tree are built eagerly; CI, the residuals outside F, the full
     residuals and the all-pairs CONN and d_s rows are each built on
     first use, so a caller that needs only the forest pays O(m log m).
     The rooted forest is built only for the full residuals and WI(F).
@@ -272,10 +272,7 @@ class Analysis:
         # the absorbed roots, in merge order
         self._merged: list[int] = []
         merged = self._merged
-        # per root, the sigma weight of its part
-        weight = list(sigma)
         self.in_forest = in_forest = [False] * len(mu)
-        ci = 0
         for e in self.order:
             i, j = ends[e]
             while up[i] != i:
@@ -285,16 +282,12 @@ class Analysis:
             if i != j:
                 if size[i] < size[j]:
                     i, j = j, i
-                grade = mu[e]
-                # grade is now the CONN of every pair across the parts
-                ci += grade * weight[i] * weight[j]
-                weight[i] += weight[j]
                 size[i] += size[j]
-                up[j], label[j] = i, grade
+                up[j], label[j] = i, mu[e]
                 merged.append(j)
                 in_forest[e] = True
         self.components = n - len(merged)
-        self._ci = ci
+        self._ci: int | None = None
         self._rooted: Rooted | None = None
         self._outside: list[int] | None = None
         self._residual: list[int] | None = None
@@ -606,11 +599,20 @@ class Analysis:
         return total
 
     def connectivity(self) -> Fraction:
-        """CI, always defined, summed by the Kruskal pass: the merge of
-        parts A and B by an edge of grade w makes w the CONN of every
-        pair across them, so it adds w sigma(A) sigma(B).  F is its own
-        maximum spanning forest with CONN_F = CONN, so this is also
+        """CI, always defined, summed on first use by replaying the
+        Kruskal merges: joining parts A and B by grade w makes w the CONN
+        of every pair across them, so it adds w sigma(A) sigma(B).  Root
+        j joined up[j] after every earlier merge into up[j].  F is its
+        own maximum spanning forest with CONN_F = CONN, so this is also
         CI(F) of the forest as a graph on its own."""
+        if self._ci is None:
+            # per root, the sigma weight of its part
+            up, label, weight, ci = self._up, self._label, [*self.sigma], 0
+            for j in self._merged:
+                i = up[j]
+                ci += label[j] * weight[i] * weight[j]
+                weight[i] += weight[j]
+            self._ci = ci
         return Fraction(self._ci, _SUM_SCALE)
 
     def zero_sigma_vertices(self) -> tuple[VertexId, ...]:

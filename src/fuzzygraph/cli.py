@@ -230,21 +230,14 @@ class _MicroTexts(dict):
 def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
     analysis = Analysis(g)
-    pairs = []
-    if not args.summary:
-        names, text = analysis.names, _MicroTexts()
-        pairs = [
-            (
-                u,
-                names[j],
-                text[conn_row[j]],
-                None if ds_row[j] is None else text[ds_row[j]],
-            )
-            for i, (u, conn_row, ds_row) in enumerate(
-                zip(names, analysis.conn_rows(), analysis.ds_rows())
-            )
-            for j in range(i + 1, len(names))
-        ]
+    names, n = analysis.names, g.vertex_count
+    # d_s is None for a pair with no strong path: null in JSON, - in text
+    text = _MicroTexts({None: None if args.format == "json" else "-"})
+    # per vertex u, its CONN and d_s rows, read by one format below
+    rows = enumerate(
+        () if args.summary
+        else zip(names, analysis.conn_rows(), analysis.ds_rows())
+    )
     try:
         if args.summary:
             wiener = analysis.wiener()
@@ -263,7 +256,14 @@ def _cmd_indices(args) -> tuple[int, str]:
         doc = _base_doc()
         doc["wiener"] = None if wiener is None else format_fraction(wiener)
         doc["connectivity"] = connectivity
-        doc["pairs"] = _Rows(("u", "v", "conn", "ds"), pairs)
+        doc["pairs"] = _Rows(
+            ("u", "v", "conn", "ds"),
+            [
+                (u, names[j], text[conn[j]], text[ds[j]])
+                for i, (u, conn, ds) in rows
+                for j in range(i + 1, n)
+            ],
+        )
         doc["kind"] = _kind_json(kind)
         doc["warnings"] = warnings
         return code, _json_text(doc)
@@ -278,33 +278,36 @@ def _cmd_indices(args) -> tuple[int, str]:
     else:
         lines.append(f"WI = {format_fraction(wiener)}")
     lines.append(f"CI = {connectivity}")
-    if pairs:
+    table = [
+        f"{u} {names[j]} {text[conn[j]]} {text[ds[j]]}"
+        for i, (u, conn, ds) in rows
+        for j in range(i + 1, n)
+    ]
+    if table:
         lines.append("pair conn d_s")
-        lines += [
-            f"{u} {v} {conn} {'-' if ds is None else ds}"
-            for u, v, conn, ds in pairs
-        ]
+        lines += table
     return code, "\n".join(lines) + "\n"
 
 
 def _cmd_classify(args) -> tuple[int, str]:
-    g = _load(args.file)
-    analysis = Analysis(g)
-    text = _MicroTexts()
-    rows = [
-        (u, v, text[grade], edge_class.value, text[res])
-        for (u, v), grade, res, edge_class in zip(
-            g.edge_pairs(),
-            analysis.mu,
-            analysis.residual(),
-            analysis.edge_classes(),
-        )
-    ]
+    analysis = Analysis(_load(args.file))
+    names, text = analysis.names, _MicroTexts()
+    residual, classes = analysis.residual(), analysis.edge_classes()
+    edges = zip(analysis.ends, analysis.mu, residual, classes)
     if args.format == "json":
         doc = _base_doc()
-        doc["edges"] = _Rows(("u", "v", "mu", "class", "residual"), rows)
+        doc["edges"] = _Rows(
+            ("u", "v", "mu", "class", "residual"),
+            [
+                (names[i], names[j], text[grade], edge_class.value, text[res])
+                for (i, j), grade, res, edge_class in edges
+            ],
+        )
         return 0, _json_text(doc)
-    lines = [" ".join(row) for row in rows]
+    lines = [
+        f"{names[i]} {names[j]} {text[grade]} {edge_class.value} {text[res]}"
+        for (i, j), grade, res, edge_class in edges
+    ]
     return 0, "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -314,15 +317,15 @@ def _cmd_mst(args) -> tuple[int, str]:
     names, mu, kept = analysis.names, analysis.mu, analysis.in_forest
     text, total = _MicroTexts(), micro_text(sum(compress(mu, kept)))
     edges = compress(zip(analysis.ends, mu), kept)
-    rows = [(names[i], names[j], text[w]) for (i, j), w in edges]
     if args.format == "json":
+        rows = [(names[i], names[j], text[w]) for (i, j), w in edges]
         doc = _base_doc()
         doc["mst"] = {
             "edges": _Rows(("u", "v", "mu"), rows),
             "total_strength": total,
         }
         return 0, _json_text(doc)
-    lines = [" ".join(row) for row in rows]
+    lines = [f"{names[i]} {names[j]} {text[w]}" for (i, j), w in edges]
     lines.append(f"total = {total}")
     return 0, "\n".join(lines) + "\n"
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzygraph import (
@@ -788,6 +788,59 @@ def test_cli_tables_match_the_public_api(g):
             (e["u"], e["v"], e["mu"], e["class"], e["residual"])
             for e in json.loads(out)["edges"]
         ] == edges
+
+
+def _joined(row: dict) -> str:
+    """A JSON report row as its text line: the values joined by one
+    space, with "-" for a null."""
+    return " ".join("-" if value is None else value for value in row.values())
+
+
+@given(report_graphs())
+@example(FuzzyGraph({}, {}))
+@example(FuzzyGraph({"a": Membership.parse("0.5")}, {}))
+@settings(max_examples=150, deadline=None)
+def test_text_and_json_reports_agree(g):
+    """Each format builds its own rows, so every text row line must read
+    as the matching JSON row, and the text totals as the JSON ones."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "g.fzg")
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(g.serialize())
+        runs = {
+            tuple(argv): (
+                _run_quietly([*argv, path]),
+                _run_quietly(["--format", "json", *argv, path]),
+            )
+            for argv in (
+                ["mst"], ["classify"], ["indices"], ["indices", "--summary"]
+            )
+        }
+    for argv, ((code, text), (json_code, out)) in runs.items():
+        assert code == json_code, argv
+        if argv == ("mst",) and code == 2:
+            # no spanning tree: one error line on stderr in both formats
+            assert text == out == ""
+            continue
+        lines, doc = text.splitlines(), json.loads(out)
+        if argv == ("mst",):
+            mst = doc["mst"]
+            assert lines == [
+                *map(_joined, mst["edges"]),
+                f"total = {mst['total_strength']}",
+            ]
+        elif argv == ("classify",):
+            assert lines == [*map(_joined, doc["edges"])]
+        else:
+            wiener = doc["wiener"]
+            if wiener is None:
+                wiener = "unavailable (strong subgraph disconnected)"
+            end = lines.index(f"CI = {doc['connectivity']}") + 1
+            assert lines[end - 2] == f"WI = {wiener}"
+            pairs = [*map(_joined, doc["pairs"])]
+            assert lines[end:] == (["pair conn d_s", *pairs] if pairs else [])
+            n = 0 if "--summary" in argv else g.vertex_count
+            assert len(pairs) == n * (n - 1) // 2
 
 
 def test_unicode_separators_exit_2_with_one_ascii_line(tmp_path, capsys):
