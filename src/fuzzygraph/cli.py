@@ -3,12 +3,24 @@
 Exit codes: 0 success, 1 replication mismatch, 2 input error, 3 partial
 result (connectivity index printed but Wiener index unavailable), 4 no
 counterexample witness found.
+
+Reports are built straight from the analysis lists.  A report's row
+lists, as text lines or JSON objects, are built one string per row with
+one f-string, from values rendered once per report: each vertex name is
+JSON-quoted once, and each distinct grade or distance is rendered once.
+
+``main`` pauses the cyclic garbage collector while a command runs.  A
+command builds up to millions of objects that live until it ends and
+holds no reference cycle among them, so every collector pass would walk
+them and free nothing; the caller's collector state is restored on
+every exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -17,13 +29,15 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .analysis import Analysis, GraphKind
+from .analysis import Analysis, EdgeClass, GraphKind
 from .errors import BadParamsError, FuzzyGraphError, StrongDisconnectedError
 from .model import FuzzyGraph, format_fraction, micro_text, parse_graph
 
 # falsifier, replication and structure are imported inside the functions
 # that call them, so the graph commands never load them
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .falsifier import ClaimVerdict
 
 _COROLLARY_NOTE = (
@@ -227,12 +241,34 @@ class _MicroTexts(dict):
         return text
 
 
+class _JsonMicroTexts(_MicroTexts):
+    """micro-unit count -> its decimal text as a JSON string, rendering
+    each distinct count of one report once.  A decimal text holds no
+    character that JSON escapes."""
+
+    def __missing__(self, micro: int) -> str:
+        text = self[micro] = f'"{micro_text(micro)}"'
+        return text
+
+
+def _micro_texts(fmt: str) -> dict:
+    """The texts of one report's grades and distances in its format.
+    None stands for a d_s with no strong path: null in JSON, - in text."""
+    if fmt == "json":
+        return _JsonMicroTexts({None: "null"})
+    return _MicroTexts({None: "-"})
+
+
+def _quoted(names) -> list[str]:
+    """Each name as a JSON string, quoted once per report."""
+    return list(map(encode_basestring_ascii, names))
+
+
 def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
     analysis = Analysis(g)
     names, n = analysis.names, g.vertex_count
-    # d_s is None for a pair with no strong path: null in JSON, - in text
-    text = _MicroTexts({None: None if args.format == "json" else "-"})
+    text = _micro_texts(args.format)
     # per vertex u, its CONN and d_s rows, read by one format below
     rows = enumerate(
         () if args.summary
@@ -253,14 +289,16 @@ def _cmd_indices(args) -> tuple[int, str]:
     warnings = _warnings_for(analysis.zero_sigma_vertices())
     code = 0 if wiener is not None else 3
     if args.format == "json":
+        quoted = _quoted(names)
         doc = _base_doc()
         doc["wiener"] = None if wiener is None else format_fraction(wiener)
         doc["connectivity"] = connectivity
         doc["pairs"] = _Rows(
             ("u", "v", "conn", "ds"),
-            [
-                (u, names[j], text[conn[j]], text[ds[j]])
-                for i, (u, conn, ds) in rows
+            lambda u, v, c, d, end: [
+                f"{u}{quoted[i]}{v}{quoted[j]}{c}{text[conn[j]]}"
+                f"{d}{text[ds[j]]}{end}"
+                for i, (_, conn, ds) in rows
                 for j in range(i + 1, n)
             ],
         )
@@ -291,15 +329,18 @@ def _cmd_indices(args) -> tuple[int, str]:
 
 def _cmd_classify(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
-    names, text = analysis.names, _MicroTexts()
+    names, text = analysis.names, _micro_texts(args.format)
     residual, classes = analysis.residual(), analysis.edge_classes()
     edges = zip(analysis.ends, analysis.mu, residual, classes)
     if args.format == "json":
+        quoted = _quoted(names)
+        label = {c: encode_basestring_ascii(c.value) for c in EdgeClass}
         doc = _base_doc()
         doc["edges"] = _Rows(
             ("u", "v", "mu", "class", "residual"),
-            [
-                (names[i], names[j], text[grade], edge_class.value, text[res])
+            lambda u, v, m, c, r, end: [
+                f"{u}{quoted[i]}{v}{quoted[j]}{m}{text[grade]}"
+                f"{c}{label[edge_class]}{r}{text[res]}{end}"
                 for (i, j), grade, res, edge_class in edges
             ],
         )
@@ -315,13 +356,20 @@ def _cmd_mst(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
     analysis.require_spanning_tree()
     names, mu, kept = analysis.names, analysis.mu, analysis.in_forest
-    text, total = _MicroTexts(), micro_text(sum(compress(mu, kept)))
+    text = _micro_texts(args.format)
+    total = micro_text(sum(compress(mu, kept)))
     edges = compress(zip(analysis.ends, mu), kept)
     if args.format == "json":
-        rows = [(names[i], names[j], text[w]) for (i, j), w in edges]
+        quoted = _quoted(names)
         doc = _base_doc()
         doc["mst"] = {
-            "edges": _Rows(("u", "v", "mu"), rows),
+            "edges": _Rows(
+                ("u", "v", "mu"),
+                lambda u, v, m, end: [
+                    f"{u}{quoted[i]}{v}{quoted[j]}{m}{text[w]}{end}"
+                    for (i, j), w in edges
+                ],
+            ),
             "total_strength": total,
         }
         return 0, _json_text(doc)
@@ -405,13 +453,22 @@ def _cmd_falsify(args) -> tuple[int, str]:
 
 class _Rows:
     """A JSON list of objects that share their keys (one or more, all
-    distinct), held as one tuple of values per object: strings, or None
-    for null."""
+    distinct), built one string per object by ``build``.
 
-    __slots__ = ("keys", "rows")
+    ``_render`` calls ``build(*heads, end)`` once, with one head per key:
+    the text that opens the object or separates it from the previous
+    member, then the key and its colon.  ``build`` returns each object as
+    ``heads[0] + value_0 + heads[1] + value_1 + ... + end``, every value
+    already JSON text: a quoted string or null.  So the layout, which
+    depends on where the list sits, is decided in ``_render`` alone, and
+    the caller quotes each distinct value once."""
 
-    def __init__(self, keys: tuple[str, ...], rows: list[tuple]):
-        self.keys, self.rows = keys, rows
+    __slots__ = ("keys", "build")
+
+    def __init__(
+        self, keys: tuple[str, ...], build: Callable[..., list[str]]
+    ):
+        self.keys, self.build = keys, build
 
 
 def _json_text(doc: dict) -> str:
@@ -420,8 +477,9 @@ def _json_text(doc: dict) -> str:
     where a ``_Rows`` stands for its list of objects.
 
     With an indent the json module drops its C encoder for a pure-Python
-    one; here strings are escaped in C, and each ``_Rows`` list is laid
-    out from one template, so Python walks only the rest of the document.
+    one; here strings are escaped in C, and each ``_Rows`` list is joined
+    from one string per object, so Python walks only the rest of the
+    document.
     """
     out: list[str] = []
     _render(doc, "\n", out)
@@ -457,23 +515,16 @@ def _render(value, newline: str, out: list[str]) -> None:
             lead = "," + inner
         out.append(newline + "]")
     elif isinstance(value, _Rows):
-        if not value.rows:
-            out.append("[]")
-            return
         inner = newline + "  "
-        # one object's layout; a "%" in a key is doubled for the % operator
-        members = [
-            f"{inner}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
-            for key in value.keys
+        heads = [
+            f",{inner}  {encode_basestring_ascii(key)}: " for key in value.keys
         ]
-        item = "{" + ",".join(members) + inner + "}"
-        template = f",{inner}".join([item] * len(value.rows))
-        fields = [
-            "null" if field is None else encode_basestring_ascii(field)
-            for row in value.rows
-            for field in row
-        ]
-        out.append(f"[{inner}{template % tuple(fields)}{newline}]")
+        heads[0] = "{" + heads[0][1:]
+        rows = value.build(*heads, inner + "}")
+        if rows:
+            out.append(f"[{inner}{f',{inner}'.join(rows)}{newline}]")
+        else:
+            out.append("[]")
     else:
         out.append(json.dumps(value))
 
@@ -510,6 +561,17 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    # no collector pass while the command runs (see the module docstring)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import example, given, settings
@@ -605,30 +607,55 @@ def test_json_text_is_json_dumps_with_indent_2(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+# characters a row layout could read as its own syntax: JSON quotes and
+# escapes, % conversions and str.format fields
+_LAYOUT = st.sampled_from(
+    ['"', "\\", "%", "%s", "%%", "%(u)s", "{", "}", "{0}", "}{"]
+)
+
+
 @st.composite
 def row_lists(draw) -> tuple[tuple[str, ...], list[tuple]]:
-    key = _STRINGS | st.just("%s")
+    key = _STRINGS | _LAYOUT
     keys = draw(st.lists(key, min_size=1, max_size=4, unique=True))
-    field = st.none() | _STRINGS | st.sampled_from(["%s", "%%", "%(u)s"])
+    field = st.none() | _STRINGS | _LAYOUT
     rows = draw(st.lists(st.tuples(*[field] * len(keys)), max_size=4))
     return tuple(keys), rows
+
+
+def _json_value(field: str | None) -> str:
+    return "null" if field is None else encode_basestring_ascii(field)
 
 
 @given(row_lists(), st.integers(0, 2))
 @settings(max_examples=300, deadline=None)
 def test_row_lists_render_as_json_dumps_with_indent_2(row_list, depth):
     keys, rows = row_list
-    doc = cli._Rows(keys, rows)
+    calls = []
+
+    def build(*heads: str) -> list[str]:
+        # as the commands build their rows: each value quoted on its own,
+        # then one string per row from the heads the layout hands over
+        calls.append(len(heads))
+        *heads, end = heads
+        return [
+            "".join(map(str.__add__, heads, map(_json_value, row))) + end
+            for row in rows
+        ]
+
+    doc = cli._Rows(keys, build)
     expected = [dict(zip(keys, row)) for row in rows]
     for _ in range(depth):  # nest the list to move its indent
         doc, expected = {"rows": [doc]}, {"rows": [expected]}
     want = json.dumps({"x": expected}, indent=2) + "\n"
     assert cli._json_text({"x": doc}) == want
+    assert calls == [len(keys) + 1]
 
 
 _QUOTED_NAMES = (
-    'v "a 1\nv b\\ 0.7\nv c\\" 0.25\nv d 0.5\n'
+    'v "a 1\nv b\\ 0.7\nv c\\" 0.25\nv d 0.5\nv %s{0}} 0.5\n'
     'e "a b\\ 0.7\ne b\\ c\\" 0.25\ne "a c\\" 0.2\ne "a d 0.5\n'
+    'e d %s{0}} 0.3\n'
 )
 
 
@@ -655,6 +682,7 @@ _GRAPHS = {
         ["indices", "EDGELESS"],
         ["classify", "EDGELESS"],
         ["mst", "EDGELESS"],
+        ["indices", "--summary", "QUOTED"],
     ],
 )
 def test_every_json_report_is_json_dumps_with_indent_2(tmp_path, capsys, argv):
@@ -662,18 +690,119 @@ def test_every_json_report_is_json_dumps_with_indent_2(tmp_path, capsys, argv):
     if graph in _GRAPHS:
         path = tmp_path / "graph.fzg"
         path.write_text(_GRAPHS[graph])
-        argv = [command, str(path)]
+        argv = [*argv[:-1], str(path)]
     code, out = run_cli(capsys, "--format", "json", *argv)
     assert code == (3 if (command, graph) == ("indices", "DISCONNECTED") else 0)
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
-    if graph == "QUOTED" and command != "kind":
+    if graph == "QUOTED" and command != "kind" and "--summary" not in argv:
         assert '"b\\\\"' in out and '"c\\\\\\""' in out
+        assert '"%s{0}}"' in out
     if (command, graph) == ("indices", "DISCONNECTED"):
         assert [row["ds"] for row in doc["pairs"]] == ["0.5", None, None]
     if graph == "EDGELESS":
         rows = doc["mst"]["edges"] if command == "mst" else doc.get("edges", [])
         assert (rows, doc["pairs"]) == ([], [])
+
+
+# ------------------------------------------------------ collector pause
+
+
+def _graph_files(tmp_path) -> dict[str, str]:
+    """The _GRAPHS texts, plus a file that fails to parse, as paths."""
+    paths = {}
+    for name, text in {**_GRAPHS, "BROKEN": "v a 1\nx b\n"}.items():
+        path = tmp_path / f"{name}.fzg"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def _run_silently(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
+_COMMAND_RUNS = [
+    (["kind", "QUOTED"], 0),
+    (["classify", "QUOTED"], 0),
+    (["mst", "QUOTED"], 0),
+    (["indices", "QUOTED"], 0),
+    (["indices", "--summary", "QUOTED"], 0),
+    (["indices", "DISCONNECTED"], 3),
+    (["falsify", "corollary-star", "--trials", "5", "--seed", "1"], 0),
+    (["falsify", "theorem-star", "--n", "4..8"], 0),
+    (["repro"], 0),
+    (["kind", "BROKEN"], 2),
+]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    """main runs a command with the cyclic collector paused, which costs
+    no memory only while no command leaves a reference cycle behind."""
+    paths = _graph_files(tmp_path)
+    runs = [
+        (["--format", fmt, *argv[:-1], paths.get(argv[-1], argv[-1])], code)
+        for fmt in ("text", "json")
+        for argv, code in _COMMAND_RUNS
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # a first round loads each module and builds the argument parser
+        for argv, code in runs:
+            assert _run_silently(argv) == code, argv
+        gc.collect()
+        for argv, code in runs:
+            assert _run_silently(argv) == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["kind", "QUOTED"], 0),
+        (["--help"], 0),
+        (["--bogus"], 2),
+        (["kind", "BROKEN"], 2),
+        (["--output", "UNWRITABLE", "kind", "QUOTED"], 2),
+        (["indices", "DISCONNECTED"], 3),
+    ],
+    ids=[
+        "exit-0", "help", "bad-argument", "input-error", "unwritable", "exit-3"
+    ],
+)
+def test_main_restores_the_collector_state(tmp_path, enabled, argv, code):
+    paths = _graph_files(tmp_path)
+    paths["UNWRITABLE"] = str(tmp_path / "missing_dir" / "report.txt")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _run_silently([paths.get(arg, arg) for arg in argv]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_command_runs_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def interrupted(path):
+        seen.append(gc.isenabled())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_load", interrupted)
+    assert gc.isenabled()
+    with pytest.raises(KeyboardInterrupt):
+        main(["kind", data_path("tree5.fzg")])
+    # paused while the command ran, and back on after an uncaught exception
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 # ------------------------------------------- CLI tables and the public API
