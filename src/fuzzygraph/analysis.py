@@ -44,8 +44,9 @@ plus the Dijkstra runs inside the blocks that are neither bridges nor
 cycles; a cycle block reads its distances off the positions around it.
 The per-edge remove-and-recompute route lives on in the oracle module as
 a reference.  The connectivity, indices and structure modules are views
-over ``Analysis``; ``root_forest`` and ``path_min`` are the forest walks
-it shares with ``structure.random_fuzzy_tree``.
+over ``Analysis``.  CONN between two vertices has one route, the climb
+of ``MergeTree``, which ``Analysis`` builds on and which
+``structure.random_fuzzy_tree`` runs over its own tree.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate, compress, repeat
 from operator import mul, not_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedError, StrongDisconnectedError
 from .model import MICRO, FuzzyGraph, VertexId
@@ -197,75 +198,23 @@ def _join(rows: list[list], near: list, far: list, d: int) -> None:
             row[p] = dq + dp
 
 
-def root_forest(adj: list[list[tuple[int, int]]]) -> Rooted:
-    """(parent, parent edge, depth, preorder) of the forest whose
-    (neighbour, edge index) lists are ``adj``, with each tree rooted at
-    its lowest index; a root has parent -1.  The preorder lists every
-    vertex after its parent, tree by tree in order of their roots."""
-    n = len(adj)
-    up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
-    preorder: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            preorder.append(x)
-            for y, e in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
-                    stack.append(y)
-    return up, up_edge, depth, preorder
+class MergeTree:
+    """The Kruskal pass over a graph's n vertices and edges ``ends``
+    graded ``mu`` in micro-units, and the merge tree it leaves.
 
-
-def path_min(rooted: Rooted, mu: Sequence[int], i: int, j: int) -> int:
-    """The weakest edge grade ``mu`` on the path between distinct
-    vertices i and j of a rooted forest, 0 when they lie in different
-    trees.  A forest has one path between two vertices, so the choice of
-    roots does not change the answer."""
-    up, up_edge, depth, _ = rooted
-    weakest = MICRO
-    while i != j:
-        if depth[i] < depth[j]:
-            i, j = j, i
-        if up[i] < 0:
-            return 0
-        grade = mu[up_edge[i]]
-        if grade < weakest:
-            weakest = grade
-        i = up[i]
-    return weakest
-
-
-class Analysis:
-    """One maximum-spanning-forest pass over a graph, in micro-units.
-
-    ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
-    tuples, indexed as ``FuzzyGraph`` describes.  The forest and its
-    merge tree are built eagerly; CI, the residuals outside F, the full
-    residuals and the all-pairs CONN and d_s rows are each built on
-    first use, so a caller that needs only the forest pays O(m log m).
-    The rooted forest is built only for the full residuals and WI(F).
+    Edges are taken by descending grade; the sort is stable, so ties
+    keep the order of ``ends``.  Parts are joined by union by size with
+    no path compression.  Each absorbed root x records its parent up[x],
+    the grade label[x] of the merge and its size then; a root is its
+    own parent, keeps label 0 and its part's size.  A parent is strictly
+    larger than each child, so the tree is at most log2(n) deep and a
+    find or a climb costs O(log n).
     """
 
-    def __init__(self, g: FuzzyGraph):
-        self.names = names = g.vertices()
-        self.sigma = sigma = g.sigma_micro
-        self.ends = ends = g.ends
-        self.mu = mu = g.mu_micro
-        # Kruskal by descending grade; the sort is stable, so ties keep
-        # the lexicographic (u, v) order of the edges.
+    def __init__(
+        self, n: int, ends: Sequence[tuple[int, int]], mu: Sequence[int]
+    ):
         self.order = sorted(range(len(mu)), key=mu.__getitem__, reverse=True)
-        # The merge tree: union by size with no path compression.  Each
-        # absorbed root x records its parent up[x], the grade label[x] of
-        # the merge and its size then; a root is its own parent and keeps
-        # its part's size.  A parent is strictly larger than each child,
-        # so the tree is at most log2(n) deep and a find costs O(log n).
-        n = len(names)
         self._up = up = list(range(n))
         self._label = label = [0] * n
         self._size = size = [1] * n
@@ -287,6 +236,46 @@ class Analysis:
                 merged.append(j)
                 in_forest[e] = True
         self.components = n - len(merged)
+
+    def conn(self, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
+        """CONN between the distinct vertices of each pair, one pair at
+        a time: climbing from both ends to their lowest common ancestor,
+        the weakest label met is the grade of the merge that joined
+        them.  From ends in different trees the climb reaches a root,
+        whose label 0 stops it; every merge label is positive.  O(log n)
+        per pair."""
+        up, label, size = self._up, self._label, self._size
+        for i, j in pairs:
+            weakest = MICRO
+            while i != j and weakest:
+                # the smaller end is below their common ancestor
+                if size[i] > size[j]:
+                    i, j = j, i
+                if label[i] < weakest:
+                    weakest = label[i]
+                i = up[i]
+            yield weakest
+
+
+class Analysis(MergeTree):
+    """One maximum-spanning-forest pass over a graph, in micro-units.
+
+    ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
+    tuples, indexed as ``FuzzyGraph`` describes; ties in the Kruskal
+    order keep the lexicographic (u, v) order of the edges.  The forest
+    and its merge tree are built eagerly; CI, the residuals outside F,
+    the full residuals and the all-pairs CONN and d_s rows are each
+    built on first use, so a caller that needs only the forest pays
+    O(m log m).  The rooted forest is built only for the full residuals
+    and WI(F).
+    """
+
+    def __init__(self, g: FuzzyGraph):
+        self.names = names = g.vertices()
+        self.sigma = g.sigma_micro
+        self.ends = ends = g.ends
+        self.mu = mu = g.mu_micro
+        super().__init__(len(names), ends, mu)
         self._ci: int | None = None
         self._rooted: Rooted | None = None
         self._outside: list[int] | None = None
@@ -295,37 +284,44 @@ class Analysis:
         self._ds: list[list[int | None]] | None = None
 
     def rooted(self) -> Rooted:
-        """The forest rooted by ``root_forest``."""
+        """(parent, parent edge, depth, preorder) of the forest, each
+        tree rooted at its lowest vertex; a root has parent -1.  The
+        preorder lists every vertex after its parent, tree by tree in
+        order of their roots."""
         if self._rooted is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in self.names]
+            n = len(self.names)
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
             for e in compress(range(len(self.mu)), self.in_forest):
                 i, j = self.ends[e]
                 adj[i].append((j, e))
                 adj[j].append((i, e))
-            self._rooted = root_forest(adj)
+            up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
+            preorder: list[int] = []
+            seen = [False] * n
+            for root in range(n):
+                if seen[root]:
+                    continue
+                seen[root] = True
+                stack = [root]
+                while stack:
+                    x = stack.pop()
+                    preorder.append(x)
+                    for y, e in adj[x]:
+                        if not seen[y]:
+                            seen[y] = True
+                            up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
+                            stack.append(y)
+            self._rooted = up, up_edge, depth, preorder
         return self._rooted
 
     def outside_residual(self) -> list[int]:
         """Per edge outside F, CONN_F between its endpoints, which is its
-        residual; 0 for each edge of F.  Read off the merge tree of the
-        Kruskal pass: climbing from both ends to their lowest common
-        ancestor, the weakest label met is the grade of the merge that
-        joined them.  O(log n) per edge."""
+        residual, by the ``conn`` climb; 0 for each edge of F.  O(log n)
+        per edge."""
         if self._outside is None:
-            up, label, size = self._up, self._label, self._size
-            outside = [0] * len(self.mu)
-            for e in compress(range(len(outside)), map(not_, self.in_forest)):
-                i, j = self.ends[e]
-                weakest = MICRO
-                while i != j:
-                    # the smaller end is below their common ancestor
-                    if size[i] > size[j]:
-                        i, j = j, i
-                    if label[i] < weakest:
-                        weakest = label[i]
-                    i = up[i]
-                outside[e] = weakest
-            self._outside = outside
+            kept = self.in_forest
+            climb = self.conn(compress(self.ends, map(not_, kept)))
+            self._outside = [0 if k else next(climb) for k in kept]
         return self._outside
 
     def residual(self) -> list[int]:

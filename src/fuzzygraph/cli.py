@@ -233,30 +233,21 @@ def _load(path: str) -> FuzzyGraph:
 
 
 class _MicroTexts(dict):
-    """micro-unit count -> its decimal text, rendering each distinct
-    count of one report once."""
+    """micro-unit count -> its decimal text in one report's format,
+    rendering each distinct count of the report once.  JSON quotes the
+    text, which holds no character that JSON escapes.  None stands for
+    a d_s with no strong path: null in JSON, - in text."""
+
+    def __init__(self, fmt: str):
+        self.quoted = fmt == "json"
+        super().__init__({None: "null" if self.quoted else "-"})
 
     def __missing__(self, micro: int) -> str:
-        text = self[micro] = micro_text(micro)
+        text = micro_text(micro)
+        if self.quoted:
+            text = f'"{text}"'
+        self[micro] = text
         return text
-
-
-class _JsonMicroTexts(_MicroTexts):
-    """micro-unit count -> its decimal text as a JSON string, rendering
-    each distinct count of one report once.  A decimal text holds no
-    character that JSON escapes."""
-
-    def __missing__(self, micro: int) -> str:
-        text = self[micro] = f'"{micro_text(micro)}"'
-        return text
-
-
-def _micro_texts(fmt: str) -> dict:
-    """The texts of one report's grades and distances in its format.
-    None stands for a d_s with no strong path: null in JSON, - in text."""
-    if fmt == "json":
-        return _JsonMicroTexts({None: "null"})
-    return _MicroTexts({None: "-"})
 
 
 def _quoted(names) -> list[str]:
@@ -268,7 +259,7 @@ def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
     analysis = Analysis(g)
     names, n = analysis.names, g.vertex_count
-    text = _micro_texts(args.format)
+    text = _MicroTexts(args.format)
     # per vertex u, its CONN and d_s rows, read by one format below
     rows = enumerate(
         () if args.summary
@@ -329,7 +320,7 @@ def _cmd_indices(args) -> tuple[int, str]:
 
 def _cmd_classify(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
-    names, text = analysis.names, _micro_texts(args.format)
+    names, text = analysis.names, _MicroTexts(args.format)
     residual, classes = analysis.residual(), analysis.edge_classes()
     edges = zip(analysis.ends, analysis.mu, residual, classes)
     if args.format == "json":
@@ -356,7 +347,7 @@ def _cmd_mst(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
     analysis.require_spanning_tree()
     names, mu, kept = analysis.names, analysis.mu, analysis.in_forest
-    text = _micro_texts(args.format)
+    text = _MicroTexts(args.format)
     total = micro_text(sum(compress(mu, kept)))
     edges = compress(zip(analysis.ends, mu), kept)
     if args.format == "json":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .analysis import Analysis, GraphKind, SpanningTree, path_min, root_forest
+from .analysis import Analysis, GraphKind, MergeTree, SpanningTree
 from .errors import BadParamsError, BadSpecError
 from .model import MICRO, FuzzyGraph, Membership, VertexId
 
@@ -140,9 +140,8 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     it also lists and shuffles all (n-1)(n-2)/2 pairs outside the tree,
     O(n^2) time and memory: ``shuffle`` draws once per candidate, so a
     shorter list would change every tree drawn from a seed.  The
-    in-tree strength of each candidate tried is the weakest grade on
-    its tree path, read in O(depth) by ``analysis.path_min`` over one
-    ``analysis.root_forest`` of the tree.
+    in-tree strength of each candidate tried is CONN on the tree, read
+    in O(log n) by the climb of one ``analysis.MergeTree`` of the tree.
 
     Raises BadParamsError when n or ``extra_edges`` is no int (a bool
     is none either), n < 2 or ``extra_edges`` < 0.
@@ -172,22 +171,18 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     if extra_edges == 0:
         # nothing below draws from rng then, so this is the same graph
         return graph._layout(names, sigma, edges)
-    adj: list[list[tuple[int, int]]] = [[] for _ in names]
-    for e, (i, j) in enumerate(tree_pairs):
-        adj[i].append((j, e))
-        adj[j].append((i, e))
-    rooted = root_forest(adj)
     in_tree = set(tree_pairs)
     candidates = [ij for ij in combinations(range(n), 2) if ij not in in_tree]
     rng.shuffle(candidates)
     added = 0
-    for i, j in candidates:
-        if added == extra_edges:
-            break
+    conn = MergeTree(n, tree_pairs, mu).conn(candidates)
+    for (i, j), strength in zip(candidates, conn):
         # strictly below the in-tree strength, still on the 0.01 grid
-        limit = path_min(rooted, mu, i, j) // _GRID
+        limit = strength // _GRID
         if limit <= 1:
             continue
         edges[i << 32 | j] = rng.randrange(1, limit) * _GRID
         added += 1
+        if added == extra_edges:
+            break
     return graph._layout(names, sigma, edges)

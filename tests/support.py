@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 from itertools import combinations
+from typing import Sequence
 
 from hypothesis import strategies as st
 
 from fuzzygraph import FuzzyGraph, Membership, build_graph
-from fuzzygraph.analysis import Analysis, EdgeClass, path_min, root_forest
+from fuzzygraph.analysis import Analysis, EdgeClass, Rooted
 from fuzzygraph.model import MICRO, pair
 from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
@@ -138,14 +139,58 @@ def random_sparse_graph(seed: int, n: int, extra: int) -> FuzzyGraph:
     return build_graph(vertices, edges)
 
 
+def root_forest(adj: list[list[tuple[int, int]]]) -> Rooted:
+    """(parent, parent edge, depth, preorder) of the forest whose
+    (neighbour, edge index) lists are ``adj``, with each tree rooted at
+    its lowest index; a root has parent -1.  The preorder lists every
+    vertex after its parent, tree by tree in order of their roots."""
+    n = len(adj)
+    up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
+    preorder: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            preorder.append(x)
+            for y, e in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
+                    stack.append(y)
+    return up, up_edge, depth, preorder
+
+
+def path_min(rooted: Rooted, mu: Sequence[int], i: int, j: int) -> int:
+    """The weakest edge grade ``mu`` on the path between distinct
+    vertices i and j of a rooted forest, 0 when they lie in different
+    trees.  A forest has one path between two vertices, so the choice of
+    roots does not change the answer."""
+    up, up_edge, depth, _ = rooted
+    weakest = MICRO
+    while i != j:
+        if depth[i] < depth[j]:
+            i, j = j, i
+        if up[i] < 0:
+            return 0
+        grade = mu[up_edge[i]]
+        if grade < weakest:
+            weakest = grade
+        i = up[i]
+    return weakest
+
+
 def random_fuzzy_tree_reference(
     seed: int, n: int, extra_edges: int
 ) -> FuzzyGraph:
     """The generator ``structure.random_fuzzy_tree`` replaced, kept as
     its reference: it reads each candidate's in-tree strength with
-    ``path_min`` over the rooted forest of an ``Analysis`` of a
-    throwaway graph of the bare tree.  The two must draw the same
-    numbers in the same order and so give the same graph.
+    ``path_min`` over ``root_forest`` of a throwaway graph of the bare
+    tree, walks that share no code with the library.  The two must draw
+    the same numbers in the same order and so give the same graph.
     """
     rng = random.Random(seed)
     names = _vertex_names(n)
@@ -164,8 +209,11 @@ def random_fuzzy_tree_reference(
         return build_graph(sigma.items(), edges)
     bare = build_graph(sigma.items(), edges)
     index = {name: i for i, name in enumerate(bare.vertices())}
-    tree = Analysis(bare)
-    rooted = tree.rooted()
+    adj: list[list[tuple[int, int]]] = [[] for _ in names]
+    for e, (i, j) in enumerate(bare.ends):
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+    rooted = root_forest(adj)
     in_tree = set(tree_pairs)
     candidates = [
         (u, v)
@@ -178,12 +226,23 @@ def random_fuzzy_tree_reference(
     for u, v in candidates:
         if added == extra_edges:
             break
-        limit = path_min(rooted, tree.mu, index[u], index[v]) // GRID
+        limit = path_min(rooted, bare.mu_micro, index[u], index[v]) // GRID
         if limit <= 1:
             continue
         edges.append((u, v, Membership(rng.randrange(1, limit) * GRID)))
         added += 1
     return build_graph(sigma.items(), edges)
+
+
+def forest_adjacency(analysis: Analysis) -> list[list[tuple[int, int]]]:
+    """(neighbour, edge index) lists of the maximum spanning forest of
+    ``analysis``, as ``root_forest`` takes them."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in analysis.names]
+    for e, (i, j) in enumerate(analysis.ends):
+        if analysis.in_forest[e]:
+            adj[i].append((j, e))
+            adj[j].append((i, e))
+    return adj
 
 
 def conn_rows_reference(analysis: Analysis) -> list[list[int]]:
@@ -192,11 +251,7 @@ def conn_rows_reference(analysis: Analysis) -> list[list[int]]:
     route ``Analysis.conn_rows`` replaced, kept as its reference.  The
     diagonal and pairs in different trees read 0."""
     n, mu = len(analysis.names), analysis.mu
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(analysis.ends):
-        if analysis.in_forest[e]:
-            adj[i].append((j, e))
-            adj[j].append((i, e))
+    adj = forest_adjacency(analysis)
     rows = []
     for source in range(n):
         row = [0] * n
@@ -317,12 +372,7 @@ def residual_reference(analysis: Analysis) -> list[int]:
     each giving its grade to the forest edges of its path that have no
     residual yet, found by jump pointers."""
     n, mu, ends = len(analysis.names), analysis.mu, analysis.ends
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(ends):
-        if analysis.in_forest[e]:
-            adj[i].append((j, e))
-            adj[j].append((i, e))
-    rooted = root_forest(adj)
+    rooted = root_forest(forest_adjacency(analysis))
     up, up_edge, depth, _ = rooted
     residual = [0] * len(mu)
     jump = list(range(n))

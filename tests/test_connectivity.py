@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 from itertools import combinations
 
@@ -27,18 +28,20 @@ from fuzzygraph import (
     strong_subgraph,
     random_fuzzy_tree,
 )
-from fuzzygraph import analysis
-from fuzzygraph.analysis import Analysis, path_min
+from fuzzygraph.analysis import Analysis
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 from fuzzygraph.structure import SaturatedCycleSpec, make_saturated_cycle
 
 from conftest import fuzzy_graphs
 from support import (
     GRID,
+    forest_adjacency,
+    path_min,
     random_deep_graph,
     random_graph,
     random_sparse_graph,
     residual_reference,
+    root_forest,
 )
 
 QUARTER = MICRO // 4  # a coarse grade grid that forces heavy ties
@@ -307,21 +310,37 @@ def test_strong_edges_are_the_maximum_spanning_forest_edges(g):
     st.sampled_from([GRID, QUARTER]),
 )
 @settings(max_examples=100, deadline=None)
-def test_path_min_over_the_rooted_forest_on_disconnected_graphs(
+def test_merge_tree_climb_on_disconnected_graphs(
     seed, n, edge_probability, step
 ):
-    # residual() asks only about pairs that share an edge, so this is
-    # the test that reaches pairs in different trees
+    # outside_residual asks only about pairs that share an edge, so this
+    # is the test that reaches pairs in different trees
     g = random_graph(seed, n, edge_probability, step, 0.2)
     analysis = Analysis(g)
     assume(analysis.components > 1)
-    rooted, rows, names = analysis.rooted(), analysis.conn_rows(), g.vertices()
-    for i, j in combinations(range(n), 2):
+    rows, names = analysis.conn_rows(), g.vertices()
+    pairs = list(combinations(range(n), 2))
+    for (i, j), climbed in zip(pairs, analysis.conn(pairs), strict=True):
         u, v = names[i], names[j]
-        walked = path_min(rooted, analysis.mu, i, j)
-        assert walked == rows[i][j] == conn_bruteforce(g, u, v).micro
+        assert climbed == rows[i][j] == conn_bruteforce(g, u, v).micro
         if not _joined(g, u, v, lambda *_: True):
-            assert walked == 0
+            assert climbed == 0
+
+
+@pytest.mark.parametrize("shape", ["path", "broom"])
+def test_merge_tree_climb_matches_the_path_walk_on_deep_trees(shape):
+    # up to 2000 deep as rooted forests, at most 11 deep as merge trees;
+    # with three parts a third of the pairs lie in different trees
+    for seed, chords, parts in [(0, 0, 1), (1, 2000, 1), (2, 0, 3)]:
+        g = random_deep_graph(seed, 2000, shape, chords, parts=parts)
+        analysis = Analysis(g)
+        rooted = root_forest(forest_adjacency(analysis))
+        assert analysis.rooted() == rooted
+        rng = random.Random(seed)
+        pairs = [tuple(rng.sample(range(2000), 2)) for _ in range(500)]
+        assert list(analysis.conn(pairs)) == [
+            path_min(rooted, analysis.mu, i, j) for i, j in pairs
+        ]
 
 
 # ---------------------------------- residual routes vs the kept reference
@@ -425,10 +444,10 @@ def test_connected_graphs_never_root_the_forest(monkeypatch):
     with pytest.raises(StrongDisconnectedError) as unpatched:
         Analysis(apart).wiener()
 
-    def refuse(adj):
+    def refuse(self):
         raise AssertionError("the forest was rooted")
 
-    monkeypatch.setattr(analysis, "root_forest", refuse)
+    monkeypatch.setattr(Analysis, "rooted", refuse)
     for g, (wiener, ds) in zip((cycle, sparse), sums):
         assert not Analysis(g).is_fuzzy_forest()
         assert Analysis(g).wiener() == wiener

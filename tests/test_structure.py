@@ -308,6 +308,17 @@ def test_random_fuzzy_tree_matches_the_reference_generator():
         ), (seed, n, extra)
 
 
+@pytest.mark.parametrize("n", [200, 1000])
+def test_random_fuzzy_tree_matches_the_reference_at_middle_sizes(n):
+    # larger trees than the test above draws: the generator's merge-tree
+    # climb against the reference's walk over the rooted tree
+    for seed in range(2):
+        assert (
+            random_fuzzy_tree(seed, n, 3).serialize()
+            == random_fuzzy_tree_reference(seed, n, 3).serialize()
+        ), seed
+
+
 def test_generators_build_no_membership(monkeypatch):
     spec = SaturatedCycleSpec(12, M("0.6"), M("0.2"))
     built = []
