@@ -27,16 +27,19 @@ Kruskal on integer micro-units:
 
 The strong edges cost O(m log m) plus O(log n) per edge outside F, on
 any forest shape; classifying every edge adds one descending sweep over
-the rooted forest for the residuals of F; that sweep and WI(F) are all
-that root the forest.  The connectivity index CI is summed only when
-asked, by replaying the recorded merges, one multiply-add per merge.
-The Wiener index WI costs O(n) on a fuzzy tree, whose strong subgraph is
-F, and on a fuzzy cycle, whose edges are all strong and so one block,
-walked once around with no block search; otherwise one block
-decomposition of the strong subgraph: O(1) per bridge, O(k) per cycle
-block of k edges, and one Dijkstra per vertex only inside the other
-blocks.  The same two sums over F alone give WI(F) and CI(F) of the
-forest as a graph on its own, with no second graph or pass.  The
+the rooted forest for the residuals of F; that sweep and the bridges of
+a fuzzy forest are all that root the forest.  The connectivity index CI
+is summed only when asked, by replaying the recorded merges, one
+multiply-add per merge.  The Wiener index WI is one sum over the blocks
+of the strong subgraph, walked as one method chooses by shape for WI and
+the d_s rows alike: O(n) on a fuzzy tree, whose strong subgraph is F and
+whose blocks are the edges of F, read off the rooted forest, and on a
+fuzzy cycle, whose edges are all strong and so one block, walked once
+around; otherwise one block decomposition of the strong subgraph: O(1)
+per bridge, O(k) per cycle block of k edges, and one Dijkstra per
+vertex only inside the other blocks.  The Kruskal sum is also CI(F) of
+the forest as a graph on its own, and on a fuzzy tree the block sum is
+also WI(F), with no second graph or pass.  The
 all-pairs CONN and d_s rows, built only for callers that print them,
 come from the same two decompositions: each Kruskal merge sets CONN and
 each strong block d_s across the parts it joins, O(n^2) stores in all
@@ -267,7 +270,7 @@ class Analysis(MergeTree):
     the full residuals and the all-pairs CONN and d_s rows are each
     built on first use, so a caller that needs only the forest pays
     O(m log m).  The rooted forest is built only for the full residuals
-    and WI(F).
+    and the strong blocks of a fuzzy forest.
     """
 
     def __init__(self, g: FuzzyGraph):
@@ -466,44 +469,13 @@ class Analysis(MergeTree):
 
     def wiener(self) -> Fraction:
         """WI; raises StrongDisconnectedError when some pair has no
-        strong path.  Builds no pair table: O(n) on a fuzzy tree and on
-        a fuzzy cycle, which is one strong block found with no search,
-        else one block decomposition of the strong subgraph.  The block
-        search would also sum a fuzzy tree, whose blocks are all
-        bridges, but the subtree sums cost less: on a fuzzy tree of
-        10^5 vertices the analysis plus WI took 0.90 s this way and
-        1.41 s by blocks.  The route depends on the graph alone, never
-        on which rows were built before."""
+        strong path.  Builds no pair table: one sum over the blocks of
+        the strong subgraph, walked as ``_strong_blocks`` chooses by the
+        graph's shape, O(n) on a fuzzy tree and on a fuzzy cycle.  The
+        route depends on the graph alone, never on which rows were built
+        before."""
         self.require_strong_paths()
-        if self.is_fuzzy_cycle():
-            # every edge is strong: S is the cycle, one block
-            sigma = self.sigma
-            total = _block_sum(self._cycle_block(), list(sigma), sum(sigma))
-            return Fraction(total, _SUM_SCALE)
-        if self.is_fuzzy_forest():
-            # the strong subgraph S is the forest F
-            return self.forest_wiener()
         return Fraction(self._block_wiener(), _SUM_SCALE)
-
-    def forest_wiener(self) -> Fraction:
-        """WI of the forest F as a graph on its own; raises
-        StrongDisconnectedError when F, like the graph, is disconnected.
-        Every edge of F is a bridge and strong, so every path through it
-        crosses it once and WI(F) is the sum over F of mu(e)
-        sigma(below e) sigma(rest) (Dobrynin, Entringer and Gutman
-        2001): O(n) after the rooted forest."""
-        self.require_strong_paths()
-        up, up_edge, _, preorder = self.rooted()
-        below = list(self.sigma)
-        whole = sum(below)
-        mu, total = self.mu, 0
-        for x in reversed(preorder):
-            parent = up[x]
-            if parent >= 0:
-                weight = below[x]
-                total += mu[up_edge[x]] * weight * (whole - weight)
-                below[parent] += weight
-        return Fraction(total, _SUM_SCALE)
 
     def _cycle_block(self) -> Block:
         """The edges of a crisp cycle through every vertex as one block,
@@ -524,12 +496,26 @@ class Analysis(MergeTree):
 
     def _strong_blocks(self) -> Iterator[Block]:
         """The blocks of the strong subgraph S, each after every block
-        below its vertices other than its top: on a fuzzy cycle, whose
-        edges are all strong, the one ``_cycle_block``; else by one
-        iterative Hopcroft-Tarjan pass (1973) with an edge stack, tree
-        by tree from the lowest vertex not yet reached."""
+        below its vertices other than its top.  The one place that picks
+        how S is walked, for both ``wiener`` and ``ds_rows``: on a fuzzy
+        cycle, whose edges are all strong, the one ``_cycle_block``; on
+        a fuzzy forest, where S is F, each edge of F as a bridge off the
+        rooted forest; else by one iterative Hopcroft-Tarjan pass (1973)
+        with an edge stack, tree by tree from the lowest vertex not yet
+        reached."""
         if self.is_fuzzy_cycle():
             yield self._cycle_block()
+            return
+        if self.is_fuzzy_forest():
+            # the block search would find the same bridges, but the
+            # rooting costs less: on a fuzzy tree of 10^5 vertices the
+            # analysis plus WI took 0.90 s this way and 1.41 s by blocks.
+            # Reverse preorder puts each bridge after those below it.
+            up, up_edge, _, preorder = self.rooted()
+            mu = self.mu
+            for x in reversed(preorder):
+                if up[x] >= 0:
+                    yield [(up[x], x, mu[up_edge[x]])]
             return
         n = len(self.names)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -583,7 +569,9 @@ class Analysis(MergeTree):
         into shortest paths inside blocks, so WI is the sum over blocks B
         of d_B(x, y) W_B(x) W_B(y) over pairs x < y of B.  W_B(x) is the
         sigma weight of the vertices whose paths into B enter at x: for x
-        other than the top of B, x and the parts merged into it before."""
+        other than the top of B, x and the parts merged into it before.
+        A bridge into x adds mu W(x) (whole - W(x)), which over a tree is
+        the edge sum of Dobrynin, Entringer and Gutman (2001)."""
         whole, weight, total = sum(self.sigma), list(self.sigma), 0
         for block in self._strong_blocks():
             if len(block) == 1:
@@ -646,10 +634,6 @@ class Analysis(MergeTree):
             for grade, res, kept in zip(self.mu, outside, self.in_forest)
             if not kept
         )
-
-    def fuzzy_tree_mst(self) -> SpanningTree | None:
-        tree = self.spanning_tree()
-        return tree if self.is_fuzzy_forest() else None
 
     def is_fuzzy_cycle(self) -> bool:
         """Crisp cycle through all vertices whose weakest grade ties >= 2."""

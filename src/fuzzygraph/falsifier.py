@@ -69,18 +69,17 @@ def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:
     The claim is tested exactly as published, with no auxiliary
     hypotheses.  lhs is WI(G), rhs is CI(F); WI(F) is in the detail map.
     F is the maximum spanning forest of G's one analysis, not a second
-    graph: WI(F) is the sum over the forest edges of mu(e) sigma(below
-    e) sigma(rest), and CI(F) is the CI its Kruskal pass summed.  On a
-    fuzzy tree the strong subgraph S of G is F, so WI(G) = WI(F) by
-    definition and ``Analysis.wiener`` would return ``forest_wiener``:
-    the sum is taken once and reported as both.
+    graph, and CI(F) is the CI its Kruskal pass summed.  On a fuzzy tree
+    the strong subgraph S of G is F, so WI(G) = WI(F) by definition:
+    ``Analysis.wiener`` sums it once, over the edges of F as bridges,
+    mu(e) sigma(below e) sigma(rest) each, and it is reported as both.
     Raises NotAFuzzyTreeError or DisconnectedError.
     """
     analysis = Analysis(g)
     analysis.require_spanning_tree()
     if not analysis.is_fuzzy_forest():
         raise NotAFuzzyTreeError("corollary-star applies to fuzzy trees only")
-    wi_g = wi_f = analysis.forest_wiener()
+    wi_g = wi_f = analysis.wiener()
     ci_f = analysis.connectivity()
     return ClaimVerdict(
         claim_id=ClaimId.COROLLARY_STAR,

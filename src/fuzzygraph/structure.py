@@ -64,7 +64,9 @@ def fuzzy_tree_mst(g: FuzzyGraph) -> SpanningTree | None:
     the tree alone achieves between its endpoints.  When that holds the
     tree is automatically the unique maximum spanning tree.
     """
-    return Analysis(g).fuzzy_tree_mst()
+    analysis = Analysis(g)
+    tree = analysis.spanning_tree()
+    return tree if analysis.is_fuzzy_forest() else None
 
 
 def is_fuzzy_tree(g: FuzzyGraph) -> bool:

@@ -44,7 +44,13 @@ from fuzzygraph.analysis import Analysis
 from fuzzygraph.cli import main
 from fuzzygraph.model import MICRO
 
-from support import conn_rows_reference, ds_rows_reference, random_graph
+from support import (
+    GRID,
+    conn_rows_reference,
+    ds_rows_reference,
+    random_deep_graph,
+    random_graph,
+)
 
 QUARTER = MICRO // 4
 
@@ -463,6 +469,26 @@ SHAPES = GUARDED + [
         ),
     ),
 ]
+# fuzzy forests with weak chords, whose strong blocks are the forest's
+# edges read off the rooted forest
+FORESTS = [
+    (
+        f"deep {shape} with chords",
+        lambda seed=seed, shape=shape: random_deep_graph(
+            seed, 300, shape, 300, weak_chords=True
+        ),
+    )
+    for seed, shape in enumerate(["path", "broom", "caterpillar"])
+] + [
+    (
+        "split forest",
+        lambda: random_deep_graph(
+            1, 300, "broom", 300, parts=3, weak_chords=True,
+            zero_sigma_share=0.1,
+        ),
+    ),
+]
+SHAPES += FORESTS
 
 
 @pytest.mark.parametrize("label,build", SHAPES, ids=[s[0] for s in SHAPES])
@@ -471,9 +497,13 @@ def test_pair_rows_on_every_shape(label, build):
     assert_rows_match_the_references(g)
     if g.vertex_count <= 12:
         assert_rows_match_bruteforce(g)
-    ds = Analysis(g).ds_rows()
-    apart = label in ("edgeless", "apart")
+    analysis = Analysis(g)
+    ds = analysis.ds_rows()
+    apart = label in ("edgeless", "apart", "split forest")
     assert apart == any(None in row for row in ds)
+    if label in dict(FORESTS):
+        # chords lie outside F, yet S is F
+        assert analysis.is_fuzzy_forest() and not all(analysis.in_forest)
 
 
 @pytest.mark.parametrize(
@@ -551,11 +581,28 @@ def edge_decomposition(g) -> tuple[Fraction, Fraction]:
     return wiener, connectivity
 
 
+@pytest.mark.parametrize(
+    "build,chord",
+    [
+        (lambda: random_fuzzy_tree(11, 20_000, 0), 0),
+        (
+            lambda: random_deep_graph(
+                0, 20_000, "path", 20_000, weak_chords=True
+            ),
+            GRID,
+        ),
+    ],
+    ids=["pruefer tree", "deep path with chords"],
+)
 def test_summary_of_a_large_fuzzy_tree_is_its_edge_decomposition(
-    tmp_path, capsys
+    build, chord, tmp_path, capsys
 ):
-    g = random_fuzzy_tree(11, 20_000, 0)
-    wiener, connectivity = edge_decomposition(g)
+    """WI(G) = WI(F) and CI(G) = CI(F) on a fuzzy tree, summed over the
+    edges of F: those graded above ``chord``, the grade of every chord."""
+    g = build()
+    forest = [(u, v) for u, v, grade in g.edges() if grade.micro > chord]
+    assert len(forest) == g.vertex_count - 1
+    wiener, connectivity = edge_decomposition(g.edge_subgraph(forest))
     path = tmp_path / "tree.fzg"
     path.write_text(g.serialize())
     assert main(["indices", "--summary", str(path)]) == 0
