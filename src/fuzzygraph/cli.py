@@ -8,6 +8,10 @@ Reports are built straight from the analysis lists.  A report's row
 lists, as text lines or JSON objects, are built one string per row with
 one f-string, from values rendered once per report: each vertex name is
 JSON-quoted once, and each distinct grade or distance is rendered once.
+A falsify or repro report's verdicts are a row list too, one string per
+verdict with its nested ``detail`` and ``instance`` objects, and the
+.fzg texts of all its witnesses share one grade map: each distinct
+grade is rendered once across all the witnesses, not once per graph.
 
 ``main`` pauses the cyclic garbage collector while a command runs.  A
 command builds up to millions of objects that live until it ends and
@@ -24,7 +28,8 @@ import gc
 import json
 import os
 import sys
-from itertools import compress
+from functools import partial
+from itertools import compress, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -178,53 +183,94 @@ def _warnings_for(zero_sigma_vertices: tuple[str, ...]) -> list[str]:
     return []
 
 
-def _verdict_texts(verdict: ClaimVerdict) -> tuple[str, str, dict[str, str]]:
-    """The texts of a verdict's lhs, rhs and detail entries, formatting
-    each value object once.  lhs and rhs are two of the detail's values,
-    the same objects, so they are known by ``id`` while the verdict
-    holds them; a ``Fraction`` key would cost a hash about as dear as
-    the formatting."""
+def _verdict_texts(verdict: ClaimVerdict) -> tuple[str, str, list[str]]:
+    """The texts of a verdict's lhs, rhs and detail values, in detail
+    order, formatting each value object once.  lhs and rhs are two of
+    the detail's values, the same objects, so they are known by ``id``
+    while the verdict holds them; a ``Fraction`` key would cost a hash
+    about as dear as the formatting."""
     texts: dict[int, str] = {}
-    detail = {}
-    for name, value in verdict.detail.items():
+    detail = []
+    for value in verdict.detail.values():
         text = texts.get(id(value))
         if text is None:
             text = texts[id(value)] = format_fraction(value)
-        detail[name] = text
+        detail.append(text)
     lhs = texts.get(id(verdict.lhs)) or format_fraction(verdict.lhs)
     rhs = texts.get(id(verdict.rhs)) or format_fraction(verdict.rhs)
     return lhs, rhs, detail
 
 
-def _verdict_json(verdict: ClaimVerdict) -> dict:
+def _verdict_rows(
+    verdicts: list[ClaimVerdict], grades: _MicroTexts
+) -> _Rows:
+    """The JSON ``verdicts`` list.  A run of verdicts of one claim and
+    one detail shares its keys; a theorem-star instance lists its spec
+    before the .fzg text.  ``grades`` is the report's one micro-unit ->
+    text map, so each distinct grade of all the witnesses is rendered
+    once."""
     from .structure import SaturatedCycleSpec
 
-    lhs, rhs, detail = _verdict_texts(verdict)
-    doc = {
-        "claim": verdict.claim_id.value,
-        "size": verdict.size,
-        "holds": verdict.holds,
-        "lhs": lhs,
-        "rhs": rhs,
-        "detail": detail,
-    }
-    instance = doc["instance"] = {}
-    if isinstance(verdict.instance, SaturatedCycleSpec):
-        spec = verdict.instance
-        instance.update(n=spec.n, kappa=str(spec.kappa), eta=str(spec.eta))
-    instance["fzg"] = verdict.fzg
-    return doc
+    def shape(verdict: ClaimVerdict) -> tuple:
+        cycle = isinstance(verdict.instance, SaturatedCycleSpec)
+        return verdict.claim_id, tuple(verdict.detail), cycle
+
+    parts = []
+    for (claim_id, names, cycle), run in groupby(verdicts, shape):
+        instance = ("n", "kappa", "eta", "fzg") if cycle else ("fzg",)
+        keys = (
+            "claim", "size", "holds", "lhs", "rhs",
+            ("detail", names), ("instance", instance),
+        )
+        claim = encode_basestring_ascii(claim_id.value)
+        build = partial(_verdict_strings, [*run], claim, cycle, grades)
+        parts.append((keys, build))
+    return _Rows(*parts)
 
 
-def _verdict_lines(index: int, verdict: ClaimVerdict) -> list[str]:
+def _verdict_strings(
+    run: list[ClaimVerdict],
+    claim: str,
+    cycle: bool,
+    grades: _MicroTexts,
+    *heads: str,
+) -> list[str]:
+    """The ``_Rows`` build of ``_verdict_rows``: one string per verdict
+    of the run, from one f-string."""
+    c, s, h, left, right, *heads, end = heads
+    rows = []
+    for verdict in run:
+        lhs, rhs, detail = _verdict_texts(verdict)
+        values = [f'"{text}"' for text in detail]
+        if cycle:
+            spec = verdict.instance
+            values += [
+                str(spec.n),
+                f'"{grades[spec.kappa.micro]}"',
+                f'"{grades[spec.eta.micro]}"',
+            ]
+        fzg = verdict.graph.serialize(grades)
+        values.append(encode_basestring_ascii(fzg))
+        rows.append(
+            f"{c}{claim}{s}{verdict.size}"
+            f"{h}{'true' if verdict.holds else 'false'}"
+            f'{left}"{lhs}"{right}"{rhs}"'
+            f"{''.join(map(str.__add__, heads, values))}{end}"
+        )
+    return rows
+
+
+def _verdict_lines(
+    index: int, verdict: ClaimVerdict, grades: _MicroTexts
+) -> list[str]:
     lhs, rhs, detail = _verdict_texts(verdict)
-    items = ", ".join(f"{name} = {text}" for name, text in detail.items())
+    items = ", ".join(map("{} = {}".format, verdict.detail, detail))
     return [
         f"witness {index}: size {verdict.size}, holds=false, "
         f"lhs = {lhs}, rhs = {rhs}",
         f"  {items}",
         # the .fzg text, each line indented; it ends in one newline
-        "  " + verdict.fzg[:-1].replace("\n", "\n  "),
+        "  " + verdict.graph.serialize(grades)[:-1].replace("\n", "\n  "),
     ]
 
 
@@ -284,7 +330,7 @@ def _cmd_indices(args) -> tuple[int, str]:
         doc = _base_doc()
         doc["wiener"] = None if wiener is None else format_fraction(wiener)
         doc["connectivity"] = connectivity
-        doc["pairs"] = _Rows(
+        doc["pairs"] = _Rows((
             ("u", "v", "conn", "ds"),
             lambda u, v, c, d, end: [
                 f"{u}{quoted[i]}{v}{quoted[j]}{c}{text[conn[j]]}"
@@ -292,7 +338,7 @@ def _cmd_indices(args) -> tuple[int, str]:
                 for i, (_, conn, ds) in rows
                 for j in range(i + 1, n)
             ],
-        )
+        ))
         doc["kind"] = _kind_json(kind)
         doc["warnings"] = warnings
         return code, _json_text(doc)
@@ -327,14 +373,14 @@ def _cmd_classify(args) -> tuple[int, str]:
         quoted = _quoted(names)
         label = {c: encode_basestring_ascii(c.value) for c in EdgeClass}
         doc = _base_doc()
-        doc["edges"] = _Rows(
+        doc["edges"] = _Rows((
             ("u", "v", "mu", "class", "residual"),
             lambda u, v, m, c, r, end: [
                 f"{u}{quoted[i]}{v}{quoted[j]}{m}{text[grade]}"
                 f"{c}{label[edge_class]}{r}{text[res]}{end}"
                 for (i, j), grade, res, edge_class in edges
             ],
-        )
+        ))
         return 0, _json_text(doc)
     lines = [
         f"{names[i]} {names[j]} {text[grade]} {edge_class.value} {text[res]}"
@@ -354,13 +400,13 @@ def _cmd_mst(args) -> tuple[int, str]:
         quoted = _quoted(names)
         doc = _base_doc()
         doc["mst"] = {
-            "edges": _Rows(
+            "edges": _Rows((
                 ("u", "v", "mu"),
                 lambda u, v, m, end: [
                     f"{u}{quoted[i]}{v}{quoted[j]}{m}{text[w]}{end}"
                     for (i, j), w in edges
                 ],
-            ),
+            )),
             "total_strength": total,
         }
         return 0, _json_text(doc)
@@ -396,7 +442,7 @@ def _cmd_repro(args) -> tuple[int, str]:
             }
             for check in checks
         ]
-        doc["verdicts"] = [_verdict_json(verdict) for verdict in verdicts]
+        doc["verdicts"] = _verdict_rows(verdicts, _MicroTexts("text"))
         return code, _json_text(doc)
     lines = [
         f"{check.label}: {check.detail} {'PASS' if check.passed else 'FAIL'}"
@@ -426,9 +472,12 @@ def _cmd_falsify(args) -> tuple[int, str]:
         claim, trials=trials, seed=args.seed, size_range=size_range
     )
     code = 0 if verdicts else 4
+    # the one grade map of the report: each distinct grade of all the
+    # witnesses' .fzg texts is rendered once
+    grades = _MicroTexts("text")
     if args.format == "json":
         doc = _base_doc()
-        doc["verdicts"] = [_verdict_json(verdict) for verdict in verdicts]
+        doc["verdicts"] = _verdict_rows(verdicts, grades)
         if note is not None:
             doc["warnings"] = [note]
         return code, _json_text(doc)
@@ -438,28 +487,36 @@ def _cmd_falsify(args) -> tuple[int, str]:
     lines.append(f"witnesses: {len(verdicts)}")
     for index, verdict in enumerate(verdicts, start=1):
         lines.append("")
-        lines += _verdict_lines(index, verdict)
+        lines += _verdict_lines(index, verdict, grades)
     return code, "\n".join(lines) + "\n"
 
 
 class _Rows:
-    """A JSON list of objects that share their keys (one or more, all
-    distinct), built one string per object by ``build``.
+    """A JSON list of objects, built one string per object.
 
-    ``_render`` calls ``build(*heads, end)`` once, with one head per key:
-    the text that opens the object or separates it from the previous
-    member, then the key and its colon.  ``build`` returns each object as
-    ``heads[0] + value_0 + heads[1] + value_1 + ... + end``, every value
-    already JSON text: a quoted string or null.  So the layout, which
-    depends on where the list sits, is decided in ``_render`` alone, and
-    the caller quotes each distinct value once."""
+    ``parts`` holds (keys, build) pairs, one per run of objects that
+    share their keys; the runs' objects follow one another in the list.
+    ``keys`` is one or more distinct keys, and a key may be a pair (key,
+    subkeys), whose value is a nested object with those keys (none
+    gives ``{}``).  The object has one value per key, a nested object
+    one per subkey.
 
-    __slots__ = ("keys", "build")
+    ``_render`` calls each ``build(*heads, end)`` once, with one head
+    per value: the text that opens the object or separates the value
+    from the previous one, with every brace of a nested object that
+    opens or closes there, then the value's key and its colon.
+    ``build`` returns each object as ``heads[0] + value_0 + heads[1] +
+    value_1 + ... + end``, every value already JSON text: a quoted
+    string, a number, true, false or null.  So the layout, which
+    depends on where the list sits, is decided in ``_render`` alone,
+    and the caller renders each distinct value once."""
+
+    __slots__ = ("parts",)
 
     def __init__(
-        self, keys: tuple[str, ...], build: Callable[..., list[str]]
+        self, *parts: tuple[tuple, Callable[..., list[str]]]
     ):
-        self.keys, self.build = keys, build
+        self.parts = parts
 
 
 def _json_text(doc: dict) -> str:
@@ -507,17 +564,37 @@ def _render(value, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     elif isinstance(value, _Rows):
         inner = newline + "  "
-        heads = [
-            f",{inner}  {encode_basestring_ascii(key)}: " for key in value.keys
-        ]
-        heads[0] = "{" + heads[0][1:]
-        rows = value.build(*heads, inner + "}")
+        rows: list[str] = []
+        for keys, build in value.parts:
+            rows += build(*_heads(keys, inner))
         if rows:
             out.append(f"[{inner}{f',{inner}'.join(rows)}{newline}]")
         else:
             out.append("[]")
     else:
         out.append(json.dumps(value))
+
+
+def _heads(keys: tuple, newline: str) -> list[str]:
+    """The texts around the values of one ``_Rows`` object with these
+    keys, laid out at ``newline`` as ``_render`` lays out a dict: one
+    text before each value, then the text that ends the object."""
+    if not keys:
+        return ["{}"]
+    inner = newline + "  "
+    heads, lead = [""], "{"
+    for key in keys:
+        key, subkeys = (key, None) if isinstance(key, str) else key
+        heads[-1] += f"{lead}{inner}{encode_basestring_ascii(key)}: "
+        if subkeys is None:
+            heads.append("")
+        else:
+            first, *rest = _heads(subkeys, inner)
+            heads[-1] += first
+            heads += rest
+        lead = ","
+    heads[-1] += newline + "}"
+    return heads
 
 
 _COMMANDS = {

@@ -59,7 +59,12 @@ class ClaimVerdict:
 
     @cached_property
     def fzg(self) -> str:
-        """The .fzg text of ``graph``, serialized once, on first use."""
+        """The .fzg text of ``graph``, serialized once, on first use.
+
+        Neither the search nor the CLI reads it: the search sorts by the
+        int grades (see ``_canonical_key``), and a report serializes each
+        witness's graph itself, once, with one grade map for all of them.
+        """
         return self.graph.serialize()
 
 
@@ -112,11 +117,42 @@ def _trial_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) & ((1 << 64) - 1)
 
 
-def _canonical_key(verdict: ClaimVerdict) -> tuple[int, str]:
-    if isinstance(verdict.instance, SaturatedCycleSpec):
-        spec = verdict.instance
-        return (spec.n, f"cycle n={spec.n} kappa={spec.kappa} eta={spec.eta}")
-    return (verdict.size, verdict.fzg)
+def _canonical_key(verdict: ClaimVerdict) -> tuple:
+    """The sort key of a search verdict, from its int grades alone.
+
+    It orders the verdicts of one search exactly as the text keys
+    ``(size, fzg)`` of a corollary-star tree and ``(n, "cycle n={n}
+    kappa={kappa} eta={eta}")`` of a theorem-star spec do, and is equal
+    exactly where they are, so the stable sort keeps ties in one order
+    too.  The keys compare size (n) first, so take two verdicts of one
+    size n:
+
+    - Every search verdict of size n has the names ``_vertex_names(n)``,
+      of one width, so its .fzg text is the same vertex lines ``v <name>
+      <sigma>`` for each vertex in index order, then ``e <name_i>
+      <name_j> <mu>`` for each edge in ``ends`` order.  Two texts differ
+      first either in a pair of edge names, whose zero-padded digits
+      compare as the indices (i, j) do, or in a grade; or one text's
+      edge lines stop first, and it sorts first, as a tuple that is a
+      prefix of another does.  Two spec texts of one n share ``cycle
+      n={n} kappa=`` and differ first in kappa, or else in eta.
+    - Where they first differ in a grade, the shortest decimal text of a
+      grade in [0, 1] ("0", "1" or "0.d..." with no trailing zero) sorts
+      as its number does: the texts differ first in a digit, or one
+      text stops where the other goes on with "." or a digit.  The
+      character after a grade is "\\n", a space or the end of the text,
+      each below every digit and below ".", so the shorter text sorts
+      first, as its smaller number does.
+
+    Hence (n, sigma_micro, the (ends, mu) pairs) for a tree and (n,
+    kappa, eta) in micro-units for a cycle give the text keys' order,
+    and the search never renders a grade to sort.
+    """
+    instance = verdict.instance
+    if isinstance(instance, SaturatedCycleSpec):
+        return (instance.n, instance.kappa.micro, instance.eta.micro)
+    g = verdict.graph
+    return (g.vertex_count, g.sigma_micro, tuple(zip(g.ends, g.mu_micro)))
 
 
 def _sweep_specs(size_range: tuple[int, int]) -> Iterator[SaturatedCycleSpec]:
@@ -152,7 +188,10 @@ def search_counterexamples(
     ``size_range`` (default 4..12) against the 0.1-grade grid with
     kappa > eta; ``trials`` caps the sweep when given.  Only verdicts
     with holds = False are returned, sorted by instance size and then by
-    canonical serialization.
+    canonical serialization: a tree's .fzg text, a cycle's "cycle n=...
+    kappa=... eta=..." text.  The key reads that order off the int
+    grades, so the search serializes no graph (proof at
+    ``_canonical_key``).
     """
     if trials is not None and trials < 1:
         raise BadParamsError(f"trials must be >= 1, got {trials}")

@@ -371,12 +371,19 @@ class FuzzyGraph:
         graph = FuzzyGraph.__new__(FuzzyGraph)
         return graph._layout([*self._names], [*self.sigma_micro], keyed)
 
-    def serialize(self) -> str:
+    def serialize(self, text: Mapping[int, str] | None = None) -> str:
         """Canonical .fzg text; parsing it back reproduces this graph.
         Each distinct grade is rendered once, and edge lines take their
-        names straight from ``ends``."""
+        names straight from ``ends``.
+
+        ``text`` maps a micro-unit count to its ``micro_text``, and must
+        render the counts it lacks on lookup (a dict with ``__missing__``);
+        a caller serializing many graphs passes one map to them all, so
+        a grade they share is rendered once in all.  By default each
+        call renders its own grades."""
         names, sigma, mu = self._names, self.sigma_micro, self.mu_micro
-        text = {grade: micro_text(grade) for grade in {*sigma, *mu}}
+        if text is None:
+            text = {grade: micro_text(grade) for grade in {*sigma, *mu}}
         lines = [f"v {name} {text[grade]}" for name, grade in zip(names, sigma)]
         lines += [
             f"e {names[i]} {names[j]} {text[w]}"

@@ -34,7 +34,7 @@ from fuzzygraph import (
     strength_of_connectedness,
     wiener_index,
 )
-from fuzzygraph import analysis, cli, falsifier
+from fuzzygraph import analysis, cli, falsifier, model
 from fuzzygraph.cli import main
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
@@ -643,13 +643,66 @@ def test_row_lists_render_as_json_dumps_with_indent_2(row_list, depth):
             for row in rows
         ]
 
-    doc = cli._Rows(keys, build)
+    doc = cli._Rows((keys, build))
     expected = [dict(zip(keys, row)) for row in rows]
     for _ in range(depth):  # nest the list to move its indent
         doc, expected = {"rows": [doc]}, {"rows": [expected]}
     want = json.dumps({"x": expected}, indent=2) + "\n"
     assert cli._json_text({"x": doc}) == want
     assert calls == [len(keys) + 1]
+
+
+@st.composite
+def nested_row_lists(draw) -> list[tuple[tuple, list[tuple]]]:
+    """Runs of rows, each run with its own keys, some of them nested
+    objects with keys of their own (none, to give {})."""
+    key = _STRINGS | _LAYOUT
+    field = st.none() | st.booleans() | st.integers() | _STRINGS | _LAYOUT
+    runs = []
+    for _ in range(draw(st.integers(0, 3))):
+        names = draw(st.lists(key, min_size=1, max_size=4, unique=True))
+        keys = tuple(
+            (name, tuple(draw(st.lists(key, max_size=3, unique=True))))
+            if draw(st.booleans()) else name
+            for name in names
+        )
+        width = sum(1 if isinstance(k, str) else len(k[1]) for k in keys)
+        rows = draw(st.lists(st.tuples(*[field] * width), max_size=3))
+        runs.append((keys, rows))
+    return runs
+
+
+def _as_object(keys: tuple, values: list) -> dict:
+    """The object of a row's keys, taking its values off the front."""
+    doc = {}
+    for key in keys:
+        if isinstance(key, str):
+            doc[key] = values.pop(0)
+        else:
+            doc[key[0]] = _as_object(key[1], values)
+    return doc
+
+
+@given(nested_row_lists(), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_nested_row_lists_render_as_json_dumps_with_indent_2(runs, depth):
+    def builder(rows):
+        def build(*heads: str) -> list[str]:
+            *heads, end = heads
+            return [
+                "".join(map(str.__add__, heads, map(json.dumps, row))) + end
+                for row in rows
+            ]
+        return build
+
+    doc = cli._Rows(*[(keys, builder(rows)) for keys, rows in runs])
+    expected = [
+        _as_object(keys, [*row]) for keys, rows in runs for row in rows
+    ]
+    for _ in range(depth):  # nest the list to move its indent
+        doc, expected = {"rows": [doc]}, {"rows": [expected]}
+    want = json.dumps({"x": expected}, indent=2) + "\n"
+    assert cli._json_text({"x": doc}) == want
 
 
 _QUOTED_NAMES = (
@@ -683,6 +736,10 @@ _GRAPHS = {
         ["classify", "EDGELESS"],
         ["mst", "EDGELESS"],
         ["indices", "--summary", "QUOTED"],
+        # no witness at all: exit 4 and an empty verdict list
+        ["falsify", "corollary-star", "--sizes", "2..2"],
+        ["falsify", "theorem-star", "--n", "4..10"],
+        ["falsify", "corollary-star", "--trials", "8", "--sizes", "10..16"],
     ],
 )
 def test_every_json_report_is_json_dumps_with_indent_2(tmp_path, capsys, argv):
@@ -692,9 +749,19 @@ def test_every_json_report_is_json_dumps_with_indent_2(tmp_path, capsys, argv):
         path.write_text(_GRAPHS[graph])
         argv = [*argv[:-1], str(path)]
     code, out = run_cli(capsys, "--format", "json", *argv)
-    assert code == (3 if (command, graph) == ("indices", "DISCONNECTED") else 0)
     doc = json.loads(out)
+    if (command, graph) == ("indices", "DISCONNECTED"):
+        assert code == 3
+    elif graph == "2..2":
+        assert (code, doc["verdicts"]) == (4, [])
+    else:
+        assert code == 0
     assert out == json.dumps(doc, indent=2) + "\n"
+    if graph == "4..10":
+        assert {v["size"] for v in doc["verdicts"]} == {4, 6, 8, 10}
+    if graph == "10..16":
+        assert len(doc["verdicts"]) > 1
+        assert min(v["size"] for v in doc["verdicts"]) >= 10
     if graph == "QUOTED" and command != "kind" and "--summary" not in argv:
         assert '"b\\\\"' in out and '"c\\\\\\""' in out
         assert '"%s{0}}"' in out
@@ -1099,11 +1166,12 @@ def test_falsify_corollary_star_builds_one_graph_per_trial(
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_falsify_serializes_each_witness_once(capsys, monkeypatch, fmt):
-    texts = []
+    texts, maps = [], []
     original = FuzzyGraph.serialize
 
-    def counting(self):
-        texts.append(original(self))
+    def counting(self, *grades):
+        texts.append(original(self, *grades))
+        maps.extend(grades)
         return texts[-1]
 
     monkeypatch.setattr(FuzzyGraph, "serialize", counting)
@@ -1116,8 +1184,47 @@ def test_falsify_serializes_each_witness_once(capsys, monkeypatch, fmt):
         witnesses = len(json.loads(out)["verdicts"])
     else:
         witnesses = out.count(", holds=false, ")
-    # sorting the witnesses and rendering them share one text each
+    # one text per witness, none made for sorting them, all from the
+    # report's one grade map
     assert len(texts) == witnesses > 1
+    assert len(maps) == witnesses and len({*map(id, maps)}) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("claim", ["corollary-star", "theorem-star"])
+def test_falsify_renders_each_grade_of_its_witnesses_once(
+    capsys, monkeypatch, fmt, claim
+):
+    rendered = []
+    original = model.micro_text
+
+    def counting(micro):
+        rendered.append(micro)
+        return original(micro)
+
+    monkeypatch.setattr(cli, "micro_text", counting)
+    monkeypatch.setattr(model, "micro_text", counting)
+    argv = ["falsify", claim, "--seed", "3"]
+    if claim == "corollary-star":
+        argv += ["--trials", "40", "--sizes", "3..12"]
+    else:
+        argv += ["--n", "4..8"]
+    code, _ = run_cli(capsys, "--format", fmt, *argv)
+    assert code == 0
+    monkeypatch.undo()
+    claim_id = falsifier.ClaimId(claim)
+    verdicts = falsifier.search_counterexamples(
+        claim_id,
+        trials=40 if claim == "corollary-star" else None,
+        seed=3,
+        size_range=(3, 12) if claim == "corollary-star" else (4, 8),
+    )
+    per_tree = [{*v.graph.sigma_micro, *v.graph.mu_micro} for v in verdicts]
+    grades = set().union(*per_tree)
+    # once per distinct grade over all the witnesses, where rendering
+    # each graph on its own would render the grades they share again
+    assert sorted(rendered) == sorted(grades)
+    assert sum(map(len, per_tree)) > len(grades)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1155,9 +1262,13 @@ def test_a_verdict_renders_sides_that_are_not_its_detail_objects():
         holds=False,
         detail=dict(verdict.detail),
     )
-    lines = cli._verdict_lines(1, apart)
+    grades = cli._MicroTexts("text")
+    lines = cli._verdict_lines(1, apart, grades)
     assert lines[0] == "witness 1: size 5, holds=false, lhs = 7.4, rhs = 1/3"
     assert lines[1] == "  wi_g = 7.4, wi_f = 7.4, ci_f = 3.5"
-    doc = cli._verdict_json(apart)
+    rows = cli._verdict_rows([apart], grades)
+    (doc,) = json.loads(cli._json_text({"verdicts": rows}))["verdicts"]
     assert (doc["lhs"], doc["rhs"]) == ("7.4", "1/3")
     assert doc["detail"] == {"wi_g": "7.4", "wi_f": "7.4", "ci_f": "3.5"}
+    # the public .fzg text of the verdict, as the row renders it
+    assert doc["instance"] == {"fzg": apart.fzg} == {"fzg": g.serialize()}

@@ -26,12 +26,12 @@ from fuzzygraph import (
     wi_bruteforce,
     wiener_index,
 )
-from fuzzygraph import analysis
+from fuzzygraph import analysis, falsifier
 from fuzzygraph.falsifier import _canonical_key, _sweep_specs
 from fuzzygraph.model import MICRO
 from fuzzygraph.replication import replication_checks
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
-from fuzzygraph.structure import random_fuzzy_tree
+from fuzzygraph.structure import _vertex_names, random_fuzzy_tree
 
 from support import GRID
 
@@ -305,6 +305,121 @@ def test_theorem_sweep_builds_only_the_specs_it_checks(monkeypatch):
     first = list(_sweep_specs((4, 4000)))[:3]
     expected = [check_theorem_star(spec) for spec in first]
     assert hits == sorted(expected, key=_canonical_key)
+
+
+@pytest.mark.parametrize(
+    "claim, trials, size_range",
+    [
+        (ClaimId.COROLLARY_STAR, 60, (2, 12)),
+        (ClaimId.COROLLARY_STAR, 5, (30, 40)),
+        (ClaimId.THEOREM_STAR, None, (4, 12)),
+    ],
+)
+def test_search_never_serializes_a_graph(
+    monkeypatch, claim, trials, size_range
+):
+    def refuse(self, *grades):
+        raise AssertionError("the search serialized a graph")
+
+    monkeypatch.setattr(FuzzyGraph, "serialize", refuse)
+    hits = search_counterexamples(
+        claim, trials=trials, seed=4, size_range=size_range
+    )
+    assert len(hits) > 1
+
+
+def _text_key(verdict) -> tuple[int, str]:
+    """The sort key of the search before it sorted by ints: the .fzg
+    text of a tree, the spec's text of a cycle."""
+    spec = verdict.instance
+    if isinstance(spec, SaturatedCycleSpec):
+        return (spec.n, f"cycle n={spec.n} kappa={spec.kappa} eta={spec.eta}")
+    return (verdict.size, verdict.graph.serialize())
+
+
+def _bare_verdict(instance, graph):
+    """A verdict that only its instance and graph tell apart."""
+    cycle = isinstance(instance, SaturatedCycleSpec)
+    return falsifier.ClaimVerdict(
+        claim_id=ClaimId.THEOREM_STAR if cycle else ClaimId.COROLLARY_STAR,
+        instance=instance,
+        graph=graph,
+        lhs=Fraction(0),
+        rhs=Fraction(0),
+        holds=False,
+        detail={},
+    )
+
+
+# grades whose texts are prefixes of one another (0.05, 0.5, 0.51) or
+# run to six decimals, with 1 and the smallest grade
+_PREFIX_GRADES = (
+    5, 50_000, 50_001, 500_000, 500_001, 510_000, 510_001, 999_999, MICRO
+)
+
+
+@st.composite
+def prefix_graded_graphs(draw) -> FuzzyGraph:
+    """A graph on ``_vertex_names(n)``, n from a small range so that many
+    share their size, graded from ``_PREFIX_GRADES``."""
+    n = draw(st.integers(2, 4))
+    grade = st.sampled_from(_PREFIX_GRADES)
+    grades = draw(st.lists(grade, min_size=n, max_size=n))
+    sigma = dict(zip(_vertex_names(n), grades))
+    names = [*sigma]
+    mu = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            cap = min(sigma[names[i]], sigma[names[j]])
+            w = draw(st.sampled_from((0, *_PREFIX_GRADES)))
+            if 0 < w <= cap:
+                mu[names[i], names[j]] = w
+    return FuzzyGraph.from_micro(sigma, mu)
+
+
+_TREES = st.builds(
+    random_fuzzy_tree,
+    st.integers(0, 2**32),
+    st.integers(2, 12),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def off_grid_specs(draw) -> SaturatedCycleSpec:
+    n = draw(st.sampled_from((4, 6, 8)))
+    eta = draw(
+        st.sampled_from(_PREFIX_GRADES[:-1]) | st.integers(1, MICRO - 1)
+    )
+    kappa = draw(
+        st.sampled_from(_PREFIX_GRADES) | st.integers(eta + 1, MICRO)
+    )
+    if kappa <= eta:
+        kappa = MICRO
+    return SaturatedCycleSpec(n, Membership(kappa), Membership(eta))
+
+
+@given(
+    st.lists(_TREES, max_size=10),
+    st.lists(prefix_graded_graphs(), max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_int_keys_sort_trees_as_their_texts_do(trees, graphs):
+    verdicts = [_bare_verdict(g, g) for g in [*trees, *graphs]]
+    by_ints = sorted(verdicts, key=_canonical_key)
+    by_texts = sorted(verdicts, key=_text_key)
+    assert [*map(id, by_ints)] == [*map(id, by_texts)]
+
+
+@given(st.lists(off_grid_specs(), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_int_keys_sort_cycle_specs_as_their_texts_do(specs):
+    verdicts = [
+        _bare_verdict(spec, make_saturated_cycle(spec)) for spec in specs
+    ]
+    by_ints = sorted(verdicts, key=_canonical_key)
+    by_texts = sorted(verdicts, key=_text_key)
+    assert [*map(id, by_ints)] == [*map(id, by_texts)]
 
 
 def test_search_parameter_validation():
