@@ -18,7 +18,8 @@ import sys
 
 __version__ = "0.1.0"
 
-# the library modules; not cli or __main__, which run when called
+# the library modules; not cli, verdicts or __main__, which run when
+# called
 _MODULES = (
     "analysis", "connectivity", "errors", "falsifier", "indices", "model",
     "oracle", "replication", "samples", "structure",

@@ -24,11 +24,20 @@ Kruskal on integer micro-units:
   is none: the best replacement edge of MST sensitivity analysis
   (Tarjan 1982).  By the cycle property it is at most the edge's own
   grade, so every edge of F is strong.
+- An edge is strong iff it lies in some maximum spanning forest
+  (Mathew and Sunitha 2009).  So an edge outside F graded w is strong
+  iff its ends were first joined by a merge of grade w itself, which
+  the merge tree tells with no residual: its labels never increase
+  along a climb, and the climbs from the two ends while the label
+  exceeds w stop at the parts the ends were in when the pass reached
+  w.  Different parts mean a tie, beta; one part means delta.
 
-The strong edges cost O(m log m) plus O(log n) per edge outside F, on
-any forest shape; classifying every edge adds one descending sweep over
-the rooted forest for the residuals of F; that sweep and the bridges of
-a fuzzy forest are all that root the forest.  The connectivity index CI
+The strong edges, and so ``kind`` and the shape of the strong subgraph,
+cost O(m log m) plus O(log n) per edge outside F, on any forest shape,
+and read no residual.  Classifying every edge needs the residuals: the
+``MergeTree`` climb per edge outside F and one descending sweep over
+the rooted forest for those of F; that sweep and the bridges of a fuzzy
+forest are all that root the forest.  The connectivity index CI
 is summed only when asked, by replaying the recorded merges, one
 multiply-add per merge.  The Wiener index WI is one sum over the blocks
 of the strong subgraph, walked as one method chooses by shape for WI and
@@ -266,11 +275,12 @@ class Analysis(MergeTree):
     ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
     tuples, indexed as ``FuzzyGraph`` describes; ties in the Kruskal
     order keep the lexicographic (u, v) order of the edges.  The forest
-    and its merge tree are built eagerly; CI, the residuals outside F,
-    the full residuals and the all-pairs CONN and d_s rows are each
-    built on first use, so a caller that needs only the forest pays
-    O(m log m).  The rooted forest is built only for the full residuals
-    and the strong blocks of a fuzzy forest.
+    and its merge tree are built eagerly; CI, the strong edges outside
+    F, the residuals outside F, the full residuals and the all-pairs
+    CONN and d_s rows are each built on first use, so a caller that
+    needs only the forest pays O(m log m).  The rooted forest is built
+    only for the full residuals and the strong blocks of a fuzzy
+    forest.
     """
 
     def __init__(self, g: FuzzyGraph):
@@ -281,6 +291,7 @@ class Analysis(MergeTree):
         super().__init__(len(names), ends, mu)
         self._ci: int | None = None
         self._rooted: Rooted | None = None
+        self._strong: list[int] | None = None
         self._outside: list[int] | None = None
         self._residual: list[int] | None = None
         self._conn: list[list[int]] | None = None
@@ -317,10 +328,40 @@ class Analysis(MergeTree):
             self._rooted = up, up_edge, depth, preorder
         return self._rooted
 
+    def strong_outside(self) -> list[int]:
+        """The strong edges outside F, in edge order, read off the final
+        merge tree with no residual.  Along any climb the labels never
+        increase, so climbing from a vertex while ``label[x] > w`` stops
+        at the root its part had when the pass reached grade w.  An edge
+        outside F graded w joins ends already joined when it is taken: if
+        the two climbs stop at different roots, its ends were joined at w
+        itself, CONN_F = w ties its grade and it is beta; if they stop at
+        one root, they were joined above w and it is delta.  Built on
+        first use, after the pass, so ``mst`` never pays for it.
+        O(log n) per edge outside F."""
+        if self._strong is None:
+            up, label, mu, ends = self._up, self._label, self.mu, self.ends
+            strong = []
+            if len(self._merged) < len(mu):
+                for e, kept in enumerate(self.in_forest):
+                    if kept:
+                        continue
+                    w = mu[e]
+                    i, j = ends[e]
+                    while label[i] > w:
+                        i = up[i]
+                    while label[j] > w:
+                        j = up[j]
+                    if i != j:
+                        strong.append(e)
+            self._strong = strong
+        return self._strong
+
     def outside_residual(self) -> list[int]:
         """Per edge outside F, CONN_F between its endpoints, which is its
         residual, by the ``conn`` climb; 0 for each edge of F.  O(log n)
-        per edge."""
+        per edge.  Only ``residual`` reads it: whether an edge is strong
+        comes from ``strong_outside`` alone."""
         if self._outside is None:
             kept = self.in_forest
             climb = self.conn(compress(self.ends, map(not_, kept)))
@@ -370,18 +411,14 @@ class Analysis(MergeTree):
         ]
 
     def strong_edges(self) -> list[int]:
-        """The alpha and beta edges, in edge order.  Every edge of F is
-        strong: by the cycle property of a maximum spanning forest, no
-        edge outside F whose cycle covers it is graded above it.  So
-        only the residuals outside F are read; ``outside_residual`` is 0
-        on F, which passes the test."""
-        return [
-            e
-            for e, (grade, res) in enumerate(
-                zip(self.mu, self.outside_residual())
-            )
-            if grade >= res
-        ]
+        """The alpha and beta edges, in edge order: the edges of F and
+        ``strong_outside``.  Every edge of F is strong: by the cycle
+        property of a maximum spanning forest, no edge outside F whose
+        cycle covers it is graded above it."""
+        strong = self.in_forest[:]
+        for e in self.strong_outside():
+            strong[e] = True
+        return list(compress(range(len(strong)), strong))
 
     def conn_rows(self) -> list[list[int]]:
         """All-pairs CONN, 0 across trees, by walking the merges of the
@@ -498,14 +535,11 @@ class Analysis(MergeTree):
         """The blocks of the strong subgraph S, each after every block
         below its vertices other than its top.  The one place that picks
         how S is walked, for both ``wiener`` and ``ds_rows``: on a fuzzy
-        cycle, whose edges are all strong, the one ``_cycle_block``; on
-        a fuzzy forest, where S is F, each edge of F as a bridge off the
-        rooted forest; else by one iterative Hopcroft-Tarjan pass (1973)
-        with an edge stack, tree by tree from the lowest vertex not yet
-        reached."""
-        if self.is_fuzzy_cycle():
-            yield self._cycle_block()
-            return
+        forest, where S is F, each edge of F as a bridge off the rooted
+        forest; on a fuzzy cycle, whose edges are all strong, the one
+        ``_cycle_block``; else by one iterative Hopcroft-Tarjan pass
+        (1973) with an edge stack over ``strong_edges``, tree by tree
+        from the lowest vertex not yet reached."""
         if self.is_fuzzy_forest():
             # the block search would find the same bridges, but the
             # rooting costs less: on a fuzzy tree of 10^5 vertices the
@@ -517,14 +551,18 @@ class Analysis(MergeTree):
                 if up[x] >= 0:
                     yield [(up[x], x, mu[up_edge[x]])]
             return
+        # a fuzzy cycle's weakest grade ties, so its one edge outside F
+        # is beta: it is never a fuzzy forest
+        if self.is_fuzzy_cycle():
+            yield self._cycle_block()
+            return
         n = len(self.names)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        # as in strong_edges: every edge of F is strong
-        outside = self.outside_residual()
-        for (i, j), grade, res in zip(self.ends, self.mu, outside):
-            if grade >= res:
-                adj[i].append((j, grade))
-                adj[j].append((i, grade))
+        ends, mu = self.ends, self.mu
+        for e in self.strong_edges():
+            (i, j), grade = ends[e], mu[e]
+            adj[i].append((j, grade))
+            adj[j].append((i, grade))
         disc, low, up = [0] * n, [0] * n, [-1] * n
         # the edge stack height at which the tree edge into x was pushed
         mark = [0] * n
@@ -624,16 +662,12 @@ class Analysis(MergeTree):
 
     def is_fuzzy_forest(self) -> bool:
         """Every edge outside the forest is delta, i.e. strictly weaker
-        than the forest's strength between its endpoints.  The edges of
-        F are strong in any graph (see ``strong_edges``), so the strong
-        subgraph is F exactly when this holds, and the forest is never
-        rooted to tell."""
-        outside = self.outside_residual()
-        return all(
-            grade < res
-            for grade, res, kept in zip(self.mu, outside, self.in_forest)
-            if not kept
-        )
+        than the forest's strength between its endpoints: no edge of
+        ``strong_outside``.  The edges of F are strong in any graph (see
+        ``strong_edges``), so the strong subgraph is F exactly when this
+        holds: F is then the one maximum spanning forest.  The forest is
+        never rooted and no residual is read to tell."""
+        return not self.strong_outside()
 
     def is_fuzzy_cycle(self) -> bool:
         """Crisp cycle through all vertices whose weakest grade ties >= 2."""

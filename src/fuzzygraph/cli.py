@@ -12,6 +12,8 @@ A falsify or repro report's verdicts are a row list too, one string per
 verdict with its nested ``detail`` and ``instance`` objects, and the
 .fzg texts of all its witnesses share one grade map: each distinct
 grade is rendered once across all the witnesses, not once per graph.
+The ``verdicts`` module renders them, and only those two commands load
+it.
 
 ``main`` pauses the cyclic garbage collector while a command runs.  A
 command builds up to millions of objects that live until it ends and
@@ -28,8 +30,7 @@ import gc
 import json
 import os
 import sys
-from functools import partial
-from itertools import compress, groupby
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -38,12 +39,10 @@ from .analysis import Analysis, EdgeClass, GraphKind
 from .errors import BadParamsError, FuzzyGraphError, StrongDisconnectedError
 from .model import FuzzyGraph, format_fraction, micro_text, parse_graph
 
-# falsifier, replication and structure are imported inside the functions
-# that call them, so the graph commands never load them
+# falsifier, replication, structure and verdicts are imported inside the
+# functions that call them, so the graph commands never load them
 if TYPE_CHECKING:
     from collections.abc import Callable
-
-    from .falsifier import ClaimVerdict
 
 _COROLLARY_NOTE = (
     "claim tested exactly as published; no auxiliary hypotheses assumed"
@@ -181,97 +180,6 @@ def _warnings_for(zero_sigma_vertices: tuple[str, ...]) -> list[str]:
         names = " ".join(zero_sigma_vertices)
         return [f"zero-grade vertices contribute nothing: {names}"]
     return []
-
-
-def _verdict_texts(verdict: ClaimVerdict) -> tuple[str, str, list[str]]:
-    """The texts of a verdict's lhs, rhs and detail values, in detail
-    order, formatting each value object once.  lhs and rhs are two of
-    the detail's values, the same objects, so they are known by ``id``
-    while the verdict holds them; a ``Fraction`` key would cost a hash
-    about as dear as the formatting."""
-    texts: dict[int, str] = {}
-    detail = []
-    for value in verdict.detail.values():
-        text = texts.get(id(value))
-        if text is None:
-            text = texts[id(value)] = format_fraction(value)
-        detail.append(text)
-    lhs = texts.get(id(verdict.lhs)) or format_fraction(verdict.lhs)
-    rhs = texts.get(id(verdict.rhs)) or format_fraction(verdict.rhs)
-    return lhs, rhs, detail
-
-
-def _verdict_rows(
-    verdicts: list[ClaimVerdict], grades: _MicroTexts
-) -> _Rows:
-    """The JSON ``verdicts`` list.  A run of verdicts of one claim and
-    one detail shares its keys; a theorem-star instance lists its spec
-    before the .fzg text.  ``grades`` is the report's one micro-unit ->
-    text map, so each distinct grade of all the witnesses is rendered
-    once."""
-    from .structure import SaturatedCycleSpec
-
-    def shape(verdict: ClaimVerdict) -> tuple:
-        cycle = isinstance(verdict.instance, SaturatedCycleSpec)
-        return verdict.claim_id, tuple(verdict.detail), cycle
-
-    parts = []
-    for (claim_id, names, cycle), run in groupby(verdicts, shape):
-        instance = ("n", "kappa", "eta", "fzg") if cycle else ("fzg",)
-        keys = (
-            "claim", "size", "holds", "lhs", "rhs",
-            ("detail", names), ("instance", instance),
-        )
-        claim = encode_basestring_ascii(claim_id.value)
-        build = partial(_verdict_strings, [*run], claim, cycle, grades)
-        parts.append((keys, build))
-    return _Rows(*parts)
-
-
-def _verdict_strings(
-    run: list[ClaimVerdict],
-    claim: str,
-    cycle: bool,
-    grades: _MicroTexts,
-    *heads: str,
-) -> list[str]:
-    """The ``_Rows`` build of ``_verdict_rows``: one string per verdict
-    of the run, from one f-string."""
-    c, s, h, left, right, *heads, end = heads
-    rows = []
-    for verdict in run:
-        lhs, rhs, detail = _verdict_texts(verdict)
-        values = [f'"{text}"' for text in detail]
-        if cycle:
-            spec = verdict.instance
-            values += [
-                str(spec.n),
-                f'"{grades[spec.kappa.micro]}"',
-                f'"{grades[spec.eta.micro]}"',
-            ]
-        fzg = verdict.graph.serialize(grades)
-        values.append(encode_basestring_ascii(fzg))
-        rows.append(
-            f"{c}{claim}{s}{verdict.size}"
-            f"{h}{'true' if verdict.holds else 'false'}"
-            f'{left}"{lhs}"{right}"{rhs}"'
-            f"{''.join(map(str.__add__, heads, values))}{end}"
-        )
-    return rows
-
-
-def _verdict_lines(
-    index: int, verdict: ClaimVerdict, grades: _MicroTexts
-) -> list[str]:
-    lhs, rhs, detail = _verdict_texts(verdict)
-    items = ", ".join(map("{} = {}".format, verdict.detail, detail))
-    return [
-        f"witness {index}: size {verdict.size}, holds=false, "
-        f"lhs = {lhs}, rhs = {rhs}",
-        f"  {items}",
-        # the .fzg text, each line indented; it ends in one newline
-        "  " + verdict.graph.serialize(grades)[:-1].replace("\n", "\n  "),
-    ]
 
 
 def _load(path: str) -> FuzzyGraph:
@@ -428,6 +336,7 @@ def _cmd_kind(args) -> tuple[int, str]:
 
 def _cmd_repro(args) -> tuple[int, str]:
     from .replication import replication_checks
+    from .verdicts import verdict_rows
 
     checks, verdicts = replication_checks()
     passed = sum(1 for check in checks if check.passed)
@@ -442,7 +351,7 @@ def _cmd_repro(args) -> tuple[int, str]:
             }
             for check in checks
         ]
-        doc["verdicts"] = _verdict_rows(verdicts, _MicroTexts("text"))
+        doc["verdicts"] = _Rows(*verdict_rows(verdicts, _MicroTexts("text")))
         return code, _json_text(doc)
     lines = [
         f"{check.label}: {check.detail} {'PASS' if check.passed else 'FAIL'}"
@@ -454,6 +363,7 @@ def _cmd_repro(args) -> tuple[int, str]:
 
 def _cmd_falsify(args) -> tuple[int, str]:
     from .falsifier import ClaimId, search_counterexamples
+    from .verdicts import verdict_lines, verdict_rows
 
     claim = ClaimId(args.claim)
     if claim is ClaimId.COROLLARY_STAR:
@@ -477,7 +387,7 @@ def _cmd_falsify(args) -> tuple[int, str]:
     grades = _MicroTexts("text")
     if args.format == "json":
         doc = _base_doc()
-        doc["verdicts"] = _verdict_rows(verdicts, grades)
+        doc["verdicts"] = _Rows(*verdict_rows(verdicts, grades))
         if note is not None:
             doc["warnings"] = [note]
         return code, _json_text(doc)
@@ -487,7 +397,7 @@ def _cmd_falsify(args) -> tuple[int, str]:
     lines.append(f"witnesses: {len(verdicts)}")
     for index, verdict in enumerate(verdicts, start=1):
         lines.append("")
-        lines += _verdict_lines(index, verdict, grades)
+        lines += verdict_lines(index, verdict, grades)
     return code, "\n".join(lines) + "\n"
 
 

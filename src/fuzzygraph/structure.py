@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import combinations
 
 from .analysis import Analysis, GraphKind, MergeTree, SpanningTree
@@ -86,9 +85,20 @@ def graph_kind(g: FuzzyGraph) -> GraphKind:
     return Analysis(g).kind()
 
 
+# per name width, the names v0.. padded to it, as many as the largest n
+# of that width asked for so far: each name is formatted once, and the
+# memory stays within the largest n built
+_NAMES_BY_WIDTH: dict[int, list[VertexId]] = {}
+
+
 def _vertex_names(n: int) -> list[VertexId]:
+    """v00, v01, ..., each name zero-padded to the width of n - 1 (at
+    least 2), so the names sort in index order."""
     width = max(2, len(str(n - 1)))
-    return [f"v{i:0{width}d}" for i in range(n)]
+    names = _NAMES_BY_WIDTH.setdefault(width, [])
+    if len(names) < n:
+        names += [f"v{i:0{width}d}" for i in range(len(names), n)]
+    return names[:n]
 
 
 def make_saturated_cycle(spec: SaturatedCycleSpec) -> FuzzyGraph:
@@ -106,19 +116,27 @@ def make_saturated_cycle(spec: SaturatedCycleSpec) -> FuzzyGraph:
 
 
 def _decode_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """The edges (leaf, parent) of the labeled tree on n vertices with
+    Pruefer sequence ``seq``, each leaf the smallest one left, then the
+    last two vertices.  O(n): ``low`` only moves up, since a vertex that
+    becomes a leaf below it is taken at once, as the smallest leaf."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    # ascending, so already a heap
-    leaves = [i for i in range(n) if degree[i] == 1]
+    low = leaf = degree.index(1)
     edges = []
     for x in seq:
-        leaf = heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heappush(leaves, x)
-    edges.append((heappop(leaves), heappop(leaves)))
+        if degree[x] == 1 and x < low:
+            leaf = x
+        else:
+            low += 1
+            while degree[low] != 1:
+                low += 1
+            leaf = low
+    # the largest vertex is never the smallest leaf while two are left
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -138,12 +156,16 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
     extra edge is graded below the weakest tree edge on its path.  So it goes
     straight to ``FuzzyGraph._layout``, with no check of ``_fill``.
 
-    Cost: O(n log n) and one ``FuzzyGraph``.  With ``extra_edges > 0``
-    it also lists and shuffles all (n-1)(n-2)/2 pairs outside the tree,
-    O(n^2) time and memory: ``shuffle`` draws once per candidate, so a
-    shorter list would change every tree drawn from a seed.  The
-    in-tree strength of each candidate tried is CONN on the tree, read
-    in O(log n) by the climb of one ``analysis.MergeTree`` of the tree.
+    Cost: one ``FuzzyGraph`` and O(n log n) for the sorted edges; the
+    Pruefer decode is O(n), and the names are sliced from the ones
+    ``_vertex_names`` formatted for an earlier tree, formatted anew only
+    beyond the largest n of their width built so far.  With
+    ``extra_edges > 0`` it also lists and shuffles all (n-1)(n-2)/2
+    pairs outside the tree, O(n^2) time and memory: ``shuffle`` draws
+    once per candidate, so a shorter list would change every tree drawn
+    from a seed.  The in-tree strength of each candidate tried is CONN
+    on the tree, read in O(log n) by the climb of one
+    ``analysis.MergeTree`` of the tree.
 
     Raises BadParamsError when n or ``extra_edges`` is no int (a bool
     is none either), n < 2 or ``extra_edges`` < 0.

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fuzzygraph import FuzzyGraph, Membership, build_graph
 from fuzzygraph.analysis import Analysis, EdgeClass, Rooted
 from fuzzygraph.model import MICRO, pair
-from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
 GRID = 10_000  # micro-units per 0.01 step
 
@@ -183,23 +182,46 @@ def path_min(rooted: Rooted, mu: Sequence[int], i: int, j: int) -> int:
     return weakest
 
 
+def decode_pruefer_heap(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """The edges (leaf, parent) of the labeled tree on n vertices with
+    Pruefer sequence ``seq``, then the last two vertices, taking each
+    smallest leaf off a heap: the O(n log n) decode that
+    ``structure._decode_pruefer`` replaced, kept as its reference."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    # ascending, so already a heap
+    leaves = [i for i in range(n) if degree[i] == 1]
+    edges = []
+    for x in seq:
+        leaf = heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heappush(leaves, x)
+    edges.append((heappop(leaves), heappop(leaves)))
+    return edges
+
+
 def random_fuzzy_tree_reference(
     seed: int, n: int, extra_edges: int
 ) -> FuzzyGraph:
     """The generator ``structure.random_fuzzy_tree`` replaced, kept as
-    its reference: it reads each candidate's in-tree strength with
-    ``path_min`` over ``root_forest`` of a throwaway graph of the bare
-    tree, walks that share no code with the library.  The two must draw
-    the same numbers in the same order and so give the same graph.
+    its reference: it formats its own vertex names, decodes the tree with
+    ``decode_pruefer_heap`` and reads each candidate's in-tree strength
+    with ``path_min`` over ``root_forest`` of a throwaway graph of the
+    bare tree, routes that share no code with the library.  The two must
+    draw the same numbers in the same order and so give the same graph.
     """
     rng = random.Random(seed)
-    names = _vertex_names(n)
+    width = max(2, len(str(n - 1)))
+    names = [f"v{i:0{width}d}" for i in range(n)]
     sigma = {
         name: Membership(rng.randrange(1, 101) * GRID) for name in names
     }
     seq = [rng.randrange(n) for _ in range(n - 2)]
     tree_pairs = sorted(
-        pair(names[i], names[j]) for i, j in _decode_pruefer(seq, n)
+        pair(names[i], names[j]) for i, j in decode_pruefer_heap(seq, n)
     )
     edges = []
     for u, v in tree_pairs:

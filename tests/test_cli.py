@@ -34,7 +34,7 @@ from fuzzygraph import (
     strength_of_connectedness,
     wiener_index,
 )
-from fuzzygraph import analysis, cli, falsifier, model
+from fuzzygraph import analysis, cli, falsifier, model, verdicts
 from fuzzygraph.cli import main
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
@@ -1238,7 +1238,7 @@ def test_falsify_formats_each_value_of_a_witness_once(
         formatted.append(value)
         return format_fraction(value)
 
-    monkeypatch.setattr(cli, "format_fraction", counting)
+    monkeypatch.setattr(verdicts, "format_fraction", counting)
     code, out = run_cli(capsys, "--format", fmt, "falsify", claim)
     assert code == 0
     if fmt == "json":
@@ -1263,10 +1263,10 @@ def test_a_verdict_renders_sides_that_are_not_its_detail_objects():
         detail=dict(verdict.detail),
     )
     grades = cli._MicroTexts("text")
-    lines = cli._verdict_lines(1, apart, grades)
+    lines = verdicts.verdict_lines(1, apart, grades)
     assert lines[0] == "witness 1: size 5, holds=false, lhs = 7.4, rhs = 1/3"
     assert lines[1] == "  wi_g = 7.4, wi_f = 7.4, ci_f = 3.5"
-    rows = cli._verdict_rows([apart], grades)
+    rows = cli._Rows(*verdicts.verdict_rows([apart], grades))
     (doc,) = json.loads(cli._json_text({"verdicts": rows}))["verdicts"]
     assert (doc["lhs"], doc["rhs"]) == ("7.4", "1/3")
     assert doc["detail"] == {"wi_g": "7.4", "wi_f": "7.4", "ci_f": "3.5"}

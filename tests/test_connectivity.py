@@ -346,14 +346,14 @@ def test_merge_tree_climb_matches_the_path_walk_on_deep_trees(shape):
 # ---------------------------------- residual routes vs the kept reference
 
 
-def deep_graphs(max_vertices: int):
+def deep_graphs(max_vertices: int, steps=(GRID, QUARTER, HALF)):
     return st.builds(
         random_deep_graph,
         seed=st.integers(0, 2**32),
         n=st.integers(2, max_vertices),
         shape=st.sampled_from(["path", "caterpillar", "broom"]),
         chords=st.integers(0, max_vertices),
-        step=st.sampled_from([GRID, QUARTER, HALF]),
+        step=st.sampled_from(steps),
         zero_sigma_share=st.sampled_from([0.0, 0.2]),
         parts=st.integers(1, 3),
         weak_chords=st.booleans(),
@@ -428,6 +428,113 @@ def test_residuals_match_the_oracle_on_small_deep_shapes(g):
         e for e, (u, v, _) in enumerate(g.edges())
         if oracle[(u, v)].edge_class is not EdgeClass.DELTA
     ] == Analysis(g).strong_edges()
+
+
+# --------------------------------- the strong edges off the merge tree
+
+THIRD = MICRO // 3
+# grids of 2, 3 and 100 steps: the coarse ones make most grades tie
+TIE_STEPS = (HALF, THIRD, GRID)
+
+
+def _check_strong_record(g: FuzzyGraph) -> None:
+    """``strong_outside``, ``strong_edges`` and ``is_fuzzy_forest``,
+    each asked first on a fresh ``Analysis`` of g, against the classes
+    that the residuals of the reference walk give."""
+    a = Analysis(g)
+    mu, in_forest = a.mu, a.in_forest
+    reference = residual_reference(a)
+    outside = [
+        e
+        for e, (w, res, kept) in enumerate(zip(mu, reference, in_forest))
+        if not kept and w >= res
+    ]
+    # an edge outside F is never alpha: the forest path ties it or beats it
+    assert all(mu[e] == reference[e] for e in outside)
+    assert Analysis(g).strong_outside() == outside
+    assert Analysis(g).strong_edges() == [
+        e for e, (w, res) in enumerate(zip(mu, reference)) if w >= res
+    ]
+    assert Analysis(g).is_fuzzy_forest() == (not outside)
+
+
+@given(deep_graphs(max_vertices=60, steps=TIE_STEPS))
+@settings(max_examples=300, deadline=None)
+def test_the_strong_record_matches_the_reference_on_deep_shapes(g):
+    _check_strong_record(g)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 30),
+    st.sampled_from([0.1, 0.3, 0.7]),
+    st.sampled_from(TIE_STEPS),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_strong_record_matches_the_reference_on_random_graphs(
+    seed, n, edge_probability, step
+):
+    _check_strong_record(random_graph(seed, n, edge_probability, step, 0.1))
+
+
+def test_the_strong_record_matches_the_reference_on_long_paths():
+    # 2000 deep as rooted forests, with as many chords as vertices
+    for seed, step in enumerate(TIE_STEPS):
+        g = random_deep_graph(seed, 2000, "path", 2000, step)
+        _check_strong_record(g)
+
+
+def test_a_tie_outside_the_forest_is_strong_and_a_weaker_edge_is_not():
+    # a triangle of equal grades keeps its last edge out of F, and that
+    # edge ties the two others: its ends are joined at its own grade
+    triangle = build_graph(
+        [(x, M("1")) for x in "abc"],
+        [("a", "b", M("0.5")), ("a", "c", M("0.5")), ("b", "c", M("0.5"))],
+    )
+    a = Analysis(triangle)
+    assert a.in_forest == [True, True, False]
+    assert a.strong_outside() == [2] and not a.is_fuzzy_forest()
+    assert a.strong_edges() == [0, 1, 2]
+    # joined above 0.4 before the edge of 0.4 is taken: delta
+    weaker = build_graph(
+        [(x, M("1")) for x in "abc"],
+        [("a", "b", M("0.5")), ("a", "c", M("0.5")), ("b", "c", M("0.4"))],
+    )
+    a = Analysis(weaker)
+    assert a.strong_outside() == [] and a.is_fuzzy_forest()
+    assert a.strong_edges() == [0, 1]
+
+
+def test_only_the_residuals_read_outside_residual(monkeypatch):
+    graphs = [
+        random_sparse_graph(0, 200, 100),
+        random_deep_graph(1, 300, "path", 300, QUARTER),
+        random_deep_graph(2, 300, "caterpillar", 300, weak_chords=True),
+        random_fuzzy_tree(3, 40, 3),
+        make_saturated_cycle(SaturatedCycleSpec(12, M("0.6"), M("0.2"))),
+    ]
+
+    def views(g: FuzzyGraph) -> tuple:
+        return (
+            Analysis(g).kind(),
+            Analysis(g).strong_edges(),
+            Analysis(g).wiener(),
+            Analysis(g).ds_rows(),
+            strong_subgraph(g),
+        )
+
+    expected = [views(g) for g in graphs]
+    assert [Analysis(g).is_fuzzy_forest() for g in graphs] == [
+        False, False, True, True, False
+    ]
+
+    def refuse(self):
+        raise AssertionError("outside_residual read")
+
+    monkeypatch.setattr(Analysis, "outside_residual", refuse)
+    assert [views(g) for g in graphs] == expected
+    with pytest.raises(AssertionError, match="outside_residual read"):
+        Analysis(graphs[0]).residual()
 
 
 def test_connected_graphs_never_root_the_forest(monkeypatch):

@@ -57,7 +57,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 """
 _GRAPH = ["fuzzygraph", "cli", "errors", "model", "analysis"]
-_FALSIFY = _GRAPH + ["structure", "indices", "falsifier"]
+_FALSIFY = _GRAPH + ["structure", "indices", "falsifier", "verdicts"]
 _REPRO = _FALSIFY + ["samples", "replication"]
 
 

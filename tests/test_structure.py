@@ -28,12 +28,15 @@ from fuzzygraph import (
     random_fuzzy_tree,
     strength_of_connectedness,
 )
+from fuzzygraph import structure
 from fuzzygraph.analysis import Analysis
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
+from fuzzygraph.structure import _decode_pruefer, _vertex_names
 
 from conftest import fuzzy_graphs
 from support import (
     crisp_cycles,
+    decode_pruefer_heap,
     random_fuzzy_tree_reference,
     saturated_reference,
     spanning_tree_totals,
@@ -272,6 +275,43 @@ def test_generators_run_no_check_of_fill(monkeypatch):
     assert [random_fuzzy_tree(*triple) for triple in triples] == trees
     spec = SaturatedCycleSpec(4, M("0.6"), M("0.2"))
     assert make_saturated_cycle(spec) == cycle
+
+
+def test_the_pruefer_decode_matches_the_heap_decode_on_every_sequence():
+    decoded = 0
+    for n in range(2, 8):
+        for seq in product(range(n), repeat=n - 2):
+            edges = _decode_pruefer([*seq], n)
+            assert edges == decode_pruefer_heap([*seq], n), (n, seq)
+            decoded += 1
+    assert decoded == 1 + 3 + 4**2 + 5**3 + 6**4 + 7**5 == 18_248
+
+
+def test_the_pruefer_decode_matches_the_heap_decode_on_long_sequences():
+    rng = random.Random(3)
+    for n in [*range(8, 40), 500, 2000]:
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        assert _decode_pruefer(seq, n) == decode_pruefer_heap(seq, n), n
+    # a path and a star, the deepest and the shallowest trees
+    assert _decode_pruefer([*range(1, 999)], 1000) == [
+        *zip(range(999), range(1, 1000))
+    ]
+    assert _decode_pruefer([0] * 998, 1000) == [
+        *zip(range(1, 999), [0] * 998), (0, 999)
+    ]
+
+
+def test_the_vertex_name_memo_holds_the_largest_n_of_each_width(monkeypatch):
+    memo: dict = {}
+    monkeypatch.setattr(structure, "_NAMES_BY_WIDTH", memo)
+    for n in [2, 7, 3, 100, 11, 5, 101, 1000, 250]:
+        width = max(2, len(str(n - 1)))
+        names = _vertex_names(n)
+        assert names == [f"v{i:0{width}d}" for i in range(n)]
+        names.append("x")  # the caller's own list
+    # each width holds the names of the largest n built at that width
+    assert {w: len(names) for w, names in memo.items()} == {2: 100, 3: 1000}
+    assert _vertex_names(3) == ["v00", "v01", "v02"]
 
 
 def test_random_fuzzy_tree_is_deterministic():
