@@ -117,6 +117,15 @@ def _edge_class(grade: int, residual: int) -> EdgeClass:
     return EdgeClass.DELTA
 
 
+def _two_regular(n: int, ends: Sequence[tuple[int, int]]) -> bool:
+    """Every one of the n vertices meets exactly two of the edges."""
+    degree = [0] * n
+    for i, j in ends:
+        degree[i] += 1
+        degree[j] += 1
+    return degree.count(2) == n
+
+
 def _dijkstra(adj: list[list[tuple[int, int]]], source: int) -> list[int]:
     dist: list[int | None] = [None] * len(adj)
     dist[source] = 0
@@ -276,11 +285,11 @@ class Analysis(MergeTree):
     tuples, indexed as ``FuzzyGraph`` describes; ties in the Kruskal
     order keep the lexicographic (u, v) order of the edges.  The forest
     and its merge tree are built eagerly; CI, the strong edges outside
-    F, the residuals outside F, the full residuals and the all-pairs
-    CONN and d_s rows are each built on first use, so a caller that
-    needs only the forest pays O(m log m).  The rooted forest is built
-    only for the full residuals and the strong blocks of a fuzzy
-    forest.
+    F, the residuals outside F, the full residuals, the all-pairs CONN
+    and d_s rows and the fuzzy-cycle test are each built on first use,
+    so a caller that needs only the forest pays O(m log m).  The rooted
+    forest is built only for the full residuals and the strong blocks
+    of a fuzzy forest.
     """
 
     def __init__(self, g: FuzzyGraph):
@@ -296,6 +305,7 @@ class Analysis(MergeTree):
         self._residual: list[int] | None = None
         self._conn: list[list[int]] | None = None
         self._ds: list[list[int | None]] | None = None
+        self._cycle: bool | None = None
 
     def rooted(self) -> Rooted:
         """(parent, parent edge, depth, preorder) of the forest, each
@@ -670,15 +680,19 @@ class Analysis(MergeTree):
         return not self.strong_outside()
 
     def is_fuzzy_cycle(self) -> bool:
-        """Crisp cycle through all vertices whose weakest grade ties >= 2."""
-        n, mu = len(self.names), self.mu
-        if n < 3 or len(mu) != n or self.components != 1:
-            return False
-        degree = [0] * n
-        for i, j in self.ends:
-            degree[i] += 1
-            degree[j] += 1
-        return all(d == 2 for d in degree) and mu.count(min(mu)) >= 2
+        """Crisp cycle through all vertices whose weakest grade ties >= 2.
+        Kept after the first call, since ``_strong_blocks`` and ``kind``
+        both ask: one ``indices`` command makes one degree pass."""
+        if self._cycle is None:
+            n, mu = len(self.names), self.mu
+            self._cycle = (
+                n >= 3
+                and len(mu) == n
+                and self.components == 1
+                and _two_regular(n, self.ends)
+                and mu.count(min(mu)) >= 2
+            )
+        return self._cycle
 
     def _saturated(self) -> bool:
         """Of a fuzzy cycle: every vertex meets at least one alpha and one

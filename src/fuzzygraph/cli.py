@@ -15,6 +15,10 @@ grade is rendered once across all the witnesses, not once per graph.
 The ``verdicts`` module renders them, and only those two commands load
 it.
 
+The input file is read, and an ``--output`` report written, as bytes
+by a plain ``open`` with no text layer: the file gets exactly the bytes
+stdout gets, on every platform.
+
 ``main`` pauses the cyclic garbage collector while a command runs.  A
 command builds up to millions of objects that live until it ends and
 holds no reference cycle among them, so every collector pass would walk
@@ -32,7 +36,6 @@ import os
 import sys
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .analysis import Analysis, EdgeClass, GraphKind
@@ -183,7 +186,9 @@ def _warnings_for(zero_sigma_vertices: tuple[str, ...]) -> list[str]:
 
 
 def _load(path: str) -> FuzzyGraph:
-    return parse_graph(Path(path).read_bytes())
+    with open(path, "rb") as file:
+        data = file.read()
+    return parse_graph(data)
 
 
 class _MicroTexts(dict):
@@ -572,7 +577,9 @@ def _main(argv: list[str] | None) -> int:
         if args.output is None:
             _write_stdout(text)
         else:
-            Path(args.output).write_text(text, encoding="utf-8")
+            # bytes, as stdout gets them: no newline translation
+            with open(args.output, "wb") as file:
+                file.write(text.encode("utf-8"))
     except OSError as exc:
         target = "stdout" if args.output is None else args.output
         if args.output is None:

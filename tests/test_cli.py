@@ -258,6 +258,29 @@ def test_kind_json(capsys):
     assert doc["kind"]["saturated_fuzzy_cycle"] is False
 
 
+@pytest.mark.parametrize(
+    "argv", [["indices"], ["indices", "--summary"], ["kind"]]
+)
+def test_a_command_on_a_fuzzy_cycle_makes_one_degree_pass(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # indices asks whether the graph is a fuzzy cycle twice, once to
+    # pick the walk of its strong blocks and once for its kind flags
+    two_regular, passes = analysis._two_regular, []
+
+    def counted(n, ends):
+        passes.append(n)
+        return two_regular(n, ends)
+
+    monkeypatch.setattr(analysis, "_two_regular", counted)
+    path = tmp_path / "cycle.fzg"
+    path.write_text(alternating_cycle(8, "0.5", "0.3").serialize())
+    code, out = run_cli(capsys, *argv, str(path))
+    assert code == 0
+    assert "saturated fuzzy cycle: yes" in out
+    assert passes == [8]
+
+
 # --------------------------------------------------------------------- repro
 
 
@@ -459,6 +482,60 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["indices", "QUOTED"], 0),
+        (["indices", "--summary", "QUOTED"], 0),
+        (["classify", "QUOTED"], 0),
+        (["mst", "QUOTED"], 0),
+        (["kind", "QUOTED"], 0),
+        (["repro"], 0),
+        (["falsify", "corollary-star", "--trials", "5", "--seed", "1"], 0),
+        (["falsify", "theorem-star", "--n", "4..6"], 0),
+        # the strong subgraph disconnected: no WI
+        (["indices", "DISCONNECTED"], 3),
+        # no witness
+        (["falsify", "corollary-star", "--sizes", "2..2"], 4),
+    ],
+)
+def test_output_writes_exactly_the_bytes_of_stdout(
+    tmp_path, capsysbinary, fmt, argv, code
+):
+    paths = _graph_files(tmp_path)
+    argv = ["--format", fmt, *[paths.get(arg, arg) for arg in argv]]
+    assert main(argv) == code
+    stdout, stderr = capsysbinary.readouterr()
+    assert stderr == b""
+    assert stdout.endswith(b"\n")
+    target = tmp_path / "report"
+    assert main([*argv, "--output", str(target)]) == code
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert target.read_bytes() == stdout
+
+
+@pytest.mark.parametrize("where", ["FILE", "--output"])
+def test_a_directory_as_input_or_output_exits_2_with_one_line(
+    tmp_path, capsys, where
+):
+    if where == "FILE":
+        argv = ["kind", str(tmp_path)]
+    else:
+        argv = ["kind", data_path("tree5.fzg"), "--output", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    if where == "--output":
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+    # nothing written into or over the directory
+    assert tmp_path.is_dir() and not any(tmp_path.iterdir())
 
 
 def test_falsify_reports_are_byte_identical_across_runs(tmp_path):

@@ -96,6 +96,29 @@ def test_each_command_runs_only_the_modules_it_calls(argv, modules):
     assert _fresh_run(_MAIN, *argv) == (0, _names(modules))
 
 
+@pytest.mark.parametrize(
+    "argv", [["kind", TREE], ["repro"]], ids=["kind", "repro"]
+)
+def test_a_command_loads_no_pathlib(argv):
+    # -I -S: no site module, which may load pathlib on its own; -B: no
+    # bytecode written into the checkout
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(SOURCE.parent)!r})\n"
+        "from fuzzygraph.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'pathlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+
+
 def test_a_star_import_runs_the_modules_that_define_the_names():
     setup = "from fuzzygraph import *\ncode = 0"
     defining = ["connectivity", "falsifier", "indices", "oracle", "structure"]
