@@ -42,6 +42,15 @@ _ODD_SPACE_RE = re.compile(r"[^\S \t]")
 _T = TypeVar("_T")
 
 
+def key_bits(n: int) -> int:
+    """The bits per endpoint of an edge key on n vertices: edge du dv is
+    keyed ``du << key_bits(n) | dv``.  15 bits up to 2**15 vertices, so
+    every key is below 2**30, one CPython digit, which ``sorted`` and
+    ``divmod`` take on their fast paths; 32 bits above that, so a graph
+    holds fewer than 2**32 vertices."""
+    return 15 if n <= 1 << 15 else 32
+
+
 @dataclass(frozen=True, order=True)
 class Membership:
     """A grade in [0, 1], stored as an exact count of 1e-6 units."""
@@ -198,8 +207,10 @@ class FuzzyGraph:
     ``random_fuzzy_tree`` and ``make_saturated_cycle`` by construction,
     ``remove_edge`` and ``edge_subgraph`` by keeping edges of a checked
     graph.  All of them lay the graph out with ``_layout``, one core
-    over ints: vertices by declaration index, edges keyed ``du << 32 |
-    dv``, so a graph holds fewer than 2**32 vertices.
+    over ints: vertices by declaration index, edges keyed ``du << bits
+    | dv`` with the ``key_bits`` of the vertex count, 15 bits up to
+    2**15 vertices and 32 above, so a graph holds fewer than 2**32
+    vertices.
 
     The graph is stored once, in name order: vertex i is the i-th of the
     sorted ``vertices()``, with grade ``sigma_micro[i]``; edge e joins
@@ -262,8 +273,11 @@ class FuzzyGraph:
         # sigma's names, then those only an edge names, graded -1 below
         names = [*dict.fromkeys(chain(sigma, chain.from_iterable(mu)))]
         index = dict(zip(names, range(len(names))))
+        bits = key_bits(len(names))
         keys = [
-            index[u] << 32 | index[v] if u < v else index[v] << 32 | index[u]
+            index[u] << bits | index[v]
+            if u < v
+            else index[v] << bits | index[u]
             for u, v in mu
         ]
         keyed = dict(zip(keys, mu.values()))
@@ -282,22 +296,25 @@ class FuzzyGraph:
     ) -> "FuzzyGraph":
         """Store a graph given by declaration index, checking nothing: the
         one core of every route.  Vertex k is ``names[k]``, graded
-        ``sigma[k]``; ``mu`` maps ``du << 32 | dv``, ``names[du] <
-        names[dv]``, to the grade of edge du dv.  Names already in
-        order (every serialized file) skip the remap to name order."""
+        ``sigma[k]``; ``mu`` maps ``du << bits | dv``, ``names[du] <
+        names[dv]``, to the grade of edge du dv, with the ``key_bits``
+        of ``len(names)``.  Names already in order (every serialized
+        file) skip the remap to name order."""
+        bits = key_bits(len(names))
         order = sorted(names)
         if order != names:
             by_name = sorted(range(len(names)), key=names.__getitem__)
             rank = dict(zip(by_name, range(len(names))))
             sigma = [*map(sigma.__getitem__, by_name)]
+            low = (1 << bits) - 1
             mu = {
-                rank[k >> 32] << 32 | rank[k & 0xFFFFFFFF]: w
+                rank[k >> bits] << bits | rank[k & low]: w
                 for k, w in mu.items()
             }
         keys = sorted(mu)
         self._names = tuple(order)
         self.sigma_micro = tuple(sigma)
-        self.ends = tuple(map(divmod, keys, repeat(1 << 32)))
+        self.ends = tuple(map(divmod, keys, repeat(1 << bits)))
         self.mu_micro = tuple(map(mu.__getitem__, keys))
         return self
 
@@ -356,18 +373,20 @@ class FuzzyGraph:
         """Keep all vertices but only the listed edges, each found by its
         key from one name -> index map; ``_edge`` raises for a non-edge."""
         index = dict(zip(self._names, range(self.vertex_count)))
-        edge = {i << 32 | j: e for e, (i, j) in enumerate(self.ends)}
+        bits = key_bits(self.vertex_count)
+        edge = {i << bits | j: e for e, (i, j) in enumerate(self.ends)}
         kept = []
         for u, v in pairs:
             i, j = index.get(u, -1), index.get(v, -1)
-            e = edge.get(i << 32 | j if i < j else j << 32 | i)
+            e = edge.get(i << bits | j if i < j else j << bits | i)
             kept.append(self._edge(u, v) if e is None else e)
         return self._keep(kept)
 
     def _keep(self, kept: Iterable[int]) -> "FuzzyGraph":
         """All vertices and the edges of these indices, unchecked."""
         ends, mu = self.ends, self.mu_micro
-        keyed = {ends[e][0] << 32 | ends[e][1]: mu[e] for e in kept}
+        bits = key_bits(self.vertex_count)
+        keyed = {ends[e][0] << bits | ends[e][1]: mu[e] for e in kept}
         graph = FuzzyGraph.__new__(FuzzyGraph)
         return graph._layout([*self._names], [*self.sigma_micro], keyed)
 
@@ -500,11 +519,18 @@ def _read_records(text: str) -> tuple[list[VertexId], list[int], dict[int, int]]
     declaration before use, duplicates and the constructor's per-edge
     checks, so the first error is the earliest.  Each distinct grade
     literal is parsed once, to micro-units.
+
+    Edges are keyed as they are read, at the ``key_bits`` width of the
+    vertices declared so far: 15 bits, until the 32,769th vertex, which
+    15 bits cannot number, re-keys the edges read so far once at 32.
     """
     index: dict[VertexId, int] = {}
     sigma: list[int] = []
     mu: dict[int, int] = {}
     grades: dict[str, int] = {}
+    bits = key_bits(0)
+    # the vertex count at which an index no longer fits in bits
+    full = 1 << bits
     # str.split() splits on every whitespace character.  When the text
     # holds no whitespace besides spaces, tabs, newlines and a CR before
     # a newline, that is the format's split, trailing CRs included;
@@ -562,12 +588,19 @@ def _read_records(text: str) -> tuple[list[VertexId], list[int], dict[int, int]]
                 raise DuplicateVertexError(
                     f"line {lineno}: vertex {name!r} declared twice"
                 )
-            index[name] = len(sigma)
+            count = len(sigma)
+            if count == full:
+                wider = key_bits(full + 1)
+                mu = {
+                    k >> bits << wider | k & full - 1: w for k, w in mu.items()
+                }
+                bits, full = wider, 1 << wider
+            index[name] = count
             sigma.append(grade)
         else:
             if u > v:
                 u, v, du, dv = v, u, dv, du
-            key = du << 32 | dv
+            key = du << bits | dv
             if key in mu:
                 raise DuplicateEdgeError(
                     f"line {lineno}: edge {u!r} {v!r} declared twice"

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .analysis import Analysis, GraphKind, MergeTree, SpanningTree
 from .errors import BadParamsError, BadSpecError
-from .model import MICRO, FuzzyGraph, Membership, VertexId
+from .model import MICRO, FuzzyGraph, Membership, VertexId, key_bits
 
 _GRID = 10_000  # micro-units per 0.01 step used by the random generator
 
@@ -106,10 +106,12 @@ def make_saturated_cycle(spec: SaturatedCycleSpec) -> FuzzyGraph:
     alternating.  The checked spec makes the graph valid by
     construction (n >= 4 distinct names, 0 < eta < kappa <= 1 = sigma),
     so it goes straight to ``FuzzyGraph._layout`` with no ``_fill``:
-    the names sort in index order and edge i j is keyed ``i << 32 | j``."""
+    the names sort in index order and edge i j is keyed ``i << bits |
+    j``, with the ``key_bits`` of n."""
     n = spec.n
+    bits = key_bits(n)
     grades = [spec.kappa.micro, spec.eta.micro] * (n // 2)
-    mu = {i << 32 | i + 1: w for i, w in zip(range(n - 1), grades)}
+    mu = {i << bits | i + 1: w for i, w in zip(range(n - 1), grades)}
     mu[n - 1] = spec.eta.micro  # the closing edge v0 v(n-1)
     graph = FuzzyGraph.__new__(FuzzyGraph)
     return graph._layout(_vertex_names(n), [MICRO] * n, mu)
@@ -179,8 +181,9 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         raise BadParamsError(f"extra_edges must be >= 0, got {extra_edges}")
     rng = random.Random(seed)
     # the names sort in index order, so pair (i, j) with i < j is in
-    # name order too and is keyed i << 32 | j for the layout
+    # name order too and is keyed i << bits | j for the layout
     names = _vertex_names(n)
+    bits = key_bits(n)
     sigma = [rng.randrange(1, 101) * _GRID for _ in names]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     tree_pairs = sorted(
@@ -190,7 +193,7 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         rng.randrange(1, min(sigma[i], sigma[j]) // _GRID + 1) * _GRID
         for i, j in tree_pairs
     ]
-    edges = {i << 32 | j: w for (i, j), w in zip(tree_pairs, mu)}
+    edges = {i << bits | j: w for (i, j), w in zip(tree_pairs, mu)}
     graph = FuzzyGraph.__new__(FuzzyGraph)
     if extra_edges == 0:
         # nothing below draws from rng then, so this is the same graph
@@ -205,7 +208,7 @@ def random_fuzzy_tree(seed: int, n: int, extra_edges: int) -> FuzzyGraph:
         limit = strength // _GRID
         if limit <= 1:
             continue
-        edges[i << 32 | j] = rng.randrange(1, limit) * _GRID
+        edges[i << bits | j] = rng.randrange(1, limit) * _GRID
         added += 1
         if added == extra_edges:
             break

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from fuzzygraph.model import (
     ONE,
     _literal_micro,
     _read_records,
+    key_bits,
     micro_text,
     pair,
 )
@@ -452,10 +454,14 @@ def test_the_parser_admits_only_graphs_the_checks_admit(g, data):
 
 def _name_keyed(names, sigma, mu):
     """The maps ``from_micro`` takes, from the index-keyed records that
-    ``_read_records`` returns."""
+    ``_read_records`` returns, each edge key split by ``key_bits``."""
+    width = 1 << key_bits(len(names))
     return (
         dict(zip(names, sigma)),
-        {(names[k >> 32], names[k & 0xFFFFFFFF]): w for k, w in mu.items()},
+        {
+            tuple(map(names.__getitem__, divmod(k, width))): w
+            for k, w in mu.items()
+        },
     )
 
 
@@ -468,6 +474,115 @@ def test_parse_graph_runs_no_check_of_fill(monkeypatch):
     monkeypatch.setattr(FuzzyGraph, "_fill", refuse)
     assert parse_graph(text) == g
     assert parse_graph(text.encode("ascii")) == g
+
+
+# ------------------------------------------------------- edge key width
+
+_NARROW = 1 << 15
+
+
+def _widening_file(n: int) -> tuple[str, dict, dict]:
+    """.fzg text on n vertices, declared in reverse name order, with each
+    edge line right after the ``v`` line of its later endpoint, and the
+    name-keyed maps that ``from_micro`` takes for the same graph.  Vertex
+    k joins k - 1, and every 1000th vertex also joins vertex 0, so there
+    are edges on both sides of the 32,769th declaration and one on the
+    vertex of index 32,768."""
+    names = [f"x{n - 1 - k:05d}" for k in range(n)]
+    lines, mu = [], {}
+    for k, name in enumerate(names):
+        lines.append(f"v {name} 1")
+        ends = [k - 1] if k else []
+        if k % 1000 == 0 and k > 1:
+            ends.append(0)
+        for j in ends:
+            grade = 100_000 * (1 + (k + j) % 9)
+            lines.append(f"e {names[j]} {name} {micro_text(grade)}")
+            mu[names[j], name] = grade
+    return "\n".join(lines) + "\n", dict.fromkeys(names, MICRO), mu
+
+
+def test_the_parser_widens_its_edge_keys_past_32768_vertices(tmp_path):
+    n = _NARROW + 2
+    text, sigma, mu = _widening_file(n)
+    path = tmp_path / "wide.fzg"
+    path.write_text(text, encoding="ascii")
+    lines = text.splitlines()
+    switch = lines.index(f"v x{n - 1 - _NARROW:05d} 1")
+    # the keys widen on this line, with edges read before and after it,
+    # one of them on the vertex it declares
+    assert sum(line[0] == "v" for line in lines[:switch]) == _NARROW
+    assert lines[switch + 1].startswith(
+        f"e x{n - _NARROW:05d} x{n - 1 - _NARROW:05d} "
+    )
+    parsed = parse_graph(path.read_bytes())
+    assert parsed == FuzzyGraph.from_micro(sigma, mu)
+    assert dict(zip(parsed.edge_pairs(), parsed.mu_micro)) == {
+        pair(u, v): w for (u, v), w in mu.items()
+    }
+    # the lines before the switch make a graph of 2**15 vertices, keyed
+    # and renamed at 15 bits
+    head = "\n".join(lines[:switch]) + "\n"
+    narrow = parse_graph(head)
+    assert narrow.vertex_count == _NARROW
+    assert narrow == FuzzyGraph.from_micro(*_name_keyed(*_read_records(head)))
+    # errors after the switch still name their own lines
+    tail = len(lines) + 1
+    first = lines[switch - 1].split()
+    assert first[0] == "e"
+    duplicate = f"e {first[2]} {first[1]} 0.1"
+    with pytest.raises(DuplicateEdgeError, match=f"^line {tail}: "):
+        parse_graph(f"{text}{duplicate}\ne a b 0.1\n")
+    with pytest.raises(UnknownEndpointError, match=f"^line {tail}: "):
+        parse_graph(f"{text}e x00001 ghost 0.1\nbogus\n")
+
+
+def _key_log(monkeypatch) -> list[tuple[int, set, FuzzyGraph]]:
+    """Wrap FuzzyGraph._layout; the list gets each call's vertex count,
+    edge keys and graph."""
+    calls = []
+    original = FuzzyGraph._layout
+
+    def logging(self, names, sigma, mu):
+        graph = original(self, names, sigma, mu)
+        calls.append((len(names), {*mu}, graph))
+        return graph
+
+    monkeypatch.setattr(FuzzyGraph, "_layout", logging)
+    return calls
+
+
+@pytest.mark.parametrize("n, bits", [(_NARROW, 15), (_NARROW + 1, 32)])
+def test_every_route_keys_edges_in_one_digit_up_to_32768_vertices(
+    monkeypatch, n, bits
+):
+    assert key_bits(n) == bits
+    calls = _key_log(monkeypatch)
+    names = [f"p{k:05d}" for k in range(n)]
+    text = "".join(f"v {name} 1\n" for name in names) + "".join(
+        f"e {u} {v} 0.5\n" for u, v in zip(names, names[1:])
+    )
+    g = parse_graph(text)
+    FuzzyGraph.from_micro(
+        dict.fromkeys(names, MICRO),
+        {(v, u): MICRO // 2 for u, v in zip(names, names[1:])},
+    )
+    g.edge_subgraph(g.edge_pairs()[::2])
+    g.remove_edge(names[0], names[1])
+    random_fuzzy_tree(1, n, 0)
+    make_saturated_cycle(SaturatedCycleSpec(n + n % 2, M("0.5"), M("0.3")))
+    assert len(calls) == 6
+    for count, keys, graph in calls:
+        # the cycle has n + 1 vertices when n is odd, at the same width
+        assert count == graph.vertex_count and key_bits(count) == bits
+        # each key splits at its width into the graph's edges, names
+        # being declared in name order
+        width = 1 << bits
+        assert sorted(map(divmod, keys, repeat(width))) == [*graph.ends]
+        if bits == 15:
+            assert max(keys) < 1 << 30
+        else:
+            assert max(keys) >= 1 << 32
 
 
 @pytest.mark.parametrize("name", ["\u00e9", "a\u00e9", "a\x01", "a\x7f"])
