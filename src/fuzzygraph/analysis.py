@@ -37,8 +37,9 @@ cost O(m log m) plus O(log n) per edge outside F, on any forest shape,
 and read no residual.  Classifying every edge needs the residuals: the
 ``MergeTree`` climb per edge outside F and one descending sweep over
 the rooted forest for those of F; that sweep and the bridges of a fuzzy
-forest are all that root the forest.  The connectivity index CI
-is summed only when asked, by replaying the recorded merges, one
+forest are all that root the forest.  Each answer is computed when
+asked and kept only where two readers in one command share it.  The
+connectivity index CI is summed by replaying the recorded merges, one
 multiply-add per merge.  The Wiener index WI is one sum over the blocks
 of the strong subgraph, walked as one method chooses by shape for WI and
 the d_s rows alike: O(n) on a fuzzy tree, whose strong subgraph is F and
@@ -284,12 +285,16 @@ class Analysis(MergeTree):
     ``names``, ``sigma``, ``ends`` and ``mu`` are the graph's own
     tuples, indexed as ``FuzzyGraph`` describes; ties in the Kruskal
     order keep the lexicographic (u, v) order of the edges.  The forest
-    and its merge tree are built eagerly; CI, the strong edges outside
-    F, the residuals outside F, the full residuals, the all-pairs CONN
-    and d_s rows and the fuzzy-cycle test are each built on first use,
-    so a caller that needs only the forest pays O(m log m).  The rooted
-    forest is built only for the full residuals and the strong blocks
-    of a fuzzy forest.
+    and its merge tree are built eagerly, so a caller that needs only
+    the forest pays O(m log m); everything else is computed when asked.
+    An answer is kept only where two readers in one command share it:
+    the strong edges outside F (``kind`` and ``_strong_blocks``), the
+    residuals (``residual`` and ``edge_classes``, both read by
+    ``classify``) and the fuzzy-cycle test (``kind`` and
+    ``_strong_blocks``).  CI, the rooted forest and the all-pairs CONN
+    and d_s rows are computed on each call; no command asks for one
+    twice.  The rooted forest is built only for the residuals and the
+    strong blocks of a fuzzy forest.
     """
 
     def __init__(self, g: FuzzyGraph):
@@ -298,45 +303,38 @@ class Analysis(MergeTree):
         self.ends = ends = g.ends
         self.mu = mu = g.mu_micro
         super().__init__(len(names), ends, mu)
-        self._ci: int | None = None
-        self._rooted: Rooted | None = None
         self._strong: list[int] | None = None
-        self._outside: list[int] | None = None
         self._residual: list[int] | None = None
-        self._conn: list[list[int]] | None = None
-        self._ds: list[list[int | None]] | None = None
         self._cycle: bool | None = None
 
     def rooted(self) -> Rooted:
         """(parent, parent edge, depth, preorder) of the forest, each
         tree rooted at its lowest vertex; a root has parent -1.  The
         preorder lists every vertex after its parent, tree by tree in
-        order of their roots."""
-        if self._rooted is None:
-            n = len(self.names)
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            for e in compress(range(len(self.mu)), self.in_forest):
-                i, j = self.ends[e]
-                adj[i].append((j, e))
-                adj[j].append((i, e))
-            up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
-            preorder: list[int] = []
-            seen = [False] * n
-            for root in range(n):
-                if seen[root]:
-                    continue
-                seen[root] = True
-                stack = [root]
-                while stack:
-                    x = stack.pop()
-                    preorder.append(x)
-                    for y, e in adj[x]:
-                        if not seen[y]:
-                            seen[y] = True
-                            up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
-                            stack.append(y)
-            self._rooted = up, up_edge, depth, preorder
-        return self._rooted
+        order of their roots.  Built on each call."""
+        n = len(self.names)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e in compress(range(len(self.mu)), self.in_forest):
+            i, j = self.ends[e]
+            adj[i].append((j, e))
+            adj[j].append((i, e))
+        up, up_edge, depth = [-1] * n, [-1] * n, [0] * n
+        preorder: list[int] = []
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                preorder.append(x)
+                for y, e in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        up[y], up_edge[y], depth[y] = x, e, depth[x] + 1
+                        stack.append(y)
+        return up, up_edge, depth, preorder
 
     def strong_outside(self) -> list[int]:
         """The strong edges outside F, in edge order, read off the final
@@ -367,26 +365,18 @@ class Analysis(MergeTree):
             self._strong = strong
         return self._strong
 
-    def outside_residual(self) -> list[int]:
-        """Per edge outside F, CONN_F between its endpoints, which is its
-        residual, by the ``conn`` climb; 0 for each edge of F.  O(log n)
-        per edge.  Only ``residual`` reads it: whether an edge is strong
-        comes from ``strong_outside`` alone."""
-        if self._outside is None:
-            kept = self.in_forest
-            climb = self.conn(compress(self.ends, map(not_, kept)))
-            self._outside = [0 if k else next(climb) for k in kept]
-        return self._outside
-
     def residual(self) -> list[int]:
-        """Per edge, CONN between its endpoints without the edge: the
-        entries outside F from ``outside_residual``, those of F by one
-        descending sweep over the rooted forest.  Only the edge classes
-        need the entries of F."""
+        """Per edge, CONN between its endpoints without the edge: for an
+        edge outside F, CONN_F between its ends by the ``conn`` climb,
+        O(log n) each; for an edge of F, by one descending sweep over the
+        rooted forest.  Whether an edge is strong comes from
+        ``strong_outside`` alone: only the edge classes and the report
+        that prints them read this."""
         if self._residual is None:
             up, up_edge, depth, _ = self.rooted()
-            mu, ends = self.mu, self.ends
-            residual = self.outside_residual()[:]
+            mu, ends, kept = self.mu, self.ends, self.in_forest
+            climb = self.conn(compress(ends, map(not_, kept)))
+            residual = [0 if k else next(climb) for k in kept]
             # jump[x] leads towards the nearest ancestor-or-self of x whose
             # parent edge has no residual yet; the descending sweep gives
             # each forest edge the grade of the first cycle that covers it.
@@ -401,7 +391,7 @@ class Analysis(MergeTree):
                 return top
 
             for e in self.order:
-                if self.in_forest[e]:
+                if kept[e]:
                     continue
                 i, j = ends[e]
                 a, b = find(i), find(j)
@@ -434,25 +424,23 @@ class Analysis(MergeTree):
         """All-pairs CONN, 0 across trees, by walking the merges of the
         Kruskal pass: merging parts A and B by an edge of grade w sets w
         for every pair across them, the identity that adds w sigma(A)
-        sigma(B) to CI.  O(n^2) plain stores."""
-        if self._conn is None:
-            n, up, label = len(self.names), self._up, self._label
-            rows = [[0] * n for _ in range(n)]
-            # per root, the members of its part
-            members = [[x] for x in range(n)]
-            for j in self._merged:
-                big, small, grade = members[up[j]], members[j], label[j]
-                for x in big:
-                    row = rows[x]
-                    for y in small:
-                        row[y] = grade
+        sigma(B) to CI.  O(n^2) plain stores on each call."""
+        n, up, label = len(self.names), self._up, self._label
+        rows = [[0] * n for _ in range(n)]
+        # per root, the members of its part
+        members = [[x] for x in range(n)]
+        for j in self._merged:
+            big, small, grade = members[up[j]], members[j], label[j]
+            for x in big:
+                row = rows[x]
                 for y in small:
-                    row = rows[y]
-                    for x in big:
-                        row[x] = grade
-                big += small
-            self._conn = rows
-        return self._conn
+                    row[y] = grade
+            for y in small:
+                row = rows[y]
+                for x in big:
+                    row[x] = grade
+            big += small
+        return rows
 
     def ds_rows(self) -> list[list[int | None]]:
         """All-pairs d_s, None when a pair has no strong path, merged
@@ -462,27 +450,25 @@ class Analysis(MergeTree):
         its vertices through d_B and merges them into its top's part; a
         shortest path between two vertices of B stays inside B.  O(n^2)
         stores plus one Dijkstra per vertex of each block that is
-        neither a bridge nor a cycle."""
-        if self._ds is None:
-            n = len(self.names)
-            rows = [[None] * x + [0] + [None] * (n - 1 - x) for x in range(n)]
-            part = [[(x, 0)] for x in range(n)]
-            for block in self._strong_blocks():
-                if len(block) == 1:
-                    top, x, grade = block[0]
-                    vertices, dist = [top, x], [[0, grade], [grade, 0]]
-                else:
-                    vertices = _block_vertices(block)
-                    dist = _block_distances(vertices, block)
-                parts = [part[x] for x in vertices]
-                for i, reach in enumerate(dist):
-                    for j in range(i + 1, len(parts)):
-                        _join(rows, parts[i], parts[j], reach[j])
-                    if i:
-                        parts[0] += [(q, dq + reach[0]) for q, dq in parts[i]]
-                        parts[i].clear()
-            self._ds = rows
-        return self._ds
+        neither a bridge nor a cycle, on each call."""
+        n = len(self.names)
+        rows = [[None] * x + [0] + [None] * (n - 1 - x) for x in range(n)]
+        part = [[(x, 0)] for x in range(n)]
+        for block in self._strong_blocks():
+            if len(block) == 1:
+                top, x, grade = block[0]
+                vertices, dist = [top, x], [[0, grade], [grade, 0]]
+            else:
+                vertices = _block_vertices(block)
+                dist = _block_distances(vertices, block)
+            parts = [part[x] for x in vertices]
+            for i, reach in enumerate(dist):
+                for j in range(i + 1, len(parts)):
+                    _join(rows, parts[i], parts[j], reach[j])
+                if i:
+                    parts[0] += [(q, dq + reach[0]) for q, dq in parts[i]]
+                    parts[i].clear()
+        return rows
 
     def require_strong_paths(self) -> None:
         """Raise StrongDisconnectedError for the first pair, in
@@ -631,21 +617,19 @@ class Analysis(MergeTree):
         return total
 
     def connectivity(self) -> Fraction:
-        """CI, always defined, summed on first use by replaying the
+        """CI, always defined, summed on each call by replaying the
         Kruskal merges: joining parts A and B by grade w makes w the CONN
         of every pair across them, so it adds w sigma(A) sigma(B).  Root
         j joined up[j] after every earlier merge into up[j].  F is its
         own maximum spanning forest with CONN_F = CONN, so this is also
         CI(F) of the forest as a graph on its own."""
-        if self._ci is None:
-            # per root, the sigma weight of its part
-            up, label, weight, ci = self._up, self._label, [*self.sigma], 0
-            for j in self._merged:
-                i = up[j]
-                ci += label[j] * weight[i] * weight[j]
-                weight[i] += weight[j]
-            self._ci = ci
-        return Fraction(self._ci, _SUM_SCALE)
+        # per root, the sigma weight of its part
+        up, label, weight, ci = self._up, self._label, [*self.sigma], 0
+        for j in self._merged:
+            i = up[j]
+            ci += label[j] * weight[i] * weight[j]
+            weight[i] += weight[j]
+        return Fraction(ci, _SUM_SCALE)
 
     def zero_sigma_vertices(self) -> tuple[VertexId, ...]:
         return tuple(

@@ -219,19 +219,23 @@ def _cmd_indices(args) -> tuple[int, str]:
     analysis = Analysis(g)
     names, n = analysis.names, g.vertex_count
     text = _MicroTexts(args.format)
+    ds_rows = None if args.summary else analysis.ds_rows()
     # per vertex u, its CONN and d_s rows, read by one format below
     rows = enumerate(
-        () if args.summary
-        else zip(names, analysis.conn_rows(), analysis.ds_rows())
+        () if args.summary else zip(names, analysis.conn_rows(), ds_rows)
     )
     try:
         if args.summary:
             wiener = analysis.wiener()
         else:
-            # the printed d_s rows are already built, and on graphs of
-            # a few dozen vertices their sum costs less than a block search
+            # the printed d_s rows are already built, and summing them
+            # costs less than a block search: over the 17 indices inputs
+            # of dense-report seed 0 (16-32 vertices), in-process on a
+            # 2-core host, WI from wiener() made the fastest round
+            # 869-1,139 -> 991-1,218 us per op, slower in each of 4
+            # alternating process pairs
             analysis.require_strong_paths()
-            wiener = analysis.pair_sum(analysis.ds_rows())
+            wiener = analysis.pair_sum(ds_rows)
     except StrongDisconnectedError:
         wiener = None
     kind = analysis.kind()

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -56,16 +55,6 @@ class ClaimVerdict:
     @property
     def size(self) -> int:
         return self.graph.vertex_count
-
-    @cached_property
-    def fzg(self) -> str:
-        """The .fzg text of ``graph``, serialized once, on first use.
-
-        Neither the search nor the CLI reads it: the search sorts by the
-        int grades (see ``_canonical_key``), and a report serializes each
-        witness's graph itself, once, with one grade map for all of them.
-        """
-        return self.graph.serialize()
 
 
 def check_corollary_star(g: FuzzyGraph) -> ClaimVerdict:

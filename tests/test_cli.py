@@ -39,6 +39,7 @@ from fuzzygraph.cli import main
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 
 from conftest import fuzzy_graphs
+from support import random_deep_graph, random_sparse_graph
 
 BASE_KEYS = {"wiener", "connectivity", "pairs", "kind", "verdicts", "warnings"}
 
@@ -258,27 +259,72 @@ def test_kind_json(capsys):
     assert doc["kind"]["saturated_fuzzy_cycle"] is False
 
 
-@pytest.mark.parametrize(
-    "argv", [["indices"], ["indices", "--summary"], ["kind"]]
-)
+ONE_PASS_COMMANDS = [["indices"], ["indices", "--summary"], ["kind"]]
+ONE_PASS_COMMANDS += [["classify"], ["mst"]]
+ONE_PASS_COMMANDS += [["--format", "json", *a] for a in ONE_PASS_COMMANDS]
+
+
+@pytest.mark.parametrize("argv", ONE_PASS_COMMANDS)
 def test_a_command_on_a_fuzzy_cycle_makes_one_degree_pass(
     tmp_path, capsys, monkeypatch, argv
 ):
     # indices asks whether the graph is a fuzzy cycle twice, once to
-    # pick the walk of its strong blocks and once for its kind flags
-    two_regular, passes = analysis._two_regular, []
+    # pick the walk of its strong blocks and once for its kind flags.
+    # On every shape, each command runs each counted step at most once,
+    # and mst runs none of them.
+    graphs = {
+        "cycle": alternating_cycle(8, "0.5", "0.3"),
+        "tree with extra edges": random_fuzzy_tree(3, 12, 3),
+        # one strong block of 9 edges on 8 vertices
+        "sparse": random_sparse_graph(2, 12, 6),
+        "three parts": random_deep_graph(1, 20, "broom", 10, parts=3),
+    }
+    calls: list[str] = []
+    passes: list[int] = []
 
-    def counted(n, ends):
+    def count(owner, name):
+        run = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("rooted", "conn_rows", "ds_rows", "connectivity"):
+        count(analysis.Analysis, name)
+    count(analysis.Analysis, "_strong_blocks")
+    count(analysis.MergeTree, "conn")
+    two_regular = analysis._two_regular
+
+    def degree_pass(n, ends):
+        calls.append("_two_regular")
         passes.append(n)
         return two_regular(n, ends)
 
-    monkeypatch.setattr(analysis, "_two_regular", counted)
-    path = tmp_path / "cycle.fzg"
-    path.write_text(alternating_cycle(8, "0.5", "0.3").serialize())
-    code, out = run_cli(capsys, *argv, str(path))
-    assert code == 0
-    assert "saturated fuzzy cycle: yes" in out
-    assert passes == [8]
+    monkeypatch.setattr(analysis, "_two_regular", degree_pass)
+    reads_kind = "classify" not in argv and "mst" not in argv
+    for label, g in graphs.items():
+        path = tmp_path / "graph.fzg"
+        path.write_text(g.serialize())
+        calls.clear()
+        passes.clear()
+        code = main([*argv, str(path)])
+        out = capsys.readouterr().out
+        # the parts have no spanning tree and no strong path across them
+        expected = 0
+        if label == "three parts" and "mst" in argv:
+            expected = 2
+        elif label == "three parts" and "indices" in argv:
+            expected = 3
+        assert code == expected, label
+        assert len(calls) == len(set(calls)), (label, calls)
+        if "mst" in argv:
+            assert calls == [], label
+        if label == "cycle":
+            assert passes == ([8] if reads_kind else [])
+            if reads_kind and "json" not in argv:
+                assert "saturated fuzzy cycle: yes" in out
 
 
 # --------------------------------------------------------------------- repro
@@ -1348,4 +1394,4 @@ def test_a_verdict_renders_sides_that_are_not_its_detail_objects():
     assert (doc["lhs"], doc["rhs"]) == ("7.4", "1/3")
     assert doc["detail"] == {"wi_g": "7.4", "wi_f": "7.4", "ci_f": "3.5"}
     # the public .fzg text of the verdict, as the row renders it
-    assert doc["instance"] == {"fzg": apart.fzg} == {"fzg": g.serialize()}
+    assert doc["instance"] == {"fzg": g.serialize()}

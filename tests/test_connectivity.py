@@ -28,7 +28,7 @@ from fuzzygraph import (
     strong_subgraph,
     random_fuzzy_tree,
 )
-from fuzzygraph.analysis import Analysis
+from fuzzygraph.analysis import Analysis, MergeTree
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
 from fuzzygraph.structure import SaturatedCycleSpec, make_saturated_cycle
 
@@ -313,8 +313,8 @@ def test_strong_edges_are_the_maximum_spanning_forest_edges(g):
 def test_merge_tree_climb_on_disconnected_graphs(
     seed, n, edge_probability, step
 ):
-    # outside_residual asks only about pairs that share an edge, so this
-    # is the test that reaches pairs in different trees
+    # the residuals climb only between the ends of an edge, so this is
+    # the test that reaches pairs in different trees
     g = random_graph(seed, n, edge_probability, step, 0.2)
     analysis = Analysis(g)
     assume(analysis.components > 1)
@@ -367,9 +367,6 @@ def _check_residual_routes(g: FuzzyGraph) -> None:
     reference = residual_reference(Analysis(g))
     a = Analysis(g)
     mu, in_forest = a.mu, a.in_forest
-    assert a.outside_residual() == [
-        0 if kept else res for kept, res in zip(in_forest, reference)
-    ]
     assert a.residual() == reference
     # the cycle property: every edge of F is strong
     for grade, res, kept in zip(mu, reference, in_forest):
@@ -505,7 +502,7 @@ def test_a_tie_outside_the_forest_is_strong_and_a_weaker_edge_is_not():
     assert a.strong_edges() == [0, 1]
 
 
-def test_only_the_residuals_read_outside_residual(monkeypatch):
+def test_only_the_residuals_climb_the_merge_tree(monkeypatch):
     graphs = [
         random_sparse_graph(0, 200, 100),
         random_deep_graph(1, 300, "path", 300, QUARTER),
@@ -528,12 +525,12 @@ def test_only_the_residuals_read_outside_residual(monkeypatch):
         False, False, True, True, False
     ]
 
-    def refuse(self):
-        raise AssertionError("outside_residual read")
+    def refuse(self, pairs):
+        raise AssertionError("the merge tree was climbed")
 
-    monkeypatch.setattr(Analysis, "outside_residual", refuse)
+    monkeypatch.setattr(MergeTree, "conn", refuse)
     assert [views(g) for g in graphs] == expected
-    with pytest.raises(AssertionError, match="outside_residual read"):
+    with pytest.raises(AssertionError, match="the merge tree was climbed"):
         Analysis(graphs[0]).residual()
 
 
@@ -576,7 +573,6 @@ def test_a_graph_with_no_edge_outside_the_forest_has_no_residual():
     ]
     for g in trees:
         a = Analysis(g)
-        assert a.outside_residual() == [0] * g.edge_count
         assert a.residual() == [0] * g.edge_count
         assert a.is_fuzzy_forest()
         assert a.strong_edges() == list(range(g.edge_count))
@@ -586,7 +582,7 @@ def test_a_graph_with_no_edge_outside_the_forest_has_no_residual():
 @pytest.mark.parametrize("shape", ["path", "broom"])
 @pytest.mark.parametrize("n", [2, 3, 100, 2000])
 def test_the_kruskal_merge_tree_is_at_most_log2_n_deep(shape, n):
-    # outside_residual climbs the tree from both ends by size and
+    # the residuals climb the tree from both ends by size and
     # require_strong_paths reads each vertex's root off it
     for seed, parts in [(0, 1), (1, 3)]:
         a = Analysis(random_deep_graph(seed, n, shape, n, parts=parts))

@@ -30,7 +30,7 @@ from fuzzygraph import (
     wi_bruteforce,
 )
 from fuzzygraph import analysis
-from fuzzygraph.analysis import Analysis, EdgeClass
+from fuzzygraph.analysis import Analysis, EdgeClass, MergeTree
 from fuzzygraph.model import MICRO, pair
 
 from support import (
@@ -193,7 +193,7 @@ def test_a_fuzzy_cycle_runs_no_block_search(label, build, monkeypatch):
         raise AssertionError("block search ran")
 
     monkeypatch.setattr(analysis, "_dijkstra", refuse)
-    monkeypatch.setattr(Analysis, "outside_residual", refuse)
+    monkeypatch.setattr(MergeTree, "conn", refuse)
     assert Analysis(g).wiener() == expected[0]
     assert Analysis(g).ds_rows() == expected[1]
     a = Analysis(g)
