@@ -38,8 +38,8 @@ _NAMES = {
     "check_theorem_star search_counterexamples",
     "indices": "connectivity_index geodesic_distance theorem_star_formula "
     "wiener_index",
-    "model": "MICRO FuzzyGraph Membership PairTable PathRecord VertexId "
-    "build_graph format_fraction parse_graph path_record",
+    "model": "MICRO FuzzyGraph Membership PairTable VertexId build_graph "
+    "format_fraction parse_graph",
     "oracle": "ci_bruteforce classify_edges_reference conn_bruteforce "
     "conn_reference ds_bruteforce strong_edges_bruteforce wi_bruteforce",
     "structure": "SaturatedCycleSpec fuzzy_tree_mst graph_kind "

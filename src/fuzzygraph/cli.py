@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 replication mismatch, 2 input error, 3 partial
-result (connectivity index printed but Wiener index unavailable), 4 no
-counterexample witness found.
+Exit codes: 0 success, 1 replication mismatch, 2 input error or out of
+memory, 3 partial result (connectivity index printed but Wiener index
+unavailable), 4 no counterexample witness found.
 
 Reports are built straight from the analysis lists.  A report's row
 lists, as text lines or JSON objects, are built one string per row with
@@ -567,6 +567,18 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        return _run(args)
+    except MemoryError:
+        pass
+    # printed after the except block, which frees the traceback's frames
+    # and the lists they hold
+    print("error: out of memory", file=sys.stderr)
+    return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the command and write its report: the exit code."""
+    try:
         code, text = _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
@@ -581,9 +593,11 @@ def _main(argv: list[str] | None) -> int:
         if args.output is None:
             _write_stdout(text)
         else:
-            # bytes, as stdout gets them: no newline translation
+            # bytes, as stdout gets them: no newline translation; encoded
+            # first, so a failure leaves no empty file
+            data = text.encode("utf-8")
             with open(args.output, "wb") as file:
-                file.write(text.encode("utf-8"))
+                file.write(data)
     except OSError as exc:
         target = "stdout" if args.output is None else args.output
         if args.output is None:

@@ -370,17 +370,9 @@ class FuzzyGraph:
     def edge_subgraph(
         self, pairs: Iterable[tuple[VertexId, VertexId]]
     ) -> "FuzzyGraph":
-        """Keep all vertices but only the listed edges, each found by its
-        key from one name -> index map; ``_edge`` raises for a non-edge."""
-        index = dict(zip(self._names, range(self.vertex_count)))
-        bits = key_bits(self.vertex_count)
-        edge = {i << bits | j: e for e, (i, j) in enumerate(self.ends)}
-        kept = []
-        for u, v in pairs:
-            i, j = index.get(u, -1), index.get(v, -1)
-            e = edge.get(i << bits | j if i < j else j << bits | i)
-            kept.append(self._edge(u, v) if e is None else e)
-        return self._keep(kept)
+        """Keep all vertices but only the listed edges, each found by
+        ``_edge``, which raises for a non-edge."""
+        return self._keep([self._edge(u, v) for u, v in pairs])
 
     def _keep(self, kept: Iterable[int]) -> "FuzzyGraph":
         """All vertices and the edges of these indices, unchecked."""
@@ -438,27 +430,6 @@ def _edge_error(
         f"mu({u!r},{v!r}) = {micro_text(w)} exceeds min sigma "
         f"({micro_text(min(su, sv))})"
     )
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """A concrete path with its min-grade strength and sum-grade length."""
-
-    vertices: tuple[VertexId, ...]
-    strength: Membership
-    length: Fraction
-
-
-def path_record(g: FuzzyGraph, vertices: Iterable[VertexId]) -> PathRecord:
-    """Validate a vertex sequence as a path in g and measure it."""
-    names = tuple(vertices)
-    if len(names) < 2:
-        raise ValueError("a path needs at least two vertices")
-    if len(set(names)) != len(names):
-        raise ValueError("a path may not repeat vertices")
-    grades = [g.mu(a, b) for a, b in zip(names, names[1:])]
-    total = sum(grade.micro for grade in grades)
-    return PathRecord(names, min(grades), Fraction(total, MICRO))
 
 
 def build_graph(

@@ -367,6 +367,12 @@ def test_falsify_corollary_finds_witnesses(capsys):
     assert out.count("holds=false") == count
 
 
+def test_falsify_corollary_takes_a_single_trial(capsys):
+    code, out = run_cli(capsys, "falsify", "corollary-star", "--trials", "1")
+    assert code == 0
+    assert out.splitlines()[2] == "witnesses: 1"
+
+
 def test_falsify_corollary_empty_range_exits_4(capsys):
     code, out = run_cli(
         capsys,
@@ -664,6 +670,45 @@ def test_a_closed_stdout_pipe_exits_2_with_one_error_line(
     assert "Traceback" not in err
     assert err.startswith("error: cannot write stdout: ")
     assert err.count("\n") == 1
+
+
+# ------------------------------------------------------------ out of memory
+
+_MEMORY_LIMIT = 200 << 20  # bytes of address space for each child
+
+
+def _limit_memory() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_LIMIT, _MEMORY_LIMIT))
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="RLIMIT_AS as on Linux"
+)
+def test_running_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    # each command runs in a child whose address space is capped, so the
+    # allocation that fails is the child's own: the full tables of a
+    # 3,000-vertex graph, and the candidate pairs of a 20,000-vertex tree
+    path = tmp_path / "sparse.fzg"
+    path.write_text(random_sparse_graph(0, 3000, 1500).serialize())
+    report = tmp_path / "report.txt"
+    for argv in (
+        ["indices", str(path)],
+        ["falsify", "corollary-star", "--sizes", "20000..20000", "--trials", "1"],
+        ["--output", str(report), "indices", str(path)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzygraph", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=_limit_memory,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: out of memory\n"
+        ), argv
+        assert not report.exists()
 
 
 # ----------------------------------------------- one parser for many calls

@@ -235,6 +235,13 @@ def test_corollary_search_finds_witnesses_deterministically():
     assert sizes == sorted(sizes)
 
 
+def test_a_search_takes_a_single_trial():
+    hits = search_counterexamples(ClaimId.COROLLARY_STAR, trials=1, seed=0)
+    assert [hit.size for hit in hits] == [6]
+    hits = search_counterexamples(ClaimId.THEOREM_STAR, trials=1)
+    assert [hit.size for hit in hits] == [4]
+
+
 def test_corollary_search_respects_size_range():
     hits = search_counterexamples(
         ClaimId.COROLLARY_STAR, trials=30, seed=3, size_range=(4, 6)

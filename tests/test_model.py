@@ -25,7 +25,6 @@ from fuzzygraph import (
     build_graph,
     format_fraction,
     parse_graph,
-    path_record,
 )
 from fuzzygraph.analysis import Analysis
 from fuzzygraph.model import (
@@ -244,10 +243,26 @@ def test_single_vertex_and_empty_graph():
 def test_zero_sigma_vertex_allowed_but_cannot_carry_edges():
     g = build_graph([("a", M("0")), ("b", M("1"))], [])
     assert g.sigma("a").is_zero
-    with pytest.raises(MuExceedsSigmaError):
-        build_graph(
-            [("a", M("0")), ("b", M("1"))], [("a", "b", M("0.1"))]
-        )
+    # the zero-sigma vertex sorts first, then second
+    for zero, other in (("a", "b"), ("b", "a")):
+        with pytest.raises(MuExceedsSigmaError):
+            build_graph(
+                [(zero, M("0")), (other, M("1"))], [(other, zero, M("0.1"))]
+            )
+        with pytest.raises(MuExceedsSigmaError):
+            FuzzyGraph.from_micro({zero: 0, other: MICRO}, {(zero, other): 1})
+        with pytest.raises(MuExceedsSigmaError, match="^line 3: "):
+            parse_graph(f"v {zero} 0\nv {other} 1\ne {zero} {other} 0.1\n")
+
+
+def test_an_edge_from_a_zero_sigma_vertex_names_its_undeclared_end():
+    # the undeclared vertex sorts second, then first
+    for zero, missing in (("a", "b"), ("b", "a")):
+        message = f"^unknown vertex {missing!r}$"
+        with pytest.raises(UnknownEndpointError, match=message):
+            FuzzyGraph.from_micro({zero: 0}, {(zero, missing): 1})
+        with pytest.raises(UnknownEndpointError, match=message):
+            build_graph([(zero, M("0"))], [(zero, missing, M("0.1"))])
 
 
 def test_build_graph_error_cases():
@@ -764,30 +779,6 @@ def test_edge_subgraph_finds_each_pair_in_either_order(g, data):
             message = re.escape(f"no edge between {a!r} and {b!r}")
             with pytest.raises(NoSuchEdgeError, match=f"^{message}$"):
                 g.edge_subgraph(given_pairs + [(a, b)])
-
-
-def test_edge_subgraph_bisects_for_no_edge_it_keeps(monkeypatch):
-    g = random_fuzzy_tree(3, 60, 40)
-    pairs = g.edge_pairs()
-
-    def refuse(self, u, v):
-        raise AssertionError(f"bisected for {u!r} {v!r}")
-
-    monkeypatch.setattr(FuzzyGraph, "_edge", refuse)
-    flipped = [(v, u) for u, v in pairs[::2]] + [*pairs[1::2]]
-    assert g.edge_subgraph(flipped) == g
-
-def test_path_record():
-    g = five_vertex_tree()
-    record = path_record(g, ["a", "b", "c", "d"])
-    assert record.strength == M("0.1")
-    assert record.length == Fraction(9, 10)
-    with pytest.raises(NoSuchEdgeError):
-        path_record(g, ["a", "c"])
-    with pytest.raises(ValueError):
-        path_record(g, ["a"])
-    with pytest.raises(ValueError):
-        path_record(g, ["a", "b", "a"])
 
 
 _VIOLATIONS = ("none", "dup_vertex", "dup_edge", "self_loop", "unknown",
