@@ -52,7 +52,7 @@ the forest as a graph on its own, and on a fuzzy tree the block sum is
 also WI(F), with no second graph or pass.  The
 all-pairs CONN and d_s rows, built only for callers that print them,
 come from the same two decompositions: each Kruskal merge sets CONN and
-each strong block d_s across the parts it joins, O(n^2) stores in all
+each strong block d_s across the parts it joins, one store per pair
 plus the Dijkstra runs inside the blocks that are neither bridges nor
 cycles; a cycle block reads its distances off the positions around it.
 The per-edge remove-and-recompute route lives on in the oracle module as
@@ -205,19 +205,6 @@ def _block_sum(block: Block, weight: list[int], whole: int) -> int:
     for s, row in zip(range(len(part) - 1), _block_distances(vertices, block)):
         total += part[s] * sum(map(mul, part[s + 1 :], row[s + 1 :]))
     return total
-
-
-def _join(rows: list[list], near: list, far: list, d: int) -> None:
-    """Set the rows across parts ``near`` and ``far``: (vertex, distance
-    to the part's block vertex) lists whose block vertices lie d apart."""
-    for p, dp in near:
-        row, dp = rows[p], dp + d
-        for q, dq in far:
-            row[q] = dp + dq
-    for q, dq in far:
-        row, dq = rows[q], dq + d
-        for p, dp in near:
-            row[p] = dq + dp
 
 
 class MergeTree:
@@ -423,51 +410,65 @@ class Analysis(MergeTree):
     def conn_rows(self) -> list[list[int]]:
         """All-pairs CONN, 0 across trees, by walking the merges of the
         Kruskal pass: merging parts A and B by an edge of grade w sets w
-        for every pair across them, the identity that adds w sigma(A)
-        sigma(B) to CI.  O(n^2) plain stores on each call."""
+        once for every pair across them, the identity that adds w
+        sigma(A) sigma(B) to CI.  Row x holds CONN(x, y) for y > x only."""
         n, up, label = len(self.names), self._up, self._label
         rows = [[0] * n for _ in range(n)]
         # per root, the members of its part
         members = [[x] for x in range(n)]
         for j in self._merged:
             big, small, grade = members[up[j]], members[j], label[j]
-            for x in big:
-                row = rows[x]
-                for y in small:
-                    row[y] = grade
             for y in small:
                 row = rows[y]
                 for x in big:
-                    row[x] = grade
+                    if x > y:
+                        row[x] = grade
+                    else:
+                        rows[x][y] = grade
             big += small
         return rows
 
     def ds_rows(self) -> list[list[int | None]]:
         """All-pairs d_s, None when a pair has no strong path, merged
-        over the blocks of the strong subgraph.  Each vertex x keeps a
-        part: x and the parts merged into it.  A block B, once every
-        block below its other vertices is done, joins every two parts of
-        its vertices through d_B and merges them into its top's part; a
-        shortest path between two vertices of B stays inside B.  O(n^2)
-        stores plus one Dijkstra per vertex of each block that is
-        neither a bridge nor a cycle, on each call."""
+        over the blocks of the strong subgraph; row x holds d_s(x, y) for
+        y > x only.  Each vertex x keeps a part: (vertex, distance to x)
+        for x and the parts merged into it.  A block B, once every block
+        below its other vertices is done, sets each pair across two parts
+        of its vertices once through d_B and merges them into its top's
+        part; a shortest path between two vertices of B stays inside B.
+        Plus one Dijkstra per vertex of a block neither bridge nor cycle."""
         n = len(self.names)
-        rows = [[None] * x + [0] + [None] * (n - 1 - x) for x in range(n)]
+        rows: list[list[int | None]] = [[None] * n for _ in range(n)]
         part = [[(x, 0)] for x in range(n)]
         for block in self._strong_blocks():
             if len(block) == 1:
                 top, x, grade = block[0]
-                vertices, dist = [top, x], [[0, grade], [grade, 0]]
-            else:
-                vertices = _block_vertices(block)
-                dist = _block_distances(vertices, block)
-            parts = [part[x] for x in vertices]
-            for i, reach in enumerate(dist):
-                for j in range(i + 1, len(parts)):
-                    _join(rows, parts[i], parts[j], reach[j])
-                if i:
-                    parts[0] += [(q, dq + reach[0]) for q, dq in parts[i]]
-                    parts[i].clear()
+                near, far = part[top], part[x]
+                for q, dq in far:
+                    row, dq = rows[q], dq + grade
+                    for p, dp in near:
+                        if p > q:
+                            row[p] = dq + dp
+                        else:
+                            rows[p][q] = dq + dp
+                near += [(q, dq + grade) for q, dq in far]
+                far.clear()
+                continue
+            vertices = _block_vertices(block)
+            dist = [*_block_distances(vertices, block)]
+            # (member, its block vertex, distance to it), by member: each
+            # source's row takes the members above it in other parts
+            members = sorted(
+                (q, b, dq) for b, x in enumerate(vertices) for q, dq in part[x]
+            )
+            for s, (p, a, dp) in enumerate(members, 1):
+                row, reach = rows[p], dist[a]
+                for q, b, dq in members[s:]:
+                    if b != a:
+                        row[q] = dp + reach[b] + dq
+            part[vertices[0]] = [(q, dq + dist[0][b]) for q, b, dq in members]
+            for x in vertices[1:]:
+                part[x].clear()
         return rows
 
     def require_strong_paths(self) -> None:
@@ -504,9 +505,8 @@ class Analysis(MergeTree):
         """WI; raises StrongDisconnectedError when some pair has no
         strong path.  Builds no pair table: one sum over the blocks of
         the strong subgraph, walked as ``_strong_blocks`` chooses by the
-        graph's shape, O(n) on a fuzzy tree and on a fuzzy cycle.  The
-        route depends on the graph alone, never on which rows were built
-        before."""
+        graph's shape alone, never by which rows were built before: O(n)
+        on a fuzzy tree and on a fuzzy cycle."""
         self.require_strong_paths()
         return Fraction(self._block_wiener(), _SUM_SCALE)
 

@@ -30,23 +30,18 @@ def _require_small(g: FuzzyGraph) -> None:
 
 
 def _adjacency(g, allowed=None):
-    adj = {name: [] for name in g.vertices()}
-    for u, v, grade in g.edges():
+    names = g.vertices()
+    adj = {name: [] for name in names}
+    for (i, j), grade in zip(g.ends, g.mu_micro):
+        u, v = names[i], names[j]
         if allowed is not None and (u, v) not in allowed:
             continue
-        adj[u].append((v, grade.micro))
-        adj[v].append((u, grade.micro))
+        adj[u].append((v, grade))
+        adj[v].append((u, grade))
     return adj
 
 
-def conn_bruteforce(g: FuzzyGraph, u: VertexId, v: VertexId) -> Membership:
-    """Max over all simple u-v paths of the min grade along the path."""
-    _require_small(g)
-    g.sigma(u)
-    g.sigma(v)
-    if u == v:
-        raise ValueError("strength is defined for distinct vertices")
-    adj = _adjacency(g)
+def _max_min_path(adj, u, v):
     best = 0
     visited = {u}
 
@@ -63,7 +58,17 @@ def conn_bruteforce(g: FuzzyGraph, u: VertexId, v: VertexId) -> Membership:
             visited.remove(nbr)
 
     extend(u, MICRO)
-    return Membership(best)
+    return best
+
+
+def conn_bruteforce(g: FuzzyGraph, u: VertexId, v: VertexId) -> Membership:
+    """Max over all simple u-v paths of the min grade along the path."""
+    _require_small(g)
+    g.sigma(u)
+    g.sigma(v)
+    if u == v:
+        raise ValueError("strength is defined for distinct vertices")
+    return Membership(_max_min_path(_adjacency(g), u, v))
 
 
 def strong_edges_bruteforce(
@@ -72,8 +77,8 @@ def strong_edges_bruteforce(
     """Edges whose grade is >= the detour strength without them."""
     _require_small(g)
     strong = set()
-    for u, v, grade in g.edges():
-        residual = conn_bruteforce(g.remove_edge(u, v), u, v)
+    for (u, v), grade in zip(g.edge_pairs(), g.mu_micro):
+        residual = _max_min_path(_adjacency(g.remove_edge(u, v)), u, v)
         if grade >= residual:
             strong.add((u, v))
     return strong
@@ -131,35 +136,28 @@ def wi_bruteforce(g: FuzzyGraph) -> Fraction:
     _require_small(g)
     strong_pairs = strong_edges_bruteforce(g)
     adj = _adjacency(g, allowed=strong_pairs)
-    names = g.vertices()
-    total = Fraction(0)
+    names, sigma = g.vertices(), g.sigma_micro
+    total = 0
     for i, u in enumerate(names):
-        for v in names[i + 1 :]:
-            best = _min_strong_path(g, adj, u, v)
+        for j in range(i + 1, len(names)):
+            best = _min_strong_path(g, adj, u, names[j])
             if best is None:
                 raise StrongDisconnectedError(
-                    f"no strong path between {u!r} and {v!r}"
+                    f"no strong path between {u!r} and {names[j]!r}"
                 )
-            total += (
-                g.sigma(u).as_fraction()
-                * g.sigma(v).as_fraction()
-                * Fraction(best, MICRO)
-            )
-    return total
+            total += sigma[i] * sigma[j] * best
+    return Fraction(total, MICRO**3)
 
 
 def ci_bruteforce(g: FuzzyGraph) -> Fraction:
     _require_small(g)
-    names = g.vertices()
-    total = Fraction(0)
+    adj = _adjacency(g)
+    names, sigma = g.vertices(), g.sigma_micro
+    total = 0
     for i, u in enumerate(names):
-        for v in names[i + 1 :]:
-            total += (
-                g.sigma(u).as_fraction()
-                * g.sigma(v).as_fraction()
-                * conn_bruteforce(g, u, v).as_fraction()
-            )
-    return total
+        for j in range(i + 1, len(names)):
+            total += sigma[i] * sigma[j] * _max_min_path(adj, u, names[j])
+    return Fraction(total, MICRO**3)
 
 
 def conn_reference(g: FuzzyGraph) -> PairTable[Membership]:

@@ -1,0 +1,185 @@
+"""Mutation gate: every listed mutant of ``src/`` must fail its tests.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutation_gate.py
+
+Each mutant is one edit of one exact source line.  For each, the script
+copies ``src/`` to a temporary directory, makes the edit there and runs
+only the mutant's killing tests against the copy.  It fails when a
+mutant's line is not found, when its tests pass on the mutant (it
+survives), or when its tests do not pass on the unmutated copy.  An
+equivalent mutant changes no behaviour; each is listed with the reason,
+and its line must still be found, so the argument stays attached to the
+code it is about.  Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str  # under src/fuzzygraph
+    line: str  # the whole source line, without its indentation
+    old: str
+    new: str
+    killers: tuple[str, ...] = ()
+    reason: str = ""  # why an equivalent mutant changes no behaviour
+
+    def apply(self, text: str) -> str:
+        """``text`` with the mutant's edit; ValueError when its line is
+        not exactly one line of ``text`` or ``old`` not once in it."""
+        lines = text.splitlines(keepends=True)
+        hits = [k for k, line in enumerate(lines) if line.strip() == self.line]
+        if len(hits) != 1 or self.line.count(self.old) != 1:
+            raise ValueError(f"{self.file}: {len(hits)} lines {self.line!r}")
+        k = hits[0]
+        lines[k] = lines[k].replace(self.old, self.new)
+        return "".join(lines)
+
+
+_SMALL_SCOPE = "tests/test_small_scope.py::" \
+    "test_every_small_graph_matches_the_oracle"
+_SHAPES = "tests/test_index_sums.py::test_pair_rows_on_every_shape"
+
+MUTANTS = [
+    # boundaries of single-trial and zero-sigma inputs
+    Mutant(
+        "cli.py", "if value < 1:", "<", "<=",
+        ("tests/test_cli.py::test_falsify_corollary_takes_a_single_trial",),
+    ),
+    Mutant(
+        "falsifier.py", "if trials is not None and trials < 1:", "<", "<=",
+        ("tests/test_falsifier.py::test_a_search_takes_a_single_trial",),
+    ),
+    Mutant(
+        "model.py", "if su < 0 or sv < 0:", "sv < 0", "sv <= 0",
+        ("tests/test_model.py::"
+         "test_zero_sigma_vertex_allowed_but_cannot_carry_edges",),
+    ),
+    Mutant(
+        "model.py", "name = u if su < 0 else v", "<", "<=",
+        ("tests/test_model.py::"
+         "test_an_edge_from_a_zero_sigma_vertex_names_its_undeclared_end",),
+    ),
+    # ties between a grade and a strength
+    Mutant(
+        "analysis.py", "while label[i] > w:", ">", ">=",
+        (f"{_SMALL_SCOPE}[3-3-64]",),
+    ),
+    Mutant(
+        "analysis.py", "if grade > residual:", ">", ">=",
+        (f"{_SMALL_SCOPE}[3-3-64]",),
+    ),
+    # the pair tables: each pair set once, above the diagonal
+    Mutant(
+        "analysis.py", "rows[x][y] = grade", "rows[x][y]", "row[x]",
+        (f"{_SHAPES}[cactus]", f"{_SHAPES}[apart]"),
+    ),
+    Mutant(
+        "analysis.py", "rows[p][q] = dq + dp", "rows[p][q]", "row[p]",
+        (f"{_SHAPES}[tree]", f"{_SHAPES}[cactus]"),
+    ),
+    Mutant(
+        "analysis.py",
+        "(q, b, dq) for b, x in enumerate(vertices) for q, dq in part[x]",
+        "enumerate(vertices)", "enumerate(vertices[:-1])",
+        (f"{_SHAPES}[cactus]", f"{_SHAPES}[cycle of 12]"),
+    ),
+    Mutant(
+        "analysis.py", "if b != a:", "!=", ">",
+        (f"{_SMALL_SCOPE}[5-1-1024]",),
+    ),
+    Mutant(
+        "model.py",
+        "return self._read(self._rows[i][j] if i < j else self._rows[j][i])",
+        "self._rows[j][i]", "self._rows[i][j]",
+        ("tests/test_index_sums.py::test_no_reader_looks_below_the_diagonal",),
+    ),
+]
+
+EQUIVALENT = [
+    Mutant(
+        "analysis.py", "if x > y:", ">", ">=",
+        reason="x and y lie in the two parts a merge joins, never equal",
+    ),
+    Mutant(
+        "analysis.py", "if p > q:", ">", ">=",
+        reason="p and q lie in the two parts a bridge joins, never equal",
+    ),
+    Mutant(
+        "analysis.py", "for q, b, dq in members[s:]:", "[s:]", "[s - 1 :]",
+        reason="the one member added is the source itself, in its own "
+        "part, which the b != a test skips",
+    ),
+]
+
+
+def _run(killers: tuple[str, ...], src: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x",
+               "-p", "no:cacheprovider", *killers]
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True)
+    return done.returncode
+
+
+def main() -> int:
+    failures = []
+    for mutant in EQUIVALENT:
+        try:
+            mutant.apply((ROOT / "src/fuzzygraph" / mutant.file).read_text())
+        except ValueError as error:
+            failures.append(str(error))
+            print(f"NOT FOUND {error}")
+    with tempfile.TemporaryDirectory() as scratch:
+        clean = Path(scratch) / "clean"
+        shutil.copytree(ROOT / "src", clean)
+        where = "import fuzzygraph; print(fuzzygraph.__file__)"
+        probe = subprocess.run(
+            [sys.executable, "-c", where],
+            env=dict(os.environ, PYTHONPATH=str(clean)),
+            capture_output=True, text=True, check=True,
+        )
+        if not probe.stdout.startswith(str(clean)):
+            print(f"fuzzygraph imports from {probe.stdout.strip()}")
+            return 1
+        killers = tuple(dict.fromkeys(k for m in MUTANTS for k in m.killers))
+        if _run(killers, clean) != 0:
+            print("the killing tests fail on the unmutated source")
+            return 1
+        for n, mutant in enumerate(MUTANTS):
+            src = Path(scratch) / f"mutant{n}"
+            shutil.copytree(ROOT / "src", src)
+            target = src / "fuzzygraph" / mutant.file
+            started = time.perf_counter()
+            try:
+                target.write_text(mutant.apply(target.read_text()))
+            except ValueError as error:
+                failures.append(str(error))
+                print(f"NOT FOUND {error}")
+                continue
+            code = _run(mutant.killers, src) if mutant.killers else 0
+            verdict = "killed" if code == 1 else f"SURVIVED (pytest {code})"
+            seconds = time.perf_counter() - started
+            print(f"{verdict:9s} {seconds:5.1f} s  {mutant.file}: "
+                  f"{mutant.line!r} {mutant.old} -> {mutant.new}")
+            if code != 1:
+                failures.append(f"{mutant.file}: {mutant.line!r}")
+    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, "
+          f"{len(failures)} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -267,6 +267,13 @@ def forest_adjacency(analysis: Analysis) -> list[list[tuple[int, int]]]:
     return adj
 
 
+def above_diagonal(rows: list[list]) -> list[list]:
+    """Each row x of a pair table cut to its entries y > x: every
+    unordered pair once, the part ``conn_rows`` and ``ds_rows`` of
+    ``Analysis`` define."""
+    return [row[i + 1 :] for i, row in enumerate(rows)]
+
+
 def conn_rows_reference(analysis: Analysis) -> list[list[int]]:
     """All-pairs CONN in micro-units by one walk of the maximum spanning
     forest per source, keeping the weakest grade met on the way: the

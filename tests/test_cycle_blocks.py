@@ -34,6 +34,7 @@ from fuzzygraph.analysis import Analysis, EdgeClass, MergeTree
 from fuzzygraph.model import MICRO, pair
 
 from support import (
+    above_diagonal,
     cacti,
     crisp_cycles,
     ds_rows_reference,
@@ -58,7 +59,7 @@ def assert_matches_the_references(g: FuzzyGraph) -> None:
     search and, on at most twelve vertices, brute force."""
     a = Analysis(g)
     reference = ds_rows_reference(a)
-    assert a.ds_rows() == reference
+    assert above_diagonal(a.ds_rows()) == above_diagonal(reference)
     wiener = a.wiener()
     assert wiener == a.pair_sum(reference)
     assert wiener == BlockSearch(g).wiener()
@@ -213,5 +214,5 @@ def test_cycle_blocks_of_a_cactus_run_no_dijkstra(monkeypatch):
         raise AssertionError("Dijkstra ran")
 
     monkeypatch.setattr(analysis, "_dijkstra", refuse)
-    assert Analysis(g).ds_rows() == expected
+    assert above_diagonal(Analysis(g).ds_rows()) == above_diagonal(expected)
     assert Analysis(g).wiener() == a.pair_sum(expected)

@@ -33,10 +33,12 @@ from fuzzygraph import (
     connectivity_index,
     ds_bruteforce,
     format_fraction,
+    geodesic_distance,
     make_saturated_cycle,
     random_fuzzy_tree,
     strong_edges_bruteforce,
     strong_subgraph,
+    strength_of_connectedness,
     wi_bruteforce,
     wiener_index,
 )
@@ -46,6 +48,7 @@ from fuzzygraph.model import MICRO
 
 from support import (
     GRID,
+    above_diagonal,
     conn_rows_reference,
     ds_rows_reference,
     random_deep_graph,
@@ -377,10 +380,6 @@ def test_strongly_disconnected_wiener_builds_no_pair_rows(monkeypatch):
         wiener_index(g)
 
 
-def above_diagonal(rows: list[list]) -> list[list]:
-    return [row[i + 1 :] for i, row in enumerate(rows)]
-
-
 def assert_rows_match_the_references(g) -> None:
     analysis = Analysis(g)
     assert above_diagonal(analysis.conn_rows()) == above_diagonal(
@@ -500,10 +499,71 @@ def test_pair_rows_on_every_shape(label, build):
     analysis = Analysis(g)
     ds = analysis.ds_rows()
     apart = label in ("edgeless", "apart", "split forest")
-    assert apart == any(None in row for row in ds)
+    assert apart == any(None in row for row in above_diagonal(ds))
     if label in dict(FORESTS):
         # chords lie outside F, yet S is F
         assert analysis.is_fuzzy_forest() and not all(analysis.in_forest)
+
+
+# Values no pair of the graphs below holds, each rendered unlike any
+# real entry: CONN 0.000001 and d_s 1000.000007.
+POISON = {"conn_rows": 1, "ds_rows": 10**9 + 7}
+
+
+def poison_on_and_below_the_diagonal(monkeypatch) -> None:
+    """Wrap both pair tables of ``Analysis`` so that every entry on and
+    below the diagonal is a poison value."""
+    for name, poison in POISON.items():
+
+        def poisoned(self, build=getattr(Analysis, name), poison=poison):
+            rows = build(self)
+            for i, row in enumerate(rows):
+                row[: i + 1] = [poison] * (i + 1)
+            return rows
+
+        monkeypatch.setattr(Analysis, name, poisoned)
+
+
+def test_no_reader_looks_below_the_diagonal(monkeypatch, tmp_path):
+    """Every reader of the pair tables gives the same answers when each
+    entry on and below the diagonal is poison: the full ``indices``
+    table, an exit-3 graph and a zero-sigma graph in text and JSON, and
+    both ``PairTable`` views, in either argument order."""
+    full = [cactus_with_k4(), make_saturated_cycle(CYCLE10)]
+    graphs = full + [dict(SHAPES)["edgeless"](), two_blocks_apart()]
+    path, out = tmp_path / "g.fzg", tmp_path / "out.txt"
+
+    def answers(g):
+        path.write_text(g.serialize())
+        reports = []
+        for fmt in ("text", "json"):
+            argv = ["--format", fmt, "indices", str(path)]
+            code = main([*argv, "--output", str(out)])
+            reports.append((code, out.read_text()))
+        tables = [strength_of_connectedness(g)]
+        if g in full:
+            tables.append(geodesic_distance(g))
+        names = g.vertices()
+        values = [
+            [table.value(u, v) for u in names for v in names if u != v]
+            for table in tables
+        ]
+        return reports, tables, values, [[*t.pairs()] for t in tables]
+
+    expected = [answers(g) for g in graphs]
+    assert [[code for code, _ in e[0]] for e in expected] == [
+        [0, 0], [0, 0], [3, 3], [3, 3]
+    ]
+    with monkeypatch.context() as patch:
+        poison_on_and_below_the_diagonal(patch)
+        for g, (reports, tables, values, pairs) in zip(graphs, expected):
+            poisoned = answers(g)
+            assert poisoned[0] == reports
+            assert poisoned[1] == tables
+            assert poisoned[2:] == (values, pairs)
+        # the wrapper does poison what a reader below the diagonal sees
+        rows = Analysis(graphs[0]).conn_rows()
+        assert rows[1][0] == rows[0][0] == POISON["conn_rows"]
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -26,10 +25,12 @@ from fuzzygraph import (
     FuzzyGraph,
     StrongDisconnectedError,
     check_corollary_star,
+    ci_bruteforce,
     classify_edges_reference,
     conn_bruteforce,
     ds_bruteforce,
     strong_edges_bruteforce,
+    wi_bruteforce,
 )
 from fuzzygraph.analysis import Analysis, EdgeClass
 from fuzzygraph.model import MICRO
@@ -143,22 +144,18 @@ def _check_kind(g: FuzzyGraph, a: Analysis, classes) -> None:
     ) == (connected, _is_fuzzy_tree(g, connected), cycle, saturated)
 
 
-def _check_sums(g: FuzzyGraph, conn, ds) -> None:
-    """WI and CI against the oracle's CONN and d_s values, weighted by
-    g's sigma, and corollary-star on a fuzzy tree."""
-    a, sigma = Analysis(g), g.sigma_micro
-    weight = {
-        (i, j): sigma[i] * sigma[j]
-        for i, j in combinations(range(len(sigma)), 2)
-    }
-    ci = sum(weight[key] * conn[key] for key in weight)
-    assert a.connectivity() == Fraction(ci, MICRO**3)
-    if None in ds.values():
+def _check_sums(g: FuzzyGraph) -> None:
+    """WI and CI against the oracle's brute-force sums, and
+    corollary-star on a fuzzy tree."""
+    a = Analysis(g)
+    assert a.connectivity() == ci_bruteforce(g)
+    try:
+        wi = wi_bruteforce(g)
+    except StrongDisconnectedError:
         with pytest.raises(StrongDisconnectedError):
             a.wiener()
     else:
-        wi = sum(weight[key] * ds[key] for key in weight)
-        assert a.wiener() == Fraction(wi, MICRO**3)
+        assert a.wiener() == wi
     if a.kind().is_fuzzy_tree:
         assert check_corollary_star(g).holds == (g.vertex_count <= 2)
 
@@ -186,8 +183,8 @@ def check_graph(g: FuzzyGraph, seed: int) -> None:
     rows = a.ds_rows()
     assert {(i, j): rows[i][j] for i, j in ds} == ds
     _check_kind(g, a, {key: c.edge_class for key, c in reference.items()})
-    _check_sums(g, conn, ds)
-    _check_sums(_weighted(g, seed), conn, ds)
+    _check_sums(g)
+    _check_sums(_weighted(g, seed))
 
 
 def check_scope(n: int, levels: int) -> int:
