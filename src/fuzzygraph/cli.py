@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 replication mismatch, 2 input error or out of
 memory, 3 partial result (connectivity index printed but Wiener index
 unavailable), 4 no counterexample witness found.
 
-Reports are built straight from the analysis lists.  A report's row
-lists, as text lines or JSON objects, are built one string per row with
-one f-string, from values rendered once per report: each vertex name is
-JSON-quoted once, and each distinct grade or distance is rendered once.
+Reports are built straight from the analysis lists.  Each row list has
+one builder, called by both formats, that makes one string per row with
+one f-string, from values rendered once per report in the report's
+format: each vertex name is JSON-quoted once, and each distinct grade or
+distance is rendered once.  A text line is its JSON row's values joined
+by one space, with - for a null.
 A falsify or repro report's verdicts are a row list too, one string per
 verdict with its nested ``detail`` and ``instance`` objects, and the
 .fzg texts of all its witnesses share one grade map: each distinct
@@ -39,13 +41,13 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .analysis import Analysis, EdgeClass, GraphKind
-from .errors import BadParamsError, FuzzyGraphError, StrongDisconnectedError
+from .errors import BadParamsError, FuzzyGraphError
 from .model import FuzzyGraph, format_fraction, micro_text, parse_graph
 
 # falsifier, replication, structure and verdicts are imported inside the
 # functions that call them, so the graph commands never load them
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
 _COROLLARY_NOTE = (
     "claim tested exactly as published; no auxiliary hypotheses assumed"
@@ -169,12 +171,9 @@ def _kind_json(kind: GraphKind) -> dict:
 
 
 def _kind_lines(kind: GraphKind) -> list[str]:
-    flag = lambda value: "yes" if value else "no"
     return [
-        f"connected: {flag(kind.is_connected)}",
-        f"fuzzy tree: {flag(kind.is_fuzzy_tree)}",
-        f"fuzzy cycle: {flag(kind.is_fuzzy_cycle)}",
-        f"saturated fuzzy cycle: {flag(kind.is_saturated_fuzzy_cycle)}",
+        f"{key.replace('_', ' ')}: {'yes' if value else 'no'}"
+        for key, value in _kind_json(kind).items()
     ]
 
 
@@ -209,72 +208,66 @@ class _MicroTexts(dict):
         return text
 
 
-def _quoted(names) -> list[str]:
-    """Each name as a JSON string, quoted once per report."""
-    return list(map(encode_basestring_ascii, names))
+def _quoted(texts: Sequence[str], fmt: str) -> Sequence[str]:
+    """Each name or label as one report's format prints it: a JSON
+    string, quoted once per report, or in text the text itself."""
+    return [*map(encode_basestring_ascii, texts)] if fmt == "json" else texts
+
+
+def _text_rows(rows: tuple[tuple, Callable[..., list[str]]]) -> list[str]:
+    """Each row of a (keys, build) row list as its values joined by a space."""
+    keys, build = rows
+    return build("", *[" "] * (len(keys) - 1), "")
 
 
 def _cmd_indices(args) -> tuple[int, str]:
     g = _load(args.file)
     analysis = Analysis(g)
-    names, n = analysis.names, g.vertex_count
-    text = _MicroTexts(args.format)
+    n, text = g.vertex_count, _MicroTexts(args.format)
     ds_rows = None if args.summary else analysis.ds_rows()
-    # per vertex u, its CONN and d_s rows, read by one format below
-    rows = enumerate(
-        () if args.summary else zip(names, analysis.conn_rows(), ds_rows)
-    )
-    try:
-        if args.summary:
-            wiener = analysis.wiener()
-        else:
-            # the printed d_s rows are already built, and summing them
-            # costs less than a block search: over the 17 indices inputs
-            # of dense-report seed 0 (16-32 vertices), in-process on a
-            # 2-core host, WI from wiener() made the fastest round
-            # 869-1,139 -> 991-1,218 us per op, slower in each of 4
-            # alternating process pairs
-            analysis.require_strong_paths()
-            wiener = analysis.pair_sum(ds_rows)
-    except StrongDisconnectedError:
-        wiener = None
     kind = analysis.kind()
+    if not kind.is_connected:
+        # the strong edges contain the forest, so every pair has a
+        # strong path exactly when the graph is connected
+        wiener = None
+    elif args.summary:
+        wiener = format_fraction(analysis.wiener())
+    else:
+        # the printed d_s rows are already built, and summing them costs less
+        # than a block search: over the 17 indices inputs of dense-report seed
+        # 0 (16-32 vertices), in-process on a 2-core host, WI from wiener()
+        # made the fastest round 869-1,139 -> 991-1,218 us per op, slower in
+        # each of 4 alternating process pairs
+        wiener = format_fraction(analysis.pair_sum(ds_rows))
     connectivity = format_fraction(analysis.connectivity())
     warnings = _warnings_for(analysis.zero_sigma_vertices())
     code = 0 if wiener is not None else 3
+    names = _quoted(analysis.names, args.format)
+    tables = () if args.summary else zip(analysis.conn_rows(), ds_rows)
+    pairs = (
+        ("u", "v", "conn", "ds"),
+        lambda u, v, c, d, end: [
+            f"{u}{names[i]}{v}{names[j]}{c}{text[conn[j]]}"
+            f"{d}{text[ds[j]]}{end}"
+            for i, (conn, ds) in enumerate(tables)
+            for j in range(i + 1, n)
+        ],
+    )
     if args.format == "json":
-        quoted = _quoted(names)
         doc = _base_doc()
-        doc["wiener"] = None if wiener is None else format_fraction(wiener)
+        doc["wiener"] = wiener
         doc["connectivity"] = connectivity
-        doc["pairs"] = _Rows((
-            ("u", "v", "conn", "ds"),
-            lambda u, v, c, d, end: [
-                f"{u}{quoted[i]}{v}{quoted[j]}{c}{text[conn[j]]}"
-                f"{d}{text[ds[j]]}{end}"
-                for i, (_, conn, ds) in rows
-                for j in range(i + 1, n)
-            ],
-        ))
+        doc["pairs"] = _Rows(pairs)
         doc["kind"] = _kind_json(kind)
         doc["warnings"] = warnings
         return code, _json_text(doc)
-    lines = [
-        f"vertices: {g.vertex_count}",
-        f"edges: {g.edge_count}",
-    ]
+    lines = [f"vertices: {g.vertex_count}", f"edges: {g.edge_count}"]
     lines += _kind_lines(kind)
     lines += [f"warning: {message}" for message in warnings]
     if wiener is None:
-        lines.append("WI = unavailable (strong subgraph disconnected)")
-    else:
-        lines.append(f"WI = {format_fraction(wiener)}")
-    lines.append(f"CI = {connectivity}")
-    table = [
-        f"{u} {names[j]} {text[conn[j]]} {text[ds[j]]}"
-        for i, (u, conn, ds) in rows
-        for j in range(i + 1, n)
-    ]
+        wiener = "unavailable (strong subgraph disconnected)"
+    lines += [f"WI = {wiener}", f"CI = {connectivity}"]
+    table = _text_rows(pairs)
     if table:
         lines.append("pair conn d_s")
         lines += table
@@ -283,51 +276,46 @@ def _cmd_indices(args) -> tuple[int, str]:
 
 def _cmd_classify(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
-    names, text = analysis.names, _MicroTexts(args.format)
+    fmt = args.format
+    names, text = _quoted(analysis.names, fmt), _MicroTexts(fmt)
+    label = dict(zip(EdgeClass, _quoted([c.value for c in EdgeClass], fmt)))
     residual, classes = analysis.residual(), analysis.edge_classes()
     edges = zip(analysis.ends, analysis.mu, residual, classes)
+    rows = (
+        ("u", "v", "mu", "class", "residual"),
+        lambda u, v, m, c, r, end: [
+            f"{u}{names[i]}{v}{names[j]}{m}{text[grade]}"
+            f"{c}{label[edge_class]}{r}{text[res]}{end}"
+            for (i, j), grade, res, edge_class in edges
+        ],
+    )
     if args.format == "json":
-        quoted = _quoted(names)
-        label = {c: encode_basestring_ascii(c.value) for c in EdgeClass}
         doc = _base_doc()
-        doc["edges"] = _Rows((
-            ("u", "v", "mu", "class", "residual"),
-            lambda u, v, m, c, r, end: [
-                f"{u}{quoted[i]}{v}{quoted[j]}{m}{text[grade]}"
-                f"{c}{label[edge_class]}{r}{text[res]}{end}"
-                for (i, j), grade, res, edge_class in edges
-            ],
-        ))
+        doc["edges"] = _Rows(rows)
         return 0, _json_text(doc)
-    lines = [
-        f"{names[i]} {names[j]} {text[grade]} {edge_class.value} {text[res]}"
-        for (i, j), grade, res, edge_class in edges
-    ]
+    lines = _text_rows(rows)
     return 0, "\n".join(lines) + ("\n" if lines else "")
 
 
 def _cmd_mst(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
     analysis.require_spanning_tree()
-    names, mu, kept = analysis.names, analysis.mu, analysis.in_forest
-    text = _MicroTexts(args.format)
+    names = _quoted(analysis.names, args.format)
+    mu, kept, text = analysis.mu, analysis.in_forest, _MicroTexts(args.format)
     total = micro_text(sum(compress(mu, kept)))
     edges = compress(zip(analysis.ends, mu), kept)
+    rows = (
+        ("u", "v", "mu"),
+        lambda u, v, m, end: [
+            f"{u}{names[i]}{v}{names[j]}{m}{text[w]}{end}"
+            for (i, j), w in edges
+        ],
+    )
     if args.format == "json":
-        quoted = _quoted(names)
         doc = _base_doc()
-        doc["mst"] = {
-            "edges": _Rows((
-                ("u", "v", "mu"),
-                lambda u, v, m, end: [
-                    f"{u}{quoted[i]}{v}{quoted[j]}{m}{text[w]}{end}"
-                    for (i, j), w in edges
-                ],
-            )),
-            "total_strength": total,
-        }
+        doc["mst"] = {"edges": _Rows(rows), "total_strength": total}
         return 0, _json_text(doc)
-    lines = [f"{names[i]} {names[j]} {text[w]}" for (i, j), w in edges]
+    lines = _text_rows(rows)
     lines.append(f"total = {total}")
     return 0, "\n".join(lines) + "\n"
 
@@ -583,10 +571,7 @@ def _run(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FuzzyGraphError as exc:
+    except (OSError, FuzzyGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

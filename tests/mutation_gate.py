@@ -107,6 +107,80 @@ MUTANTS = [
         "self._rows[j][i]", "self._rows[i][j]",
         ("tests/test_index_sums.py::test_no_reader_looks_below_the_diagonal",),
     ),
+    # a text line is its JSON row's values joined by one space
+    Mutant(
+        "cli.py", 'return build("", *[" "] * (len(keys) - 1), "")',
+        '" "', '"  "',
+        ("tests/test_cli.py::test_indices_text_on_tree5",
+         "tests/test_cli.py::test_text_and_json_reports_agree"),
+    ),
+    Mutant(
+        "cli.py", """f"{key.replace('_', ' ')}: {'yes' if value else 'no'}\"""",
+        "replace('_', ' ')", "replace('_', '-')",
+        ("tests/test_cli.py::test_kind_text",
+         "tests/test_cli.py::test_text_and_json_reports_agree"),
+    ),
+    # the search's int sort keys order verdicts as their texts do
+    Mutant(
+        "falsifier.py",
+        "return (g.vertex_count, g.sigma_micro, tuple(zip(g.ends, g.mu_micro)))",
+        "g.sigma_micro, tuple(zip(g.ends, g.mu_micro))",
+        "tuple(zip(g.ends, g.mu_micro)), g.sigma_micro",
+        ("tests/test_falsifier.py::"
+         "test_int_keys_sort_trees_as_their_texts_do",),
+    ),
+    Mutant(
+        "falsifier.py",
+        "return (instance.n, instance.kappa.micro, instance.eta.micro)",
+        "instance.kappa.micro, instance.eta.micro",
+        "instance.eta.micro, instance.kappa.micro",
+        ("tests/test_falsifier.py::"
+         "test_int_keys_sort_cycle_specs_as_their_texts_do",),
+    ),
+    # the parser widens its edge keys past 2**15 vertices, re-keying
+    Mutant(
+        "model.py", "if count == full:", "count == full", "False",
+        ("tests/test_model.py::"
+         "test_the_parser_widens_its_edge_keys_past_32768_vertices",),
+    ),
+    Mutant(
+        "model.py",
+        "k >> bits << wider | k & full - 1: w for k, w in mu.items()",
+        "k >> bits << wider | k & full - 1", "k",
+        ("tests/test_model.py::"
+         "test_the_parser_widens_its_edge_keys_past_32768_vertices",),
+    ),
+    # shapes: saturation, bridges below first, the shorter arc
+    Mutant(
+        "analysis.py", "return all(count == 1 for count in meets)",
+        "==", ">=",
+        ("tests/test_structure.py::"
+         "test_uniform_cycle_is_fuzzy_cycle_but_not_saturated",
+         "tests/test_structure.py::test_no_five_cycle_is_saturated"),
+    ),
+    Mutant(
+        "analysis.py", "for x in reversed(preorder):",
+        "reversed(preorder)", "preorder",
+        ("tests/test_falsifier.py::test_corollary_star_fails_on_tree5",
+         "tests/test_acceptance.py::"
+         "test_criterion_1_five_vertex_tree_replication"),
+    ),
+    Mutant(
+        "analysis.py",
+        "[min(d, length - d) for d in (abs(p - q) for q in position)]",
+        "min(d, length - d)", "d",
+        ("tests/test_acceptance.py::test_criterion_3_six_cycle_distance_table",
+         "tests/test_indices.py::"
+         "test_cycle6_geodesics_follow_the_eta_heavy_arc"),
+    ),
+    # union by size keeps the merge tree at most log2 n deep
+    Mutant(
+        "analysis.py", "if size[i] < size[j]:", "<", ">",
+        ("tests/test_connectivity.py::"
+         "test_the_kruskal_merge_tree_is_at_most_log2_n_deep[100-path]",
+         "tests/test_connectivity.py::"
+         "test_the_kruskal_merge_tree_is_at_most_log2_n_deep[100-broom]"),
+    ),
 ]
 
 EQUIVALENT = [

@@ -1160,13 +1160,21 @@ def _joined(row: dict) -> str:
     return " ".join("-" if value is None else value for value in row.values())
 
 
+def _flag_lines(kind: dict) -> list[str]:
+    """A JSON kind object as its text lines: each key with spaces for
+    underscores, then yes or no."""
+    return [f"{key.replace('_', ' ')}: {_yes(flag)}" for key, flag in kind.items()]
+
+
 @given(report_graphs())
 @example(FuzzyGraph({}, {}))
 @example(FuzzyGraph({"a": Membership.parse("0.5")}, {}))
 @settings(max_examples=150, deadline=None)
 def test_text_and_json_reports_agree(g):
-    """Each format builds its own rows, so every text row line must read
-    as the matching JSON row, and the text totals as the JSON ones."""
+    """Every text row line must read as the matching JSON row, its values
+    joined by one space, as both formats call one row builder; the flag
+    lines of kind and indices as the JSON kind object; and the text
+    totals as the JSON ones."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "g.fzg")
         with open(path, "w", encoding="ascii") as handle:
@@ -1177,7 +1185,8 @@ def test_text_and_json_reports_agree(g):
                 _run_quietly(["--format", "json", *argv, path]),
             )
             for argv in (
-                ["mst"], ["classify"], ["indices"], ["indices", "--summary"]
+                ["mst"], ["classify"], ["kind"], ["indices"],
+                ["indices", "--summary"],
             )
         }
     for argv, ((code, text), (json_code, out)) in runs.items():
@@ -1195,7 +1204,10 @@ def test_text_and_json_reports_agree(g):
             ]
         elif argv == ("classify",):
             assert lines == [*map(_joined, doc["edges"])]
+        elif argv == ("kind",):
+            assert lines == _flag_lines(doc["kind"])
         else:
+            assert lines[2:6] == _flag_lines(doc["kind"])
             wiener = doc["wiener"]
             if wiener is None:
                 wiener = "unavailable (strong subgraph disconnected)"
