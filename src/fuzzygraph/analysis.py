@@ -46,20 +46,24 @@ the d_s rows alike: O(n) on a fuzzy tree, whose strong subgraph is F and
 whose blocks are the edges of F, read off the rooted forest, and on a
 fuzzy cycle, whose edges are all strong and so one block, walked once
 around; otherwise one block decomposition of the strong subgraph: O(1)
-per bridge, O(k) per cycle block of k edges, and one Dijkstra per
-vertex only inside the other blocks.  The Kruskal sum is also CI(F) of
-the forest as a graph on its own, and on a fuzzy tree the block sum is
-also WI(F), with no second graph or pass.  The
-all-pairs CONN and d_s rows, built only for callers that print them,
-come from the same two decompositions: each Kruskal merge sets CONN and
-each strong block d_s across the parts it joins, one store per pair
-plus the Dijkstra runs inside the blocks that are neither bridges nor
-cycles; a cycle block reads its distances off the positions around it.
-The per-edge remove-and-recompute route lives on in the oracle module as
-a reference.  The connectivity, indices and structure modules are views
-over ``Analysis``.  CONN between two vertices has one route, the climb
-of ``MergeTree``, which ``Analysis`` builds on and which
-``structure.random_fuzzy_tree`` runs over its own tree.
+per bridge, O(k) per cycle block of k edges, and one Dijkstra per vertex
+only inside the other blocks.  The walk around a fuzzy cycle is also its
+only test: run only on a connected graph of n >= 3 vertices and n edges
+whose weakest grade ties, it gives a block iff every vertex meets two
+edges; the cycle is saturated iff weakest and other grades alternate
+around it.  The Kruskal sum is also CI(F) of the forest as a graph on
+its own, and on a fuzzy tree the block sum is also WI(F), with no second
+graph or pass.  The all-pairs CONN and d_s rows, built only for callers
+that print them, come from the same two decompositions: each Kruskal
+merge sets CONN and each strong block d_s across the parts it joins, one
+store per pair plus the Dijkstra runs inside the blocks that are neither
+bridges nor cycles; a cycle block reads its distances off the positions
+around it.  The per-edge remove-and-recompute route lives on in the
+oracle module as a reference.  The connectivity, indices and structure
+modules are views over ``Analysis``.  CONN between two vertices has one
+route, the climb of ``MergeTree``: ``Analysis`` builds on it,
+``require_strong_paths`` climbs from vertex 0 to name a pair in two
+trees, and ``structure.random_fuzzy_tree`` runs it over its own tree.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate, compress, repeat
-from operator import mul, not_
+from operator import mul, ne, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedError, StrongDisconnectedError
@@ -118,13 +122,25 @@ def _edge_class(grade: int, residual: int) -> EdgeClass:
     return EdgeClass.DELTA
 
 
-def _two_regular(n: int, ends: Sequence[tuple[int, int]]) -> bool:
-    """Every one of the n vertices meets exactly two of the edges."""
-    degree = [0] * n
-    for i, j in ends:
-        degree[i] += 1
-        degree[j] += 1
-    return degree.count(2) == n
+def _cycle_walk(ends: Sequence[tuple[int, int]], mu: Sequence[int]) -> Block | None:
+    """The n edges of a connected graph on n vertices as one block,
+    walked in order around it from vertex 0: (x0, x1, g), ...,
+    (x_{n-1}, x0, g); None unless every vertex meets exactly two."""
+    around: list[list[tuple[int, int]]] = [[] for _ in mu]
+    for (i, j), grade in zip(ends, mu):
+        around[i].append((j, grade))
+        around[j].append((i, grade))
+    if not all(len(near) == 2 for near in around):
+        return None
+    block: Block = []
+    back, x = -1, 0
+    for _ in around:
+        (y, grade), ahead = around[x]
+        if y == back:
+            y, grade = ahead
+        block.append((x, y, grade))
+        back, x = x, y
+    return block
 
 
 def _dijkstra(adj: list[list[tuple[int, int]]], source: int) -> list[int]:
@@ -277,7 +293,7 @@ class Analysis(MergeTree):
     An answer is kept only where two readers in one command share it:
     the strong edges outside F (``kind`` and ``_strong_blocks``), the
     residuals (``residual`` and ``edge_classes``, both read by
-    ``classify``) and the fuzzy-cycle test (``kind`` and
+    ``classify``) and a fuzzy cycle's walk, or None (``kind`` and
     ``_strong_blocks``).  CI, the rooted forest and the all-pairs CONN
     and d_s rows are computed on each call; no command asks for one
     twice.  The rooted forest is built only for the residuals and the
@@ -292,7 +308,8 @@ class Analysis(MergeTree):
         super().__init__(len(names), ends, mu)
         self._strong: list[int] | None = None
         self._residual: list[int] | None = None
-        self._cycle: bool | None = None
+        # the fuzzy cycle's block, None on any other graph; [] until asked
+        self._cycle: Block | None = []
 
     def rooted(self) -> Rooted:
         """(parent, parent edge, depth, preorder) of the forest, each
@@ -478,17 +495,12 @@ class Analysis(MergeTree):
         first vertex has none to some vertex, and the first such pair is
         (vertex 0, the lowest vertex it cannot reach).  The strong edges
         contain the forest and lie in the graph, so their components are
-        the forest's trees: the parts of the Kruskal pass, each named by
-        the root of its merge tree.  O(n), with no rooting."""
+        the forest's trees: the lowest x whose ``conn`` climb from vertex
+        0 reads 0.  O(log n) per vertex up to x, with no rooting."""
         if self.components <= 1:
             return
-        up = self._up
-        # every vertex's merge-tree root, a parent's found before its
-        # children's: each absorbed root is absorbed before its parent
-        top = up[:]
-        for x in reversed(self._merged):
-            top[x] = top[up[x]]
-        other = next(x for x, t in enumerate(top) if t != top[0])
+        climb = self.conn((0, x) for x in range(1, len(self.names)))
+        other = next(x for x, c in enumerate(climb, 1) if not c)
         raise StrongDisconnectedError(
             f"no strong path between {self.names[0]!r} and "
             f"{self.names[other]!r}"
@@ -509,23 +521,6 @@ class Analysis(MergeTree):
         on a fuzzy tree and on a fuzzy cycle."""
         self.require_strong_paths()
         return Fraction(self._block_wiener(), _SUM_SCALE)
-
-    def _cycle_block(self) -> Block:
-        """The edges of a crisp cycle through every vertex as one block,
-        walked in order from vertex 0: (x0, x1, g), ..., (x_{n-1}, x0, g)."""
-        around: list[list[tuple[int, int]]] = [[] for _ in self.names]
-        for (i, j), grade in zip(self.ends, self.mu):
-            around[i].append((j, grade))
-            around[j].append((i, grade))
-        block: Block = []
-        back, x = -1, 0
-        for _ in around:
-            (y, grade), ahead = around[x]
-            if y == back:
-                y, grade = ahead
-            block.append((x, y, grade))
-            back, x = x, y
-        return block
 
     def _strong_blocks(self) -> Iterator[Block]:
         """The blocks of the strong subgraph S, each after every block
@@ -549,8 +544,9 @@ class Analysis(MergeTree):
             return
         # a fuzzy cycle's weakest grade ties, so its one edge outside F
         # is beta: it is never a fuzzy forest
-        if self.is_fuzzy_cycle():
-            yield self._cycle_block()
+        cycle = self._cycle_block()
+        if cycle is not None:
+            yield cycle
             return
         n = len(self.names)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -663,40 +659,30 @@ class Analysis(MergeTree):
         never rooted and no residual is read to tell."""
         return not self.strong_outside()
 
-    def is_fuzzy_cycle(self) -> bool:
-        """Crisp cycle through all vertices whose weakest grade ties >= 2.
-        Kept after the first call, since ``_strong_blocks`` and ``kind``
-        both ask: one ``indices`` command makes one degree pass."""
-        if self._cycle is None:
-            n, mu = len(self.names), self.mu
-            self._cycle = (
-                n >= 3
-                and len(mu) == n
-                and self.components == 1
-                and _two_regular(n, self.ends)
-                and mu.count(min(mu)) >= 2
-            )
+    def _cycle_block(self) -> Block | None:
+        """A fuzzy cycle, a crisp cycle through all n >= 3 vertices whose
+        weakest grade ties, as the block ``_cycle_walk`` lays out, else
+        None.  Walked only on a connected graph of n edges with a tied
+        weakest grade; kept, since ``_strong_blocks`` and ``kind`` ask."""
+        if self._cycle == []:
+            n, mu, self._cycle = len(self.names), self.mu, None
+            if n >= 3 and len(mu) == n and self.components == 1:
+                if mu.count(min(mu)) >= 2:
+                    self._cycle = _cycle_walk(self.ends, mu)
         return self._cycle
 
-    def _saturated(self) -> bool:
-        """Of a fuzzy cycle: every vertex meets at least one alpha and one
-        beta edge.  The weakest grade low ties, so without any one edge
-        the rest still reach low: every residual is low, the edges graded
-        low are beta and the others alpha.  Each vertex meets two edges,
-        so it meets both classes when exactly one of them is graded low."""
-        low, meets = min(self.mu), [0] * len(self.names)
-        for (i, j), grade in zip(self.ends, self.mu):
-            if grade == low:
-                meets[i] += 1
-                meets[j] += 1
-        return all(count == 1 for count in meets)
+    def is_fuzzy_cycle(self) -> bool:
+        return self._cycle_block() is not None
 
     def kind(self) -> GraphKind:
+        """A fuzzy cycle's weakest grade low ties, so every residual is
+        low: edges graded low are beta, the others alpha.  Each vertex
+        meets both, as saturation asks, iff the two alternate around it."""
         connected = self.components <= 1
-        cycle = self.is_fuzzy_cycle()
-        return GraphKind(
-            connected,
-            connected and bool(self.names) and self.is_fuzzy_forest(),
-            cycle,
-            cycle and self._saturated(),
-        )
+        tree = connected and bool(self.names) and self.is_fuzzy_forest()
+        block, saturated = self._cycle_block(), False
+        if block is not None:
+            low = min(self.mu)
+            weak = [grade == low for _, _, grade in block]
+            saturated = all(map(ne, weak, weak[1:] + weak[:1]))
+        return GraphKind(connected, tree, block is not None, saturated)

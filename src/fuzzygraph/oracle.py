@@ -84,7 +84,7 @@ def strong_edges_bruteforce(
     return strong
 
 
-def _min_strong_path(g, adj, u, v):
+def _min_strong_path(adj, u, v):
     best = None
     visited = {u}
 
@@ -124,7 +124,7 @@ def ds_bruteforce(
     if strong_pairs is None:
         strong_pairs = strong_edges_bruteforce(g)
     adj = _adjacency(g, allowed=strong_pairs)
-    best = _min_strong_path(g, adj, u, v)
+    best = _min_strong_path(adj, u, v)
     if best is None:
         raise StrongDisconnectedError(
             f"no strong path between {u!r} and {v!r}"
@@ -140,7 +140,7 @@ def wi_bruteforce(g: FuzzyGraph) -> Fraction:
     total = 0
     for i, u in enumerate(names):
         for j in range(i + 1, len(names)):
-            best = _min_strong_path(g, adj, u, names[j])
+            best = _min_strong_path(adj, u, names[j])
             if best is None:
                 raise StrongDisconnectedError(
                     f"no strong path between {u!r} and {names[j]!r}"

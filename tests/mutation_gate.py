@@ -52,6 +52,10 @@ class Mutant:
 _SMALL_SCOPE = "tests/test_small_scope.py::" \
     "test_every_small_graph_matches_the_oracle"
 _SHAPES = "tests/test_index_sums.py::test_pair_rows_on_every_shape"
+_PENDANT = "tests/test_structure.py::" \
+    "test_a_triangle_with_a_pendant_vertex_is_no_fuzzy_cycle"
+_FIRST_PAIR = "tests/test_connectivity.py::" \
+    "test_the_first_pair_with_no_strong_path_starts_at_vertex_0"
 
 MUTANTS = [
     # boundaries of single-trial and zero-sigma inputs
@@ -150,14 +154,37 @@ MUTANTS = [
         ("tests/test_model.py::"
          "test_the_parser_widens_its_edge_keys_past_32768_vertices",),
     ),
-    # shapes: saturation, bridges below first, the shorter arc
+    # the one walk that recognises a fuzzy cycle, and its saturation
     Mutant(
-        "analysis.py", "return all(count == 1 for count in meets)",
-        "==", ">=",
+        "analysis.py", "if not all(len(near) == 2 for near in around):",
+        "all", "any",
+        (f"{_PENDANT}[off vertex 0]", f"{_PENDANT}[vertex 0 hangs]",
+         f"{_PENDANT}[off vertex 2]"),
+    ),
+    Mutant(
+        "analysis.py", "if mu.count(min(mu)) >= 2:", ">= 2", ">= 1",
+        ("tests/test_structure.py::"
+         "test_a_crisp_cycle_with_one_weakest_edge_is_a_fuzzy_tree",
+         "tests/test_structure.py::test_is_fuzzy_cycle"),
+    ),
+    # ne -> eq, spelt so that it needs no import
+    Mutant(
+        "analysis.py", "saturated = all(map(ne, weak, weak[1:] + weak[:1]))",
+        "ne", "bool.__eq__",
         ("tests/test_structure.py::"
          "test_uniform_cycle_is_fuzzy_cycle_but_not_saturated",
-         "tests/test_structure.py::test_no_five_cycle_is_saturated"),
+         "tests/test_structure.py::test_saturated_cycles"),
     ),
+    # the first pair with no strong path, by the CONN climb from vertex 0
+    Mutant(
+        "analysis.py",
+        "other = next(x for x, c in enumerate(climb, 1) if not c)",
+        "if not c", "if c",
+        (f"{_FIRST_PAIR}[0 alone]", f"{_FIRST_PAIR}[0 with 1]",
+         "tests/test_index_sums.py::"
+         "test_the_first_missing_pair_is_the_lowest_unreached_vertex"),
+    ),
+    # shapes: bridges below first, the shorter arc
     Mutant(
         "analysis.py", "for x in reversed(preorder):",
         "reversed(preorder)", "preorder",
@@ -196,6 +223,18 @@ EQUIVALENT = [
         "analysis.py", "for q, b, dq in members[s:]:", "[s:]", "[s - 1 :]",
         reason="the one member added is the source itself, in its own "
         "part, which the b != a test skips",
+    ),
+    Mutant(
+        "analysis.py", "if not all(len(near) == 2 for near in around):",
+        "== 2", ">= 2",
+        reason="the walk runs only on n edges over n vertices, whose "
+        "degrees sum to 2n: none is above 2 when none is below",
+    ),
+    Mutant(
+        "analysis.py", "if n >= 3 and len(mu) == n and self.components == 1:",
+        "n >= 3", "n >= 0",
+        reason="no graph on fewer than 3 vertices passes the other two "
+        "tests: 0 vertices make no tree, 1 or 2 hold fewer than n edges",
     ),
 ]
 

@@ -431,9 +431,9 @@ def residual_reference(analysis: Analysis) -> list[int]:
 
 def saturated_reference(analysis: Analysis) -> bool:
     """Every vertex meets at least one alpha and one beta edge, read off
-    the classes of all edges: the test ``Analysis._saturated`` made
-    before it counted the edges at the weakest grade, kept as its
-    reference for fuzzy cycles."""
+    the classes of all edges: the saturation test ``Analysis`` made
+    before it read the weakest grades around the cycle walk, kept as
+    its reference for fuzzy cycles."""
     incident: list[set[EdgeClass]] = [set() for _ in analysis.names]
     for (i, j), edge_class in zip(analysis.ends, analysis.edge_classes()):
         incident[i].add(edge_class)

@@ -269,9 +269,9 @@ def test_a_command_on_a_fuzzy_cycle_makes_one_degree_pass(
     tmp_path, capsys, monkeypatch, argv
 ):
     # indices asks whether the graph is a fuzzy cycle twice, once to
-    # pick the walk of its strong blocks and once for its kind flags.
-    # On every shape, each command runs each counted step at most once,
-    # and mst runs none of them.
+    # pick the walk of its strong blocks and once for its kind flags,
+    # and walks the cycle once.  On every shape, each command runs each
+    # counted step at most once, and mst and classify walk no cycle.
     graphs = {
         "cycle": alternating_cycle(8, "0.5", "0.3"),
         "tree with extra edges": random_fuzzy_tree(3, 12, 3),
@@ -280,7 +280,7 @@ def test_a_command_on_a_fuzzy_cycle_makes_one_degree_pass(
         "three parts": random_deep_graph(1, 20, "broom", 10, parts=3),
     }
     calls: list[str] = []
-    passes: list[int] = []
+    walks: list[int] = []
 
     def count(owner, name):
         run = getattr(owner, name)
@@ -295,20 +295,20 @@ def test_a_command_on_a_fuzzy_cycle_makes_one_degree_pass(
         count(analysis.Analysis, name)
     count(analysis.Analysis, "_strong_blocks")
     count(analysis.MergeTree, "conn")
-    two_regular = analysis._two_regular
+    cycle_walk = analysis._cycle_walk
 
-    def degree_pass(n, ends):
-        calls.append("_two_regular")
-        passes.append(n)
-        return two_regular(n, ends)
+    def walk(ends, mu):
+        calls.append("_cycle_walk")
+        walks.append(len(mu))
+        return cycle_walk(ends, mu)
 
-    monkeypatch.setattr(analysis, "_two_regular", degree_pass)
+    monkeypatch.setattr(analysis, "_cycle_walk", walk)
     reads_kind = "classify" not in argv and "mst" not in argv
     for label, g in graphs.items():
         path = tmp_path / "graph.fzg"
         path.write_text(g.serialize())
         calls.clear()
-        passes.clear()
+        walks.clear()
         code = main([*argv, str(path)])
         out = capsys.readouterr().out
         # the parts have no spanning tree and no strong path across them
@@ -321,8 +321,10 @@ def test_a_command_on_a_fuzzy_cycle_makes_one_degree_pass(
         assert len(calls) == len(set(calls)), (label, calls)
         if "mst" in argv:
             assert calls == [], label
+        if not reads_kind:
+            assert walks == [], label
         if label == "cycle":
-            assert passes == ([8] if reads_kind else [])
+            assert walks == ([8] if reads_kind else [])
             if reads_kind and "json" not in argv:
                 assert "saturated fuzzy cycle: yes" in out
 
@@ -396,6 +398,42 @@ def test_falsify_rejects_mismatched_flags(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "--sizes applies to corollary-star only" in captured.err
+
+
+@pytest.mark.parametrize(
+    "one, span",
+    [
+        (["corollary-star", "--sizes", "5"], ["corollary-star", "--sizes", "5..5"]),
+        (["theorem-star", "--n", "6"], ["theorem-star", "--n", "6..6"]),
+    ],
+)
+def test_a_single_integer_range_reads_as_a_range_of_one(capsys, one, span):
+    for fmt in ("text", "json"):
+        code, out = run_cli(capsys, "--format", fmt, "falsify", *one)
+        assert code == 0 and "witnesses: 0" not in out
+        assert (code, out) == run_cli(capsys, "--format", fmt, "falsify", *span)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sizes", "3..x", "expected A..B or a single integer, got '3..x'"),
+        ("--trials", "x", "not an integer: 'x'"),
+    ],
+)
+def test_a_malformed_range_or_trial_count_is_one_usage_error(
+    capsys, flag, value, message
+):
+    code = main(["falsify", "corollary-star", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fuzzygraph falsify ")
+    error = f"fuzzygraph falsify: error: argument {flag}: {message}"
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        error
+    ]
+    assert captured.err.endswith(f"\n{error}\n")
 
 
 def test_falsify_theorem_sweep(capsys):

@@ -27,6 +27,8 @@ from fuzzygraph import (
     strength_of_connectedness,
     strong_subgraph,
     random_fuzzy_tree,
+    wi_bruteforce,
+    wiener_index,
 )
 from fuzzygraph.analysis import Analysis, MergeTree
 from fuzzygraph.samples import alternating_cycle, five_vertex_tree
@@ -564,6 +566,36 @@ def test_connected_graphs_never_root_the_forest(monkeypatch):
         assert str(patched.value) == str(unpatched.value)
 
 
+@pytest.mark.parametrize(
+    "edges, other",
+    [
+        # vertex 0 alone
+        ([("b", "c", "0.5"), ("c", "d", "0.7")], "b"),
+        # vertex 0 in one tree with vertex 1, not with vertex 2
+        ([("a", "b", "0.5"), ("c", "d", "0.7")], "c"),
+        # ... and with vertex 3 through merges of three grades
+        ([("a", "e", "0.6"), ("b", "e", "0.4"), ("c", "d", "0.7")], "c"),
+        # ... and vertex 0 one merge below the top of its tree
+        ([("a", "b", "0.3"), ("b", "d", "0.9"), ("c", "e", "0.5")], "c"),
+    ],
+    ids=["0 alone", "0 with 1", "0 with 1 and 3", "0 below the top"],
+)
+def test_the_first_pair_with_no_strong_path_starts_at_vertex_0(edges, other):
+    g = build_graph(
+        [(name, M("1")) for name in "abcde"],
+        [(u, v, M(grade)) for u, v, grade in edges],
+    )
+    message = f"no strong path between 'a' and {other!r}"
+    for ask in (
+        wiener_index,
+        wi_bruteforce,
+        lambda g: Analysis(g).require_strong_paths(),
+    ):
+        with pytest.raises(StrongDisconnectedError) as info:
+            ask(g)
+        assert str(info.value) == message
+
+
 def test_a_graph_with_no_edge_outside_the_forest_has_no_residual():
     trees = [
         random_fuzzy_tree(0, 50, 0),
@@ -583,7 +615,7 @@ def test_a_graph_with_no_edge_outside_the_forest_has_no_residual():
 @pytest.mark.parametrize("n", [2, 3, 100, 2000])
 def test_the_kruskal_merge_tree_is_at_most_log2_n_deep(shape, n):
     # the residuals climb the tree from both ends by size and
-    # require_strong_paths reads each vertex's root off it
+    # require_strong_paths climbs it from vertex 0
     for seed, parts in [(0, 1), (1, 3)]:
         a = Analysis(random_deep_graph(seed, n, shape, n, parts=parts))
         up, size, merged = a._up, a._size, a._merged

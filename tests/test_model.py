@@ -25,6 +25,7 @@ from fuzzygraph import (
     build_graph,
     format_fraction,
     parse_graph,
+    strength_of_connectedness,
 )
 from fuzzygraph.analysis import Analysis
 from fuzzygraph.model import (
@@ -172,6 +173,47 @@ def test_membership_range_checked():
         Membership(MICRO + 1)
     with pytest.raises(ValueError):
         Membership(-1)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (Membership, (0.5,)),
+        (Membership, (True,)),
+        (FuzzyGraph, ({"a": 1}, {})),
+        (FuzzyGraph, ({"a": ONE, "b": ONE}, {("a", "b"): MICRO // 2})),
+    ],
+    ids=["float micro", "bool micro", "int sigma", "int mu"],
+)
+def test_a_grade_of_another_type_raises_type_error(build, args):
+    with pytest.raises(TypeError):
+        build(*args)
+
+
+def test_graphs_and_pair_tables_are_never_equal_to_an_int():
+    g = five_vertex_tree()
+    table = strength_of_connectedness(g)
+    assert (g == 1) is False and (g != 1) is True
+    assert (table == 1) is False and (table != 1) is True
+
+
+def test_equal_graphs_from_every_route_hash_equal():
+    g = random_fuzzy_tree(3, 30, 5)
+    names = g.vertices()
+    routes = [
+        g,
+        parse_graph(g.serialize()),
+        FuzzyGraph(
+            {x: g.sigma(x) for x in names}, {(u, v): w for u, v, w in g.edges()}
+        ),
+        FuzzyGraph.from_micro(
+            dict(zip(names, g.sigma_micro)), dict(zip(g.edge_pairs(), g.mu_micro))
+        ),
+    ]
+    assert all(h == g for h in routes)
+    assert {hash(h) for h in routes} == {hash(g)}
+    assert len(set(routes)) == 1
+    assert len({*routes, g.remove_edge(*g.edge_pairs()[0])}) == 2
 
 
 @given(st.integers(0, MICRO))

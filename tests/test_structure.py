@@ -27,6 +27,8 @@ from fuzzygraph import (
     maximum_spanning_tree,
     random_fuzzy_tree,
     strength_of_connectedness,
+    wi_bruteforce,
+    wiener_index,
 )
 from fuzzygraph import structure
 from fuzzygraph.analysis import Analysis
@@ -147,6 +149,60 @@ def test_is_fuzzy_cycle():
         ],
     )
     assert not is_fuzzy_cycle(triangles)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ["ab", "ac", "ad", "bc"],  # d hangs from vertex 0, of degree 3
+        ["ab", "bc", "bd", "cd"],  # vertex 0 hangs from b, degree 1
+        ["ab", "ac", "bc", "cd"],  # d hangs from c, vertex 0 of degree 2
+    ],
+    ids=["off vertex 0", "vertex 0 hangs", "off vertex 2"],
+)
+def test_a_triangle_with_a_pendant_vertex_is_no_fuzzy_cycle(edges):
+    # n = m = 4, connected and every grade tied, but degrees 3, 2, 2, 1
+    g = build_graph(
+        [(name, M("1")) for name in "abcd"],
+        [(u, v, M("0.5")) for u, v in edges],
+    )
+    a = Analysis(g)
+    assert a.components == 1 and a._cycle_block() is None
+    kind = graph_kind(g)
+    assert kind.is_connected and not kind.is_fuzzy_tree
+    assert not kind.is_fuzzy_cycle and not kind.is_saturated_fuzzy_cycle
+    assert wiener_index(g) == wi_bruteforce(g)
+
+
+def test_two_disjoint_triangles_are_no_fuzzy_cycle():
+    # n = m = 6, every degree 2 and every grade tied, but two trees
+    g = build_graph(
+        [(name, M("1")) for name in "abcxyz"],
+        [(u, v, M("0.5")) for u, v in ("ab", "bc", "ac", "xy", "yz", "xz")],
+    )
+    a = Analysis(g)
+    assert a.components == 2 and a._cycle_block() is None
+    kind = graph_kind(g)
+    assert not kind.is_connected and not kind.is_fuzzy_cycle
+    assert not kind.is_saturated_fuzzy_cycle
+
+
+def test_a_crisp_cycle_with_one_weakest_edge_is_a_fuzzy_tree():
+    g = build_graph(
+        [(name, M("1")) for name in "abcde"],
+        [
+            ("a", "b", M("0.5")),
+            ("b", "c", M("0.7")),
+            ("c", "d", M("0.5")),
+            ("d", "e", M("0.6")),
+            ("a", "e", M("0.4")),
+        ],
+    )
+    assert Analysis(g)._cycle_block() is None
+    kind = graph_kind(g)
+    assert kind.is_connected and kind.is_fuzzy_tree
+    assert not kind.is_fuzzy_cycle and not kind.is_saturated_fuzzy_cycle
+    assert not is_fuzzy_cycle(g) and is_fuzzy_tree(g)
 
 
 def test_uniform_cycle_is_fuzzy_cycle_but_not_saturated():
