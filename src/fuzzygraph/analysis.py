@@ -48,9 +48,9 @@ fuzzy cycle, whose edges are all strong and so one block, walked once
 around; otherwise one block decomposition of the strong subgraph: O(1)
 per bridge, O(k) per cycle block of k edges, and one Dijkstra per vertex
 only inside the other blocks.  The walk around a fuzzy cycle is also its
-only test: run only on a connected graph of n >= 3 vertices and n edges
-whose weakest grade ties, it gives a block iff every vertex meets two
-edges; the cycle is saturated iff weakest and other grades alternate
+only test: run only on a connected graph of n vertices and n edges
+whose weakest grade ties (so n >= 3), it gives a block iff every vertex
+meets two edges; it is saturated iff weakest and other grades alternate
 around it.  The Kruskal sum is also CI(F) of the forest as a graph on
 its own, and on a fuzzy tree the block sum is also WI(F), with no second
 graph or pass.  The all-pairs CONN and d_s rows, built only for callers
@@ -586,10 +586,9 @@ class Analysis(MergeTree):
                     if low[x] < disc[parent]:
                         if low[x] < low[parent]:
                             low[parent] = low[x]
-                    elif low[x] > disc[parent]:
-                        # a bridge: the tree edge into x tops the stack
-                        yield [edges.pop()]
                     else:
+                        # a block; a bridge when low[x] > disc[parent],
+                        # the tree edge into x being all above its mark
                         yield edges[mark[x] :]
                         del edges[mark[x] :]
 
@@ -662,11 +661,13 @@ class Analysis(MergeTree):
     def _cycle_block(self) -> Block | None:
         """A fuzzy cycle, a crisp cycle through all n >= 3 vertices whose
         weakest grade ties, as the block ``_cycle_walk`` lays out, else
-        None.  Walked only on a connected graph of n edges with a tied
-        weakest grade; kept, since ``_strong_blocks`` and ``kind`` ask."""
+        None.  Walked only on one component of n edges, so n >= 3 (0
+        vertices make no component, 1 or 2 hold fewer than n edges), with
+        a tied weakest grade; kept, since ``_strong_blocks`` and ``kind``
+        ask."""
         if self._cycle == []:
-            n, mu, self._cycle = len(self.names), self.mu, None
-            if n >= 3 and len(mu) == n and self.components == 1:
+            mu, self._cycle = self.mu, None
+            if len(mu) == len(self.names) and self.components == 1:
                 if mu.count(min(mu)) >= 2:
                     self._cycle = _cycle_walk(self.ends, mu)
         return self._cycle

@@ -17,6 +17,10 @@ grade is rendered once across all the witnesses, not once per graph.
 The ``verdicts`` module renders them, and only those two commands load
 it.
 
+Each subcommand's parser carries its handler, and each JSON report is
+the six base keys of ``_BASE`` in order, then the command's own.
+``_render`` lays out every JSON object, the row templates included.
+
 The input file is read, and an ``--output`` report written, as bytes
 by a plain ``open`` with no text layer: the file gets exactly the bytes
 stdout gets, on every platform.
@@ -100,36 +104,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", metavar="PATH", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "indices", parents=[common], help="Wiener and connectivity indices"
-    )
-    p.add_argument("file")
-    p.add_argument(
+    for name, run, text in (
+        ("indices", _cmd_indices, "Wiener and connectivity indices"),
+        ("classify", _cmd_classify, "alpha/beta/delta edge classes"),
+        ("mst", _cmd_mst, "maximum spanning tree"),
+        ("kind", _cmd_kind, "structure recognition flags"),
+        ("repro", _cmd_repro,
+         "replay the built-in counterexample computations"),
+        ("falsify", _cmd_falsify, "search for claim counterexamples"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(run=run)
+        if name not in ("repro", "falsify"):
+            p.add_argument("file")
+    sub.choices["indices"].add_argument(
         "--summary",
         action="store_true",
         help="print the indices and flags without the per-pair table",
     )
-    p = sub.add_parser(
-        "classify", parents=[common], help="alpha/beta/delta edge classes"
-    )
-    p.add_argument("file")
-    p = sub.add_parser(
-        "mst", parents=[common], help="maximum spanning tree"
-    )
-    p.add_argument("file")
-    p = sub.add_parser(
-        "kind", parents=[common], help="structure recognition flags"
-    )
-    p.add_argument("file")
-    sub.add_parser(
-        "repro",
-        parents=[common],
-        help="replay the built-in counterexample computations",
-    )
-    p = sub.add_parser(
-        "falsify", parents=[common], help="search for claim counterexamples"
-    )
+    p = sub.choices["falsify"]
     # the ClaimId values, written out so that no parser loads the falsifier
     p.add_argument("claim", choices=("corollary-star", "theorem-star"))
     p.add_argument("--trials", type=_positive_int, default=None)
@@ -150,24 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_doc() -> dict:
-    return {
-        "wiener": None,
-        "connectivity": None,
-        "pairs": [],
-        "kind": None,
-        "verdicts": [],
-        "warnings": [],
-    }
+# the keys every JSON report opens with, in this order; a command's own
+# keys follow them
+_BASE = {
+    "wiener": None,
+    "connectivity": None,
+    "pairs": [],
+    "kind": None,
+    "verdicts": [],
+    "warnings": [],
+}
 
 
 def _kind_json(kind: GraphKind) -> dict:
-    return {
-        "connected": kind.is_connected,
-        "fuzzy_tree": kind.is_fuzzy_tree,
-        "fuzzy_cycle": kind.is_fuzzy_cycle,
-        "saturated_fuzzy_cycle": kind.is_saturated_fuzzy_cycle,
-    }
+    """Each flag keyed by its ``GraphKind`` field name without ``is_``."""
+    return {name[3:]: flag for name, flag in vars(kind).items()}
 
 
 def _kind_lines(kind: GraphKind) -> list[str]:
@@ -254,13 +244,11 @@ def _cmd_indices(args) -> tuple[int, str]:
         ],
     )
     if args.format == "json":
-        doc = _base_doc()
-        doc["wiener"] = wiener
-        doc["connectivity"] = connectivity
-        doc["pairs"] = _Rows(pairs)
-        doc["kind"] = _kind_json(kind)
-        doc["warnings"] = warnings
-        return code, _json_text(doc)
+        return code, _json_text({
+            **_BASE, "wiener": wiener, "connectivity": connectivity,
+            "pairs": _Rows(pairs), "kind": _kind_json(kind),
+            "warnings": warnings,
+        })
     lines = [f"vertices: {g.vertex_count}", f"edges: {g.edge_count}"]
     lines += _kind_lines(kind)
     lines += [f"warning: {message}" for message in warnings]
@@ -290,9 +278,7 @@ def _cmd_classify(args) -> tuple[int, str]:
         ],
     )
     if args.format == "json":
-        doc = _base_doc()
-        doc["edges"] = _Rows(rows)
-        return 0, _json_text(doc)
+        return 0, _json_text({**_BASE, "edges": _Rows(rows)})
     lines = _text_rows(rows)
     return 0, "\n".join(lines) + ("\n" if lines else "")
 
@@ -312,9 +298,8 @@ def _cmd_mst(args) -> tuple[int, str]:
         ],
     )
     if args.format == "json":
-        doc = _base_doc()
-        doc["mst"] = {"edges": _Rows(rows), "total_strength": total}
-        return 0, _json_text(doc)
+        mst = {"edges": _Rows(rows), "total_strength": total}
+        return 0, _json_text({**_BASE, "mst": mst})
     lines = _text_rows(rows)
     lines.append(f"total = {total}")
     return 0, "\n".join(lines) + "\n"
@@ -324,10 +309,10 @@ def _cmd_kind(args) -> tuple[int, str]:
     analysis = Analysis(_load(args.file))
     kind = analysis.kind()
     if args.format == "json":
-        doc = _base_doc()
-        doc["kind"] = _kind_json(kind)
-        doc["warnings"] = _warnings_for(analysis.zero_sigma_vertices())
-        return 0, _json_text(doc)
+        return 0, _json_text({
+            **_BASE, "kind": _kind_json(kind),
+            "warnings": _warnings_for(analysis.zero_sigma_vertices()),
+        })
     return 0, "\n".join(_kind_lines(kind)) + "\n"
 
 
@@ -339,17 +324,12 @@ def _cmd_repro(args) -> tuple[int, str]:
     passed = sum(1 for check in checks if check.passed)
     code = 0 if passed == len(checks) else 1
     if args.format == "json":
-        doc = _base_doc()
-        doc["checks"] = [
-            {
-                "label": check.label,
-                "detail": check.detail,
-                "passed": check.passed,
-            }
-            for check in checks
-        ]
-        doc["verdicts"] = _Rows(*verdict_rows(verdicts, _MicroTexts("text")))
-        return code, _json_text(doc)
+        return code, _json_text({
+            **_BASE,
+            "verdicts": _Rows(*verdict_rows(verdicts, _MicroTexts("text"))),
+            # each check's fields in order: label, detail, passed
+            "checks": [vars(check) for check in checks],
+        })
     lines = [
         f"{check.label}: {check.detail} {'PASS' if check.passed else 'FAIL'}"
         for check in checks
@@ -383,11 +363,10 @@ def _cmd_falsify(args) -> tuple[int, str]:
     # witnesses' .fzg texts is rendered once
     grades = _MicroTexts("text")
     if args.format == "json":
-        doc = _base_doc()
-        doc["verdicts"] = _Rows(*verdict_rows(verdicts, grades))
-        if note is not None:
-            doc["warnings"] = [note]
-        return code, _json_text(doc)
+        return code, _json_text({
+            **_BASE, "verdicts": _Rows(*verdict_rows(verdicts, grades)),
+            "warnings": [] if note is None else [note],
+        })
     lines = [f"claim: {claim.value}"]
     if note is not None:
         lines.append(f"note: {note}")
@@ -414,9 +393,11 @@ class _Rows:
     opens or closes there, then the value's key and its colon.
     ``build`` returns each object as ``heads[0] + value_0 + heads[1] +
     value_1 + ... + end``, every value already JSON text: a quoted
-    string, a number, true, false or null.  So the layout, which
-    depends on where the list sits, is decided in ``_render`` alone,
-    and the caller renders each distinct value once."""
+    string, a number, true, false or null.  The heads are ``_render``'s
+    own layout of a template object with these keys, cut at its values
+    (see ``_heads``), so the layout, which depends on where the list
+    sits, is decided in ``_render`` alone, and the caller renders each
+    distinct value once."""
 
     __slots__ = ("parts",)
 
@@ -424,6 +405,12 @@ class _Rows:
         self, *parts: tuple[tuple, Callable[..., list[str]]]
     ):
         self.parts = parts
+
+
+# A value's place in a ``_heads`` template.  ``_render`` writes it as a
+# raw NUL, which no rendered string or key holds: JSON escapes it.
+_HOLE = object()
+_HOLE_TEXT = "\0"
 
 
 def _json_text(doc: dict) -> str:
@@ -478,40 +465,28 @@ def _render(value, newline: str, out: list[str]) -> None:
             out.append(f"[{inner}{f',{inner}'.join(rows)}{newline}]")
         else:
             out.append("[]")
+    elif value is _HOLE:
+        out.append(_HOLE_TEXT)
     else:
         out.append(json.dumps(value))
 
 
 def _heads(keys: tuple, newline: str) -> list[str]:
     """The texts around the values of one ``_Rows`` object with these
-    keys, laid out at ``newline`` as ``_render`` lays out a dict: one
-    text before each value, then the text that ends the object."""
-    if not keys:
-        return ["{}"]
-    inner = newline + "  "
-    heads, lead = [""], "{"
-    for key in keys:
-        key, subkeys = (key, None) if isinstance(key, str) else key
-        heads[-1] += f"{lead}{inner}{encode_basestring_ascii(key)}: "
-        if subkeys is None:
-            heads.append("")
-        else:
-            first, *rest = _heads(subkeys, inner)
-            heads[-1] += first
-            heads += rest
-        lead = ","
-    heads[-1] += newline + "}"
-    return heads
+    keys, laid out at ``newline``: one text before each value, then the
+    text that ends the object.  ``_render`` lays out the object with a
+    hole for each value, and the texts are what lies between the holes."""
+    out: list[str] = []
+    _render(_template(keys), newline, out)
+    return "".join(out).split(_HOLE_TEXT)
 
 
-_COMMANDS = {
-    "indices": _cmd_indices,
-    "classify": _cmd_classify,
-    "mst": _cmd_mst,
-    "kind": _cmd_kind,
-    "repro": _cmd_repro,
-    "falsify": _cmd_falsify,
-}
+def _template(keys: tuple) -> dict:
+    """The ``_Rows`` object with these keys, each value a hole."""
+    return dict(
+        (key, _HOLE) if isinstance(key, str) else (key[0], _template(key[1]))
+        for key in keys
+    )
 
 
 def _write_stdout(text: str) -> None:
@@ -567,7 +542,7 @@ def _main(argv: list[str] | None) -> int:
 def _run(args: argparse.Namespace) -> int:
     """Run the command and write its report: the exit code."""
     try:
-        code, text = _COMMANDS[args.command](args)
+        code, text = args.run(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2

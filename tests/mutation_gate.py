@@ -8,7 +8,9 @@ Each mutant is one edit of one exact source line.  For each, the script
 copies ``src/`` to a temporary directory, makes the edit there and runs
 only the mutant's killing tests against the copy.  It fails when a
 mutant's line is not found, when its tests pass on the mutant (it
-survives), or when its tests do not pass on the unmutated copy.  An
+survives), when one of them fails by a ``NameError``, ``ImportError`` or
+``SyntaxError`` (the mutant broke the module and changed no behaviour
+the tests check), or when its tests do not pass on the unmutated copy.  An
 equivalent mutant changes no behaviour; each is listed with the reason,
 and its line must still be found, so the argument stays attached to the
 code it is about.  Pytest does not collect this file.
@@ -16,6 +18,7 @@ code it is about.  Pytest does not collect this file.
 
 from __future__ import annotations
 
+import builtins
 import os
 import shutil
 import subprocess
@@ -200,6 +203,12 @@ MUTANTS = [
          "tests/test_indices.py::"
          "test_cycle6_geodesics_follow_the_eta_heavy_arc"),
     ),
+    # a tree edge ends a block unless a back edge climbs past its top:
+    # the one branch that yields bridges and larger blocks alike
+    Mutant(
+        "analysis.py", "if low[x] < disc[parent]:", "<", "<=",
+        (f"{_SHAPES}[cactus]", f"{_SHAPES}[apart]"),
+    ),
     # union by size keeps the merge tree at most log2 n deep
     Mutant(
         "analysis.py", "if size[i] < size[j]:", "<", ">",
@@ -230,21 +239,30 @@ EQUIVALENT = [
         reason="the walk runs only on n edges over n vertices, whose "
         "degrees sum to 2n: none is above 2 when none is below",
     ),
-    Mutant(
-        "analysis.py", "if n >= 3 and len(mu) == n and self.components == 1:",
-        "n >= 3", "n >= 0",
-        reason="no graph on fewer than 3 vertices passes the other two "
-        "tests: 0 vertices make no tree, 1 or 2 hold fewer than n edges",
-    ),
 ]
 
 
-def _run(killers: tuple[str, ...], src: Path) -> int:
+def _run(killers: tuple[str, ...], src: Path) -> tuple[int, list[str]]:
+    """pytest's exit code on ``killers`` against ``src``, and the errors
+    among their failures that say the module is broken: a name, import
+    or syntax error (an indentation error is a syntax error)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x",
+    # -vv keeps each failure's message whole in the short summary
+    command = [sys.executable, "-m", "pytest", "-vv", "--tb=no", "-rfE",
                "-p", "no:cacheprovider", *killers]
-    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True)
-    return done.returncode
+    done = subprocess.run(
+        command, cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    broken = []
+    for line in done.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            error = line.partition(" - ")[2].split(":", 1)[0]
+            kind = getattr(builtins, error, None)
+            if isinstance(kind, type) and issubclass(
+                kind, (NameError, ImportError, SyntaxError)
+            ):
+                broken.append(error)
+    return done.returncode, broken
 
 
 def main() -> int:
@@ -268,7 +286,7 @@ def main() -> int:
             print(f"fuzzygraph imports from {probe.stdout.strip()}")
             return 1
         killers = tuple(dict.fromkeys(k for m in MUTANTS for k in m.killers))
-        if _run(killers, clean) != 0:
+        if _run(killers, clean)[0] != 0:
             print("the killing tests fail on the unmutated source")
             return 1
         for n, mutant in enumerate(MUTANTS):
@@ -282,12 +300,19 @@ def main() -> int:
                 failures.append(str(error))
                 print(f"NOT FOUND {error}")
                 continue
-            code = _run(mutant.killers, src) if mutant.killers else 0
-            verdict = "killed" if code == 1 else f"SURVIVED (pytest {code})"
+            code, broken = 0, []
+            if mutant.killers:
+                code, broken = _run(mutant.killers, src)
+            if broken:
+                verdict = f"BROKEN ({len(broken)} {broken[0]})"
+            elif code == 1:
+                verdict = "killed"
+            else:
+                verdict = f"SURVIVED (pytest {code})"
             seconds = time.perf_counter() - started
             print(f"{verdict:9s} {seconds:5.1f} s  {mutant.file}: "
                   f"{mutant.line!r} {mutant.old} -> {mutant.new}")
-            if code != 1:
+            if code != 1 or broken:
                 failures.append(f"{mutant.file}: {mutant.line!r}")
     print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, "
           f"{len(failures)} failures")

@@ -544,6 +544,33 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
+# each subcommand's own options and its positional argument as the usage
+# line shows them; the claim is shown as its choices
+SUBCOMMAND_ARGUMENTS = {
+    "indices": (["--summary"], ["file"]),
+    "classify": ([], ["file"]),
+    "mst": ([], ["file"]),
+    "kind": ([], ["file"]),
+    "repro": ([], []),
+    "falsify": (
+        ["--trials", "--seed", "--sizes", "--n"],
+        ["{corollary-star,theorem-star}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGUMENTS)
+def test_each_subcommand_usage_names_its_own_arguments(capsys, command):
+    options, positionals = SUBCOMMAND_ARGUMENTS[command]
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0].split()
+    assert usage[:3] == ["usage:", "fuzzygraph", command]
+    shown = [word.strip("[]") for word in usage if word.startswith("[-")]
+    assert shown == ["-h", "--format", "--output", *options]
+    bare = [w for w in usage[3:] if not w.startswith("[") and w[-1] != "]"]
+    assert bare == positionals
+
+
 def test_output_flag_writes_the_report(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(
