@@ -546,7 +546,12 @@ def _run(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except (OSError, FuzzyGraphError) as exc:
+    except OSError as exc:
+        # only _load opens a file before the report is written
+        reason = exc.strerror or exc
+        print(f"error: cannot read {args.file}: {reason}", file=sys.stderr)
+        return 2
+    except FuzzyGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
