@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import json
 import os
@@ -491,8 +492,11 @@ def _template(keys: tuple) -> dict:
 
 def _write_stdout(text: str) -> None:
     """Write text to stdout and flush it; OSError when some byte is not
-    taken.  An unbuffered stdout's text layer drops what a short write
+    taken.  A stdout closed before Python started is None and takes no
+    byte.  An unbuffered stdout's text layer drops what a short write
     leaves, so the bytes go to its binary layer until all are taken."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     out = getattr(sys.stdout, "buffer", None)
     if out is None:
         out = sys.stdout
@@ -565,7 +569,7 @@ def _run(args: argparse.Namespace) -> int:
                 file.write(data)
     except OSError as exc:
         target = "stdout" if args.output is None else args.output
-        if args.output is None:
+        if args.output is None and sys.stdout is not None:
             # on the null device, the flush at exit cannot fail again
             with contextlib.suppress(OSError, ValueError):
                 fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)

@@ -107,14 +107,12 @@ def _trial_seed(seed: int, index: int) -> int:
 
 
 def _canonical_key(verdict: ClaimVerdict) -> tuple:
-    """The sort key of a search verdict, from its int grades alone.
+    """The sort key of a corollary-star verdict, from its int grades alone.
 
     It orders the verdicts of one search exactly as the text keys
-    ``(size, fzg)`` of a corollary-star tree and ``(n, "cycle n={n}
-    kappa={kappa} eta={eta}")`` of a theorem-star spec do, and is equal
-    exactly where they are, so the stable sort keeps ties in one order
-    too.  The keys compare size (n) first, so take two verdicts of one
-    size n:
+    ``(size, fzg)`` of their trees do, and is equal exactly where they
+    are, so the stable sort keeps ties in one order too.  The keys
+    compare size first, so take two verdicts of one size n:
 
     - Every search verdict of size n has the names ``_vertex_names(n)``,
       of one width, so its .fzg text is the same vertex lines ``v <name>
@@ -123,8 +121,7 @@ def _canonical_key(verdict: ClaimVerdict) -> tuple:
       first either in a pair of edge names, whose zero-padded digits
       compare as the indices (i, j) do, or in a grade; or one text's
       edge lines stop first, and it sorts first, as a tuple that is a
-      prefix of another does.  Two spec texts of one n share ``cycle
-      n={n} kappa=`` and differ first in kappa, or else in eta.
+      prefix of another does.
     - Where they first differ in a grade, the shortest decimal text of a
       grade in [0, 1] ("0", "1" or "0.d..." with no trailing zero) sorts
       as its number does: the texts differ first in a digit, or one
@@ -133,19 +130,18 @@ def _canonical_key(verdict: ClaimVerdict) -> tuple:
       each below every digit and below ".", so the shorter text sorts
       first, as its smaller number does.
 
-    Hence (n, sigma_micro, the (ends, mu) pairs) for a tree and (n,
-    kappa, eta) in micro-units for a cycle give the text keys' order,
-    and the search never renders a grade to sort.
+    Hence (n, sigma_micro, the (ends, mu) pairs) give the text keys'
+    order, and the search never renders a grade to sort.
     """
-    instance = verdict.instance
-    if isinstance(instance, SaturatedCycleSpec):
-        return (instance.n, instance.kappa.micro, instance.eta.micro)
     g = verdict.graph
     return (g.vertex_count, g.sigma_micro, tuple(zip(g.ends, g.mu_micro)))
 
 
 def _sweep_specs(size_range: tuple[int, int]) -> Iterator[SaturatedCycleSpec]:
-    """The sweep's specs, built one at a time as the caller takes them."""
+    """The sweep's specs, built one at a time as the caller takes them,
+    in ascending (n, kappa, eta): the order of their texts ``cycle n={n}
+    kappa={kappa} eta={eta}`` within one n, since grade texts sort as
+    their numbers do (proof at ``_canonical_key``)."""
     lo, hi = size_range
     start = max(4, lo + lo % 2)
     if start > hi:
@@ -178,9 +174,9 @@ def search_counterexamples(
     kappa > eta; ``trials`` caps the sweep when given.  Only verdicts
     with holds = False are returned, sorted by instance size and then by
     canonical serialization: a tree's .fzg text, a cycle's "cycle n=...
-    kappa=... eta=..." text.  The key reads that order off the int
-    grades, so the search serializes no graph (proof at
-    ``_canonical_key``).
+    kappa=... eta=..." text.  The sweep yields its specs in that order,
+    and the trees' key reads it off the int grades, so the search
+    serializes no graph (proof at ``_canonical_key``).
     """
     if trials is not None and trials < 1:
         raise BadParamsError(f"trials must be >= 1, got {trials}")
@@ -203,6 +199,7 @@ def search_counterexamples(
             verdict = check_corollary_star(tree)
             if not verdict.holds:
                 violations.append(verdict)
+        violations.sort(key=_canonical_key)
     elif claim_id is ClaimId.THEOREM_STAR:
         specs = _sweep_specs(size_range if size_range is not None else (4, 12))
         if trials is not None:
@@ -213,5 +210,4 @@ def search_counterexamples(
                 violations.append(verdict)
     else:
         raise BadParamsError(f"unknown claim {claim_id!r}")
-    violations.sort(key=_canonical_key)
     return violations

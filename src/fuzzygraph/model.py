@@ -270,6 +270,9 @@ class FuzzyGraph:
                 raise ValueError(f"sigma for {name!r} is not a grade")
         if not {*map(type, mu.values())} <= {int}:
             raise TypeError("edge grades must be ints")
+        for key, grade in mu.items():
+            if not 0 <= grade <= MICRO:
+                raise ValueError(f"mu for {key!r} is not a grade")
         # sigma's names, then those only an edge names, graded -1 below
         names = [*dict.fromkeys(chain(sigma, chain.from_iterable(mu)))]
         index = dict(zip(names, range(len(names))))

@@ -2,18 +2,20 @@
 
 Run from anywhere, with pytest installed:
 
-    python tests/mutation_gate.py
+    python tests/mutation_gate.py [pytest options]
 
-Each mutant is one edit of one exact source line.  For each, the script
-copies ``src/`` to a temporary directory, makes the edit there and runs
-only the mutant's killing tests against the copy.  It fails when a
-mutant's line is not found, when its tests pass on the mutant (it
-survives), when one of them fails by a ``NameError``, ``ImportError`` or
-``SyntaxError`` (the mutant broke the module and changed no behaviour
-the tests check), or when its tests do not pass on the unmutated copy.  An
-equivalent mutant changes no behaviour; each is listed with the reason,
-and its line must still be found, so the argument stays attached to the
-code it is about.  Pytest does not collect this file.
+Each mutant is one edit of one exact source line, and one test here,
+named by its file and line.  The test copies ``src/`` to a temporary
+directory, makes the edit there and runs only the mutant's killing
+tests against the copy.  It fails when the mutant's line is not found,
+when its tests pass on the mutant (it survives), or when one of them
+fails by a ``NameError``, ``ImportError`` or ``SyntaxError`` (the mutant
+broke the module and changed no behaviour the tests check).  Every
+mutant test first needs ``fuzzygraph`` to import from an unmutated copy
+and every killing test to pass on it.  An equivalent mutant changes no
+behaviour; each is listed with the reason and is one test too, which
+needs its line to be found, so the argument stays attached to the code
+it is about.  Tier-1 does not collect this file.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import os
 import shutil
 import subprocess
 import sys
-import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,7 +129,7 @@ MUTANTS = [
         ("tests/test_cli.py::test_kind_text",
          "tests/test_cli.py::test_text_and_json_reports_agree"),
     ),
-    # the search's int sort keys order verdicts as their texts do
+    # the search's int sort key orders trees as their texts do
     Mutant(
         "falsifier.py",
         "return (g.vertex_count, g.sigma_micro, tuple(zip(g.ends, g.mu_micro)))",
@@ -136,13 +138,12 @@ MUTANTS = [
         ("tests/test_falsifier.py::"
          "test_int_keys_sort_trees_as_their_texts_do",),
     ),
+    # the theorem-star sweep comes out in its texts' order, unsorted
     Mutant(
-        "falsifier.py",
-        "return (instance.n, instance.kappa.micro, instance.eta.micro)",
-        "instance.kappa.micro, instance.eta.micro",
-        "instance.eta.micro, instance.kappa.micro",
+        "falsifier.py", "for eta in range(1, kappa)",
+        "range(1, kappa)", "reversed(range(1, kappa))",
         ("tests/test_falsifier.py::"
-         "test_int_keys_sort_cycle_specs_as_their_texts_do",),
+         "test_theorem_sweeps_come_out_in_text_order",),
     ),
     # the parser widens its edge keys past 2**15 vertices, re-keying
     Mutant(
@@ -265,59 +266,47 @@ def _run(killers: tuple[str, ...], src: Path) -> tuple[int, list[str]]:
     return done.returncode, broken
 
 
-def main() -> int:
-    failures = []
-    for mutant in EQUIVALENT:
-        try:
-            mutant.apply((ROOT / "src/fuzzygraph" / mutant.file).read_text())
-        except ValueError as error:
-            failures.append(str(error))
-            print(f"NOT FOUND {error}")
-    with tempfile.TemporaryDirectory() as scratch:
-        clean = Path(scratch) / "clean"
-        shutil.copytree(ROOT / "src", clean)
-        where = "import fuzzygraph; print(fuzzygraph.__file__)"
-        probe = subprocess.run(
-            [sys.executable, "-c", where],
-            env=dict(os.environ, PYTHONPATH=str(clean)),
-            capture_output=True, text=True, check=True,
-        )
-        if not probe.stdout.startswith(str(clean)):
-            print(f"fuzzygraph imports from {probe.stdout.strip()}")
-            return 1
-        killers = tuple(dict.fromkeys(k for m in MUTANTS for k in m.killers))
-        if _run(killers, clean)[0] != 0:
-            print("the killing tests fail on the unmutated source")
-            return 1
-        for n, mutant in enumerate(MUTANTS):
-            src = Path(scratch) / f"mutant{n}"
-            shutil.copytree(ROOT / "src", src)
-            target = src / "fuzzygraph" / mutant.file
-            started = time.perf_counter()
-            try:
-                target.write_text(mutant.apply(target.read_text()))
-            except ValueError as error:
-                failures.append(str(error))
-                print(f"NOT FOUND {error}")
-                continue
-            code, broken = 0, []
-            if mutant.killers:
-                code, broken = _run(mutant.killers, src)
-            if broken:
-                verdict = f"BROKEN ({len(broken)} {broken[0]})"
-            elif code == 1:
-                verdict = "killed"
-            else:
-                verdict = f"SURVIVED (pytest {code})"
-            seconds = time.perf_counter() - started
-            print(f"{verdict:9s} {seconds:5.1f} s  {mutant.file}: "
-                  f"{mutant.line!r} {mutant.old} -> {mutant.new}")
-            if code != 1 or broken:
-                failures.append(f"{mutant.file}: {mutant.line!r}")
-    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, "
-          f"{len(failures)} failures")
-    return 1 if failures else 0
+@pytest.fixture(scope="session")
+def clean(tmp_path_factory) -> Path:
+    """An unmutated copy of ``src/`` that ``fuzzygraph`` imports from,
+    with every killing test passing on it."""
+    src = tmp_path_factory.mktemp("clean") / "src"
+    shutil.copytree(ROOT / "src", src)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import fuzzygraph; print(fuzzygraph.__file__)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.startswith(str(src)), \
+        f"fuzzygraph imports from {probe.stdout.strip()}"
+    killers = tuple(dict.fromkeys(k for m in MUTANTS for k in m.killers))
+    assert _run(killers, src)[0] == 0, \
+        "the killing tests fail on the unmutated source"
+    return src
+
+
+def _name(mutant: Mutant) -> str:
+    return f"{mutant.file}: {mutant.line}"
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=_name)
+def test_the_mutant_fails_its_killing_tests(clean, tmp_path, mutant):
+    src = tmp_path / "src"
+    shutil.copytree(clean, src)
+    target = src / "fuzzygraph" / mutant.file
+    target.write_text(mutant.apply(target.read_text()))
+    edit = f"{mutant.old} -> {mutant.new}"
+    assert mutant.killers, f"SURVIVED {edit}: no killing test"
+    code, broken = _run(mutant.killers, src)
+    assert not broken, f"BROKEN {edit}: {len(broken)} {broken[0]}"
+    assert code == 1, f"SURVIVED {edit}: pytest {code}"
+
+
+@pytest.mark.parametrize("mutant", EQUIVALENT, ids=_name)
+def test_the_equivalent_line_is_found(mutant):
+    mutant.apply((ROOT / "src/fuzzygraph" / mutant.file).read_text())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.path.insert(0, str(ROOT / "src"))  # tests/conftest.py imports it
+    sys.exit(pytest.main(["-q", __file__, *sys.argv[1:]]))

@@ -1,8 +1,12 @@
 """The command line at scale against ``benchmarks/reference.py``, closed
 forms, sha256 pins and relations that need no reference, on seeded inputs
 built once: 100,000-vertex trees, cycles and paths with 100,000 chords,
-and graphs of 1,000 and 2,000 vertices.  Each command is a subprocess with
-a 60 s limit; ~65 s in all on a 2-core shared host.  Run from anywhere as
+and graphs of 1,000 and 2,000 vertices.  Then every graph on 5 vertices
+at 2 grade levels (59,049 graphs) against the oracle, as
+``test_small_scope.py`` checks the smaller scopes, and a 1 s smoke run of
+each benchmark workload, every report checked.  Each command is a
+subprocess with a 60 s limit; ~145 s in all, 85 s of it the 5-vertex
+scope, on a 2-core shared host.  Run from anywhere as
 ``python tests/scale_checks.py [pytest options]``, or from the checkout as
 ``PYTHONPATH=src python -m pytest tests/scale_checks.py``, as tier-1 needs."""
 
@@ -23,6 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import fuzzygraph as fg
 import reference as ref  # shares no code with the library
+from test_small_scope import check_scope
 
 N = 100_000
 # a seeded renaming changes the name order, and so the Kruskal tie order
@@ -283,6 +288,20 @@ def test_the_two_wi_routes_and_every_pair_row(mid_graphs, name):
         key: (ref.grade_text(c), "-" if ds[key] is None else ref.grade_text(ds[key]))
         for key, c in conn.items()
     }
+
+
+def test_every_graph_on_5_vertices_at_2_grade_levels_matches_the_oracle():
+    assert check_scope(5, 2) == 59049
+
+
+@pytest.mark.parametrize("workload", ["dense-report", "falsify-sweep", "large-mst"])
+def test_a_benchmark_smoke_run_checks_every_report(workload):
+    argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
+            "--seed", "0", "--seconds", "1"]
+    run = subprocess.run(argv, capture_output=True, cwd=ROOT, timeout=60)
+    assert run.returncode == 0, run.stderr[-2000:].decode(errors="replace")
+    last = run.stdout.decode().splitlines()[-1]
+    assert '"correct": true' in last, last
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -353,6 +354,30 @@ def test_repro_json(capsys):
     claims = {verdict["claim"] for verdict in doc["verdicts"]}
     assert claims == {"corollary-star", "theorem-star"}
     assert all(not verdict["holds"] for verdict in doc["verdicts"])
+
+
+def test_repro_reports_each_wrong_figure_and_exits_1(capsys, monkeypatch):
+    from fuzzygraph import replication
+
+    # one wrong figure of each kind: CI(F) of the tree, read by the CI(F)
+    # and CI(G) checks, a WI coefficient and one distance-table entry
+    def planted(g):
+        verdict = check_corollary_star(g)
+        detail = {**verdict.detail, "ci_f": verdict.detail["ci_f"] + 1}
+        return dataclasses.replace(verdict, detail=detail)
+
+    monkeypatch.setattr(replication, "check_corollary_star", planted)
+    monkeypatch.setitem(replication.CYCLE_WI_COEFFS, 4, (4, 5))
+    monkeypatch.setitem(replication.CYCLE6_TABLE, (0, 1), (0, 1))
+    code, out = run_cli(capsys, "repro")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.endswith(" FAIL")] == [
+        "tree5: CI(F) = 4.5, expected 3.5 FAIL",
+        "tree5: CI(G) = 4.5, expected 3.5 FAIL",
+        "cycle4: WI = 4kappa+5eta at 2 gradings FAIL",
+        "cycle6: distance table: 14 of 15 entries match at 2 gradings FAIL",
+    ]
+    assert out.endswith("result: 9 of 13 checks passed\n")
 
 
 # ------------------------------------------------------------------- falsify
@@ -738,6 +763,21 @@ def test_a_closed_stdout_pipe_exits_2_with_one_error_line(
     assert "Traceback" not in err
     assert err.startswith("error: cannot write stdout: ")
     assert err.count("\n") == 1
+
+
+def test_a_stdout_closed_at_start_exits_2_with_one_error_line():
+    # with fd 1 closed before Python starts, sys.stdout is None
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzygraph", "kind", data_path("tree5.fzg")],
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
 
 
 # ------------------------------------------------------------ out of memory

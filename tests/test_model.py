@@ -1036,6 +1036,8 @@ def test_from_micro_builds_the_constructors_graph(g):
         ({"a": MICRO, "b": 10}, {("a", "b"): 11}, MuExceedsSigmaError),
         ({"a": MICRO}, {("a", "b"): 1}, UnknownEndpointError),
         ({"a b": MICRO}, {}, ValueError),
+        ({"a": MICRO, "b": MICRO}, {("a", "b"): -5}, ValueError),
+        ({"a": MICRO, "b": MICRO}, {("a", "b"): MICRO + 1}, ValueError),
     ],
 )
 def test_from_micro_rejects_bad_names_grades_and_edges(sigma, mu, error):

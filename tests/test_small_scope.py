@@ -8,15 +8,13 @@ rarely tie; inside this scope every tie occurs.  Each graph is checked
 again with one seeded sigma grid, zero sigma on isolated vertices
 included, for the weighted sums.
 
-Run as a script for a larger scope, n = 5 at 2 levels (59,049 graphs):
-
-    PYTHONPATH=src python tests/test_small_scope.py 5 2
+The larger scope n = 5 at 2 levels (59,049 graphs) is checked in
+``scale_checks.py``, which tier-1 does not collect.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 from itertools import combinations, product
 
 import pytest
@@ -201,8 +199,3 @@ def check_scope(n: int, levels: int) -> int:
 )
 def test_every_small_graph_matches_the_oracle(n, levels, count):
     assert check_scope(n, levels) == count
-
-
-if __name__ == "__main__":
-    n, levels = map(int, sys.argv[1:3])
-    print(f"n = {n} at {levels} levels: {check_scope(n, levels)} graphs")
