@@ -539,7 +539,7 @@ def _main(argv: list[str] | None) -> int:
         pass
     # printed after the except block, which frees the traceback's frames
     # and the lists they hold
-    print("error: out of memory", file=sys.stderr)
+    _error("out of memory")
     return 2
 
 
@@ -548,15 +548,15 @@ def _run(args: argparse.Namespace) -> int:
     try:
         code, text = args.run(args)
     except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        _error(f"no such file: {exc.filename}")
         return 2
     except OSError as exc:
         # only _load opens a file before the report is written
         reason = exc.strerror or exc
-        print(f"error: cannot read {args.file}: {reason}", file=sys.stderr)
+        _error(f"cannot read {args.file}: {reason}")
         return 2
     except FuzzyGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     try:
         if args.output is None:
@@ -576,9 +576,17 @@ def _run(args: argparse.Namespace) -> int:
                 os.dup2(null, fd)
                 os.close(null)
         reason = exc.strerror or exc
-        print(f"error: cannot write {target}: {reason}", file=sys.stderr)
+        _error(f"cannot write {target}: {reason}")
         return 2
     return code
+
+
+def _error(message: str) -> None:
+    """Write the one error line to stderr.  With fd 2 closed at start,
+    ``sys.stderr`` is None and the line is dropped, as argparse drops its
+    usage errors, where ``print`` would send it to stdout."""
+    if sys.stderr is not None:
+        print(f"error: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

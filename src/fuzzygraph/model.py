@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import le, lshift, lt, or_
 from typing import Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
@@ -38,6 +39,12 @@ _NAME_RE = re.compile(r"[!-~]+")
 # its ASCII members as bytes, and all of it as a pattern.
 _ODD_ASCII_SPACE = b"\x0b\x0c\r\x1c\x1d\x1e\x1f"
 _ODD_SPACE_RE = re.compile(r"[^\S \t]")
+# The bytes of canonical text: printable ASCII, tab and newline.  The bulk
+# reader tokenizes about _CHUNK characters at a time, marking each line's
+# end with a token of _MARK, which canonical text cannot hold.
+_CANONICAL = bytes(range(0x20, 0x7F)) + b"\t\n"
+_CHUNK = 1 << 16
+_MARK = "\0"
 
 _T = TypeVar("_T")
 
@@ -202,8 +209,8 @@ class FuzzyGraph:
     its endpoint grades.  Vertices with sigma 0 are allowed; they can
     carry no edges.  Edge keys are pairs of names, in either order but
     not both orders at once.  Each route checks these once: the
-    constructor and ``from_micro`` in ``_fill``, ``parse_graph`` record
-    by record.  The rest prove them instead: the generators
+    constructor and ``from_micro`` in ``_fill``, ``parse_graph`` as it
+    reads the records.  The rest prove them instead: the generators
     ``random_fuzzy_tree`` and ``make_saturated_cycle`` by construction,
     ``remove_edge`` and ``edge_subgraph`` by keeping edges of a checked
     graph.  All of them lay the graph out with ``_layout``, one core
@@ -471,7 +478,9 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
     syntax problems raise ParseError, structural ones the build_graph
     errors with a ``line N:`` prefix.  When a file has several errors,
     the one on the earliest line is raised.  The records are checked
-    once, as they are read, and laid out with no second check.
+    once, as they are read, and laid out with no second check.  Text laid
+    out as ``FuzzyGraph.serialize`` writes it is read in bulk, with the
+    same graph and the same errors as any other layout.
     """
     if isinstance(text, (bytes, bytearray)):
         raw = bytes(text)
@@ -486,13 +495,112 @@ def parse_graph(text: str | bytes) -> FuzzyGraph:
     return FuzzyGraph.__new__(FuzzyGraph)._layout(*_read_records(text))
 
 
-def _read_records(text: str) -> tuple[list[VertexId], list[int], dict[int, int]]:
+_Records = tuple[list[VertexId], list[int], dict[int, int]]
+
+
+def _read_records(text: str) -> _Records:
     """The vertex names and grades of .fzg text in declaration order and
     its edge grades keyed by declaration index, as ``_layout`` takes
-    them.  Each record is checked on its line: syntax, names,
-    declaration before use, duplicates and the constructor's per-edge
-    checks, so the first error is the earliest.  Each distinct grade
-    literal is parsed once, to micro-units.
+    them.  Text in the canonical layout is read by ``_bulk_records``;
+    when it declines, ``_line_records`` reads the text from the start
+    and raises for the earliest bad line.  The two return equal records
+    for every text the bulk route reads."""
+    return _bulk_records(text) or _line_records(text)
+
+
+def _bulk_records(text: str) -> _Records | None:
+    """The records of text laid out as ``serialize`` writes it, else None.
+
+    The text is printable ASCII, spaces, tabs and newlines, ends in a
+    newline, and holds ``v name grade`` lines and then ``e u v grade``
+    lines with u < v: no comment or blank line.  Vertices and edges may
+    come in any order within their blocks.  Any other text, and any
+    record ``_line_records`` would refuse, returns None; no error is
+    raised.  No line or record is built in Python: the text is tokenized
+    by ``_marked_tokens`` and every check runs over strided slices of
+    each chunk's tokens.
+    """
+    if not (text.isascii() and text.endswith("\n")):
+        return None
+    if text.encode("ascii").translate(None, _CANONICAL):
+        return None
+    # the edge block starts at the first line that starts "e "
+    cut = text.find("\ne ") + 1 or len(text)
+    names: list[VertexId] = []
+    literals: list[str] = []
+    grades: dict[str, int] = {}
+    mu: dict[int, int] = {}
+    count = 0
+    try:
+        for tokens in _marked_tokens(text, 0, cut, "v"):
+            names += tokens[1::4]
+            literals += tokens[2::4]
+        index = dict(zip(names, range(len(names))))
+        if len(index) < len(names):
+            return None  # a vertex declared twice
+        sigma = _micro_grades(literals, grades)
+        bits = key_bits(len(names))
+        for tokens in _marked_tokens(text, cut, len(text), "e"):
+            us, vs = tokens[1::5], tokens[2::5]
+            # u < v also rules out a self loop
+            if not all(map(lt, us, vs)):
+                return None
+            du = [*map(index.__getitem__, us)]
+            dv = [*map(index.__getitem__, vs)]
+            w = _micro_grades(tokens[3::5], grades)
+            if 0 in w or not all(map(le, w, map(sigma.__getitem__, du))):
+                return None
+            if not all(map(le, w, map(sigma.__getitem__, dv))):
+                return None
+            mu.update(zip(map(or_, map(lshift, du, repeat(bits)), dv), w))
+            count += len(w)
+    except (KeyError, ValueError):
+        # an undeclared endpoint, a bad grade literal or a bad line
+        return None
+    if len(mu) < count:
+        return None  # an edge declared twice
+    return names, sigma, mu
+
+
+def _marked_tokens(
+    text: str, start: int, stop: int, kind: str
+) -> Iterator[list[str]]:
+    """The tokens of ``text[start:stop]``, which ends at a newline, in
+    chunks of about ``_CHUNK`` characters that end at one, with a
+    ``_MARK`` token for each newline.  ValueError unless every line is
+    ``kind`` and two (``v``) or three (``e``) more tokens."""
+    width = 4 if kind == "v" else 5
+    while start < stop:
+        end = text.find("\n", min(start + _CHUNK, stop) - 1) + 1
+        chunk = text[start:end]
+        tokens = chunk.replace("\n", f" {_MARK} ").split()
+        lines = chunk.count("\n")
+        # with each width-th token a mark, one per line, every line holds
+        # width - 1 tokens
+        if not (
+            len(tokens) == width * lines
+            and tokens[width - 1 :: width].count(_MARK) == lines
+            and tokens[::width].count(kind) == lines
+        ):
+            raise ValueError(f"not {kind} lines")
+        yield tokens
+        start = end
+
+
+def _micro_grades(literals: list[str], grades: dict[str, int]) -> list[int]:
+    """The micro-units of grade literals, each distinct literal parsed
+    once into ``grades``; ValueError for a bad one."""
+    fresh = {*literals}.difference(grades)
+    grades.update(zip(fresh, map(_literal_micro, fresh)))
+    return [*map(grades.__getitem__, literals)]
+
+
+def _line_records(text: str) -> _Records:
+    """The records of any .fzg text, read line by line.  Each record is
+    checked on its line: syntax, names, declaration before use,
+    duplicates and the constructor's per-edge checks, so the first error
+    is the earliest.  Each distinct grade literal is parsed once, to
+    micro-units.
 
     Edges are keyed as they are read, at the ``key_bits`` width of the
     vertices declared so far: 15 bits, until the 32,769th vertex, which

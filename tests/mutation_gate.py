@@ -59,6 +59,8 @@ _SMALL_SCOPE = "tests/test_small_scope.py::" \
 _SHAPES = "tests/test_index_sums.py::test_pair_rows_on_every_shape"
 _PENDANT = "tests/test_structure.py::" \
     "test_a_triangle_with_a_pendant_vertex_is_no_fuzzy_cycle"
+_BULK = "tests/test_model.py::" \
+    "test_the_bulk_reader_reads_as_the_line_reader_does_or_declines"
 _FIRST_PAIR = "tests/test_connectivity.py::" \
     "test_the_first_pair_with_no_strong_path_starts_at_vertex_0"
 
@@ -157,6 +159,22 @@ MUTANTS = [
         "k >> bits << wider | k & full - 1", "k",
         ("tests/test_model.py::"
          "test_the_parser_widens_its_edge_keys_past_32768_vertices",),
+    ),
+    # the bulk reader declines every record the line reader refuses
+    Mutant(
+        "model.py", "if len(mu) < count:", "len(mu) < count", "False",
+        (_BULK,),
+    ),
+    Mutant(
+        "model.py",
+        "if 0 in w or not all(map(le, w, map(sigma.__getitem__, du))):",
+        "0 in w or ", "",
+        (_BULK,),
+    ),
+    Mutant(
+        "model.py", "if not all(map(le, w, map(sigma.__getitem__, dv))):",
+        "not all(map(le, w, map(sigma.__getitem__, dv)))", "False",
+        (_BULK,),
     ),
     # the one walk that recognises a fuzzy cycle, and its saturation
     Mutant(

@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import fuzzygraph as fg
+from fuzzygraph import model
 import reference as ref  # shares no code with the library
 from test_small_scope import check_scope
 
@@ -113,6 +114,19 @@ def test_the_tree_less_one_edge_is_strongly_disconnected(trees):
     assert "WI = unavailable (strong subgraph disconnected)" in lines
 
 
+def test_the_bulk_reader_reads_the_canonical_layouts_alone(trees):
+    # serialize's layout, its vertices in any order, is read in bulk; a
+    # vertex after an edge, or an edge against name order, is read by line
+    for name, path in trees.items():
+        text = path.read_text()
+        bulk = model._bulk_records(text)
+        if name in ("interleaved", "renamed"):
+            assert bulk is None, name
+        else:
+            assert bulk == model._line_records(text), name
+
+
+# the tree is read in bulk, its interleaved and renamed texts by line
 @pytest.mark.parametrize("name", ["reversed", "interleaved"])
 def test_reordered_declarations_report_alike(trees, tree_reports, name):
     for args in "kind", "mst", "--format json classify":

@@ -780,6 +780,19 @@ def test_a_stdout_closed_at_start_exits_2_with_one_error_line():
     assert proc.stderr.count("\n") == 1
 
 
+def test_a_stderr_closed_at_start_keeps_the_error_line_off_stdout():
+    # with fd 2 closed before Python starts, sys.stderr is None, and print
+    # to it would write to stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzygraph", "kind", "/nonexistent.fzg"],
+        stdout=subprocess.PIPE,
+        timeout=120,
+        preexec_fn=lambda: os.close(2),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
 # ------------------------------------------------------------ out of memory
 
 _MEMORY_LIMIT = 200 << 20  # bytes of address space for each child

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -27,9 +28,12 @@ from fuzzygraph import (
     parse_graph,
     strength_of_connectedness,
 )
+from fuzzygraph import model
 from fuzzygraph.analysis import Analysis
 from fuzzygraph.model import (
     ONE,
+    _bulk_records,
+    _line_records,
     _literal_micro,
     _read_records,
     key_bits,
@@ -443,10 +447,11 @@ def _corrupt(line: str, previous: str, sigma: dict[str, int], how: int) -> str:
     """An edge record made invalid on its own line, given the record
     before it and the vertex grades."""
     _, u, v, grade = line.split()
-    if how == 1 and previous.startswith("e "):
+    if how in (5, 6) and previous.startswith("e "):
+        # the record before, again, in reversed or in the same order
         _, a, b, _ = previous.split()
-        return f"e {b} {a} {grade}"
-    if how == 2 and min(sigma[u], sigma[v]) < MICRO:
+        return f"e {b} {a} {grade}" if how == 5 else f"e {a} {b} {grade}"
+    if how == 7 and min(sigma[u], sigma[v]) < MICRO:
         return f"e {u} {v} {micro_text(min(sigma[u], sigma[v]) + 1)}"
     return [
         f"e {u} {u} {grade}",
@@ -473,7 +478,7 @@ def test_the_earliest_corrupted_edge_line_is_reported(g, data):
     # the lines before the earliest corrupted one are the original,
     # valid ones, so that line holds the first error
     for k in chosen:
-        how = data.draw(st.integers(0, 6))
+        how = data.draw(st.integers(0, 7))
         lines[k] = _corrupt(original[k], original[k - 1], sigma, how)
     text = "\n".join(lines) + "\n"
     for source in (text, text.encode("ascii")):
@@ -497,7 +502,7 @@ def test_the_parser_admits_only_graphs_the_checks_admit(g, data):
     if edges and data.draw(st.booleans()):
         k = data.draw(st.integers(0, len(edges) - 1))
         previous = edges[k - 1] if k else lines[first - 1]
-        how = data.draw(st.integers(0, 6))
+        how = data.draw(st.integers(0, 7))
         edges[k] = _corrupt(edges[k], previous, sigma, how)
     text = "\n".join(lines[:first] + edges) + "\n"
     try:
@@ -507,6 +512,97 @@ def test_the_parser_admits_only_graphs_the_checks_admit(g, data):
     checked = FuzzyGraph.from_micro(*_name_keyed(*_read_records(text)))
     assert parsed == checked
     assert parsed.serialize() == checked.serialize()
+
+
+# canonical texts, which the bulk reader must read: serialize's layout,
+# with edges in any order and names that hold ";" or "#"
+_CANONICAL_CHANGES = [None, "permuted", "name;", "name#"]
+_CHANGES = [
+    *_CANONICAL_CHANGES,
+    *[f"corrupt {how}" for how in range(8)],
+    "reversed edge", "# note", "", "crlf", "tab", "late vertex",
+    "vertex twice", "name\0", "no final newline",
+]
+
+
+def _changed_text(g: FuzzyGraph, change: str | None, rng) -> str:
+    """The canonical text of g with one change of ``_CHANGES``; a change
+    to an edge line leaves a graph with no edges unchanged."""
+    lines = g.serialize().splitlines()
+    first = g.vertex_count
+    sigma = dict(zip(g.vertices(), g.sigma_micro))
+    edges = len(lines) - first
+    # an edge line, after another one where there are two, so that a
+    # duplicate of the line before is of an edge
+    k = rng.randrange(first + (edges > 1), len(lines)) if edges else None
+    if change == "permuted":
+        lines[first:] = rng.sample(lines[first:], edges)
+    elif change == "reversed edge" and edges:
+        _, u, v, grade = lines[k].split()
+        lines[k] = f"e {v} {u} {grade}"
+    elif change and change.startswith("corrupt") and edges:
+        lines[k] = _corrupt(lines[k], lines[k - 1], sigma, int(change[-1]))
+    elif change in ("# note", ""):
+        lines.insert(rng.randrange(len(lines) + 1), change)
+    elif change == "late vertex":
+        lines.append(lines.pop(rng.randrange(first)))
+    elif change == "vertex twice":
+        lines.insert(rng.randrange(first + 1), lines[rng.randrange(first)])
+    elif change and change.startswith("name"):
+        # a suffix keeps the name order of the fuzzy_graphs names
+        name = rng.choice(g.vertices())
+        lines = [
+            " ".join(t + change[-1] if t == name else t for t in x.split())
+            for x in lines
+        ]
+    text = "\n".join(lines) + "\n"
+    if change == "crlf":
+        return text.replace("\n", "\r\n")
+    if change == "tab":
+        i = rng.choice([i for i, c in enumerate(text) if c == " "])
+        return f"{text[:i]}\t{text[i + 1:]}"
+    return text[:-1] if change == "no final newline" else text
+
+
+# each change above corrupts "e b c 0.5", whose second end c has the
+# lower grade
+_BULK_EXAMPLE = parse_graph("v a 1\nv b 1\nv c 0.5\ne a b 0.5\ne b c 0.5\n")
+
+
+def _outcome(read, text: str):
+    """What ``read`` returns for text, or the type and message it raises."""
+    try:
+        return read(text)
+    except (ParseError, GraphConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    fuzzy_graphs(min_vertices=2, max_vertices=7),
+    st.sampled_from(_CHANGES),
+    st.integers(1, 40),
+    st.randoms(use_true_random=False),
+)
+# a zero grade, the same edge twice and a grade above its second end's
+@example(_BULK_EXAMPLE, "corrupt 1", 1, random.Random(0))
+@example(_BULK_EXAMPLE, "corrupt 6", 1, random.Random(0))
+@example(_BULK_EXAMPLE, "corrupt 7", 1, random.Random(0))
+@settings(max_examples=500, deadline=None)
+def test_the_bulk_reader_reads_as_the_line_reader_does_or_declines(
+    g, change, chunk, rng
+):
+    text = _changed_text(g, change, rng)
+    # chunks of a line or a few, so that records and their duplicates
+    # land in different chunks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_CHUNK", chunk)
+        bulk = _bulk_records(text)
+        read = _outcome(_read_records, text)
+    lines = _outcome(_line_records, text)
+    assert bulk is None or bulk == lines
+    assert read == lines
+    if change in _CANONICAL_CHANGES:
+        assert bulk is not None
 
 
 def _name_keyed(names, sigma, mu):
